@@ -9,30 +9,16 @@ visible. Takes several minutes at the default settings.
 
 import argparse
 
-import numpy as np
-
-from paracnn.corpus import (ParagraphBatch, build_vocab, encode_paragraph,
-                            generate_synthetic_corpus, synthetic_vocab_paragraphs)
+from paracnn.corpus import (build_vocab, generate_synthetic_corpus, make_batches,
+                            synthetic_vocab_paragraphs)
 from paracnn.model import ModelConfig
 from paracnn.tensor import RngState
 from paracnn.training import TwinConfig, TwinTrainer, twin_train_epoch
 
 
-def batches(records, encoded, order, batch_size):
-    out = []
-    for lo in range(0, len(order), batch_size):
-        idx = order[lo:lo + batch_size]
-        out.append(ParagraphBatch(
-            np.stack([encoded[i][0] for i in idx]),
-            np.stack([encoded[i][1] for i in idx]),
-            np.asarray([encoded[i][2] for i in idx]),
-            [records[i]["features"] for i in idx]))
-    return out
-
-
-def run(mode, args, records, encoded, vocab):
+def run(mode, args, entries, vocab):
     cfg = ModelConfig(vocab_size=len(vocab), max_sentences=3, max_words=8,
-                      visual_dim=records[0]["features"].shape[1],
+                      visual_dim=entries[0]["feature_path"].shape[1],
                       proj_dim=args.channels, topic_dim=args.channels,
                       embed_dim=args.channels, context_dim=args.channels,
                       channels=args.channels, topic_kernel=5, word_kernel=5,
@@ -44,9 +30,10 @@ def run(mode, args, records, encoded, vocab):
     print(f"== mode={mode}")
     history = []
     for epoch in range(1, args.epochs + 1):
-        order = RngState(args.seed).child(11).child(epoch).permutation(len(records))
-        stats = twin_train_epoch(trainer, batches(records, encoded, order, args.batch_size),
-                                 train_predictor=False)
+        order = RngState(args.seed).child(11).child(epoch).permutation(len(entries))
+        batches = make_batches(entries, vocab, cfg.max_sentences, cfg.max_words,
+                               args.batch_size, order)
+        stats = twin_train_epoch(trainer, batches, train_predictor=False)
         history.append(stats)
         print(f"epoch {epoch:3d}  ce_fwd={stats.ce_fwd:8.4f}  ce_bwd={stats.ce_bwd:8.4f}"
               f"  twin_l2={stats.twin_l2:8.4f}  critic={stats.critic_loss:9.5f}")
@@ -65,12 +52,13 @@ def main():
     ap.add_argument("--lambda-adv", type=float, default=0.001)
     args = ap.parse_args()
 
-    records = generate_synthetic_corpus(3, args.size, noise=0.0)
+    # manifest-style entries whose feature_path holds the in-memory features
+    entries = [{"paragraph": r["paragraph"], "feature_path": r["features"]}
+               for r in generate_synthetic_corpus(3, args.size, noise=0.0)]
     vocab = build_vocab(synthetic_vocab_paragraphs(), min_freq=2)
-    encoded = [encode_paragraph(r["paragraph"], vocab, 3, 8) for r in records]
 
-    base = run("none", args, records, encoded, vocab)
-    twin = run("l2_plus_adversarial", args, records, encoded, vocab)
+    base = run("none", args, entries, vocab)
+    twin = run("l2_plus_adversarial", args, entries, vocab)
 
     print("\n== summary")
     print(f"final ce: baseline={base[-1].ce_fwd:.4f} twin={twin[-1].ce_fwd:.4f} "

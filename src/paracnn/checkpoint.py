@@ -10,6 +10,7 @@ data) so round trips are bit-exact and fixtures are language-neutral.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -39,25 +40,42 @@ def write_checkpoint(path, meta: dict, arrays: dict):
             fh.write(arr.tobytes())
 
 
+def _read_exact(fh, n: int, end: int, what: str) -> bytes:
+    if fh.tell() + n > end:
+        raise CheckpointError(f"{fh.name}: truncated {what}")
+    return fh.read(n)
+
+
 def read_checkpoint(path):
-    """Returns (meta dict, name -> float64 array)."""
+    """Returns (meta dict, name -> float64 array); CheckpointError on any malformed input."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         if fh.read(6) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, expected {MAGIC!r}")
-        (json_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(json_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (json_len,) = struct.unpack("<I", _read_exact(fh, 4, end, "header"))
+        try:
+            meta = json.loads(_read_exact(fh, json_len, end, "metadata").decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise CheckpointError(f"{path}: invalid metadata block: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: metadata block is not a JSON object")
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, end, "entry count"))
         arrays = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack("<" + "I" * ndim, fh.read(4 * ndim))
+        for i in range(count):
+            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, end, f"entry {i} name"))
+            try:
+                name = _read_exact(fh, name_len, end, f"entry {i} name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: invalid name of entry {i}: {exc}") from exc
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, end, f"entry {name!r} shape"))
+            shape = struct.unpack("<" + "I" * ndim,
+                                  _read_exact(fh, 4 * ndim, end, f"entry {name!r} shape"))
             size = int(np.prod(shape)) if ndim else 1
-            raw = fh.read(8 * size)
-            if len(raw) != 8 * size:
-                raise CheckpointError(f"{path}: truncated entry {name!r}")
+            raw = _read_exact(fh, 8 * size, end, f"entry {name!r}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.tell() != end:
+            raise CheckpointError(
+                f"{path}: {end - fh.tell()} trailing bytes after {count} entries")
     return meta, arrays
 
 

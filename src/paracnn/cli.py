@@ -186,16 +186,6 @@ def _load_split(data_dir: str, name: str):
     return corpus_mod.read_manifest(path)
 
 
-def _make_batches(entries, vocab, cfg: ModelConfig, batch_size: int, order, data_dir):
-    ordered = [entries[i] for i in order]
-    batches = []
-    for lo in range(0, len(ordered), batch_size):
-        chunk = ordered[lo:lo + batch_size]
-        batches.append(corpus_mod.batch_from_entries(
-            chunk, vocab, cfg.max_sentences, cfg.max_words, base_dir=data_dir))
-    return batches
-
-
 def build_trainer(run: RunConfig, vocab) -> TwinTrainer:
     return TwinTrainer(run.model, run.twin, run.seed, run.train.lr,
                        start_index=vocab.start)
@@ -245,14 +235,15 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
 
     start_epoch = 1
     if args.resume:
-        meta, arrays = read_checkpoint(args.resume)
+        meta, arrays = _read_checkpoint_meta(args.resume, ("vocab", "epoch"))
         if meta["vocab"] != vocab.tokens:
             raise CheckpointError("resume checkpoint was trained with a different vocabulary")
         load_trainer_arrays(trainer, arrays)
         start_epoch = meta["epoch"] + 1
 
-    val_batches = _make_batches(val_entries, vocab, run.model, run.train.batch_size,
-                                np.arange(len(val_entries)), data_dir)
+    val_batches = corpus_mod.make_batches(val_entries, vocab, run.model.max_sentences,
+                                          run.model.max_words, run.train.batch_size,
+                                          np.arange(len(val_entries)), base_dir=data_dir)
 
     log_path = os.path.join(out_dir, "log.jsonl")
     log_fh = open(log_path, "a" if args.resume else "w")
@@ -265,8 +256,9 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
         t0 = time.time()
         order = RngState(run.seed).child(SHUFFLE_RNG).child(epoch).permutation(
             len(train_entries))
-        batches = _make_batches(train_entries, vocab, run.model, run.train.batch_size,
-                                order, data_dir)
+        batches = corpus_mod.make_batches(train_entries, vocab, run.model.max_sentences,
+                                          run.model.max_words, run.train.batch_size, order,
+                                          base_dir=data_dir)
         try:
             stats = twin_train_epoch(trainer, batches)
         except TrainingDiverged as exc:
@@ -306,8 +298,17 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
 # -- generate -----------------------------------------------------------------------
 
 
-def load_checkpoint_trainer(path):
+def _read_checkpoint_meta(path, keys):
+    """read_checkpoint, plus CheckpointError when the metadata lacks one of ``keys``."""
     meta, arrays = read_checkpoint(path)
+    for key in keys:
+        if key not in meta:
+            raise CheckpointError(f"{path}: checkpoint metadata lacks {key!r}")
+    return meta, arrays
+
+
+def load_checkpoint_trainer(path):
+    meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"))
     cfg_dict = meta["config"]
     run = RunConfig(
         seed=meta["seed"],

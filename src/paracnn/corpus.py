@@ -352,6 +352,18 @@ def batch_from_entries(entries, vocab: Vocab, max_sentences: int, max_words: int
     return ParagraphBatch(np.stack(toks), np.stack(masks), np.asarray(counts), feats)
 
 
+def make_batches(entries, vocab: Vocab, max_sentences: int, max_words: int, batch_size: int,
+                 order, base_dir=None) -> list:
+    """Batches of ``batch_size`` entries taken in ``order``; the last may be short.
+
+    An entry's ``feature_path`` may also hold an in-memory [R, d] feature array.
+    """
+    ordered = [entries[i] for i in order]
+    return [batch_from_entries(ordered[lo:lo + batch_size], vocab, max_sentences, max_words,
+                               base_dir=base_dir)
+            for lo in range(0, len(ordered), batch_size)]
+
+
 def pad_feature_batch(features: list):
     """Stack variable-region feature matrices into [B, R_max, d] plus a mask."""
     dims = {f.shape[1] for f in features}

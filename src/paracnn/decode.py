@@ -2,10 +2,12 @@
 
 Decoding is deterministic: per sentence, the context pools the previously
 *generated* sentence, the topic stack is extended by one slot, and words are
-picked by argmax until <eos> or the word budget. The repetition penalty
-subtracts gamma times a token's emission count from its logit, and trigram
-blocking forbids completing any already-emitted trigram; both apply at
-inference only.
+picked by argmax until <eos> or the word budget. Decoding runs the same
+``ParagraphModel.topic_forward`` and ``ParagraphModel.sentence_forward`` as
+teacher-forced training, for one image and one growing prefix at a time. The
+repetition penalty subtracts gamma times a token's emission count from its
+logit, and trigram blocking forbids completing any already-emitted trigram;
+both apply at inference only.
 """
 
 from __future__ import annotations
@@ -75,26 +77,26 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     n_words = min(dc.max_words or cfg.max_words, cfg.max_words)
 
     feats = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
-    global_feat, regions = model.project_features(feats)
+    # a batch of one image: [1, proj] global vector, [1, R, proj] regions
+    global_feat, regions = model.project_features(feats.reshape((1,) + feats.shape))
 
     state = TopicState(capacity=n_sent)
     sentences = []
     paragraph_history = []
     for j in range(n_sent):
         if j == 0 or not sentences[-1]:
-            context = Tensor(np.zeros(cfg.context_dim))
+            context = Tensor(np.zeros((1, cfg.context_dim)))
         else:
-            prev = sentences[-1]
-            embeds = model.embed(np.asarray(prev, dtype=np.int64))
-            context = model.pool_context(embeds, np.ones(len(prev)))
+            prev = np.asarray(sentences[-1:], dtype=np.int64)
+            context = model.pool_context(model.embed(prev), np.ones(prev.shape))
         topic = model.topic_forward(state, global_feat, context)
 
         history = paragraph_history if dc.penalty_scope == "paragraph" else []
         prefix = [vocab.start]
         words = []
         for _ in range(n_words):
-            logits = model.sentence_forward(topic, prefix, regions)
-            row = logits.data[-1]
+            _, logits = model.sentence_forward(topic, [prefix], regions)
+            row = logits.data[0, -1]
             if dc.rep_penalty > 0 or dc.block_trigrams:
                 row = apply_repetition_penalty(row, history, dc.rep_penalty, dc.block_trigrams)
             tok = int(np.argmax(row))

@@ -186,43 +186,36 @@ class MultiHeadSelfAttention(Layer):
         self.wv = Linear(rng, dim, dim)
         self.wo = Linear(rng, dim, dim)
 
+    def _split(self, t: Tensor) -> Tensor:
+        B, T, d = t.shape
+        return t.reshape(B, T, self.heads, d // self.heads).transpose((0, 2, 1, 3))
+
+    def _weights(self, x: Tensor, key_mask) -> Tensor:
+        """Softmax attention rows [B, H, T, T] of x: [B, T, d]."""
+        B, T, d = x.shape
+        q, k = self._split(self.wq(x)), self._split(self.wk(x))
+        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d // self.heads))
+        if key_mask is not None:
+            m = np.asarray(key_mask, dtype=np.float64).reshape(B, 1, 1, T)
+            scores = scores + Tensor((m - 1.0) * MASK_NEG)
+        return scores.softmax(axis=-1)
+
     def __call__(self, x: Tensor, key_mask=None) -> Tensor:
         """x: [T, d] or [B, T, d]; key_mask flags which positions may be attended."""
         squeeze = x.ndim == 2
         if squeeze:
             x = x.reshape((1,) + x.shape)
         B, T, d = x.shape
-        H = self.heads
-        dh = d // H
-
-        def split(t):
-            return t.reshape(B, T, H, dh).transpose((0, 2, 1, 3))  # [B, H, T, dh]
-
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))  # [B, H, T, T]
-        if key_mask is not None:
-            m = np.asarray(key_mask, dtype=np.float64).reshape(B, 1, 1, T)
-            scores = scores + Tensor((m - 1.0) * MASK_NEG)
-        attn = scores.softmax(axis=-1)
-        out = (attn @ v).transpose((0, 2, 1, 3)).reshape(B, T, d)
+        attn = self._weights(x, key_mask)
+        out = (attn @ self._split(self.wv(x))).transpose((0, 2, 1, 3)).reshape(B, T, d)
         out = self.wo(out)
         return out.reshape(T, d) if squeeze else out
 
     def attention_weights(self, x: Tensor, key_mask=None) -> np.ndarray:
         """Per-head attention rows (for invariant checks), shape [B, H, T, T]."""
-        squeeze = x.ndim == 2
-        if squeeze:
+        if x.ndim == 2:
             x = x.reshape((1,) + x.shape)
-        B, T, d = x.shape
-        H = self.heads
-        dh = d // H
-        q = self.wq(x).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
-        k = self.wk(x).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
-        if key_mask is not None:
-            m = np.asarray(key_mask, dtype=np.float64).reshape(B, 1, 1, T)
-            scores = scores + Tensor((m - 1.0) * MASK_NEG)
-        return scores.softmax(axis=-1).data
+        return self._weights(x, key_mask).data
 
 
 class GruDirection(Layer):
@@ -239,12 +232,6 @@ class GruDirection(Layer):
         self.Wh = _param(rng, (in_dim, hidden), in_dim)
         self.Uh = _param(rng, (hidden, hidden), hidden)
         self.bh = _param(rng, (hidden,), hidden)
-
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        z = (x @ self.Wz + h @ self.Uz + self.bz).sigmoid()
-        r = (x @ self.Wr + h @ self.Ur + self.br).sigmoid()
-        cand = (x @ self.Wh + (r * h) @ self.Uh + self.bh).tanh()
-        return (1.0 - z) * h + z * cand
 
     def run(self, seq: Tensor) -> list:
         """seq: [B, T, d] -> list of T hidden states [B, hidden].

@@ -6,8 +6,14 @@ pooled embedding of the previous sentence (the context) into one topic vector
 per sentence slot, feeding each slot autoregressively with the previous
 topic. A causal word convolution stack decodes each topic into word logits,
 with additive visual attention over region features injected after selected
-layers. Training is teacher-forced and fully parallel over word positions;
-only the sequential topic loop remains.
+layers.
+
+Teacher-forced training (``paragraph_forward``) and greedy decoding share one
+code path: ``topic_forward`` adds one topic slot to a ``TopicState`` and is the
+only way into the topic stack, and ``sentence_forward`` runs the word stack
+over S sentences at once (S = B*M teacher-forced sentences in training, the
+one growing prefix in decoding). Training is fully parallel over word
+positions; only the sequential topic loop remains.
 """
 
 from __future__ import annotations
@@ -69,11 +75,11 @@ class ModelConfig:
 
 @dataclass
 class TopicState:
-    """Topics and contexts accumulated while generating one paragraph."""
+    """Topic-stack input frames and topics of the slots filled so far."""
 
     capacity: int
+    frames: list = field(default_factory=list)
     topics: list = field(default_factory=list)
-    contexts: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -154,90 +160,56 @@ class ParagraphModel(Layer):
 
     # -- topic stack ---------------------------------------------------------------
 
-    def _run_topic_stack(self, frames: Tensor) -> Tensor:
-        h = frames
-        for block in self.topic_blocks:
-            h = block(h)
-        return h
-
-    def _topic_frame(self, prev_topic, global_feat: Tensor, context: Tensor) -> Tensor:
-        """Input frame for one slot: [B, embed + proj + context] -> [B, channels]."""
-        B = global_feat.shape[0]
-        if prev_topic is None:
-            tok = self.topic_start.reshape(1, -1).broadcast_to((B, self.cfg.embed_dim))
-        else:
-            tok = self.topic_in_embed(prev_topic)
-        return self.topic_in(concat([tok, global_feat, context], axis=-1))
-
     def topic_forward(self, state: TopicState, global_feat: Tensor, context: Tensor) -> Tensor:
-        """Extend the paragraph by one topic; mutates ``state`` and returns T_j.
+        """Extend the paragraph by one topic slot; mutates ``state`` and returns T_j [B, topic].
 
-        Slot j's input token is the previous topic through a learned map (a
-        learned start vector for slot 1); the frame also carries the global
-        image vector and this slot's context. The new topic is the causal
-        stack's output at slot j given all frames so far.
+        Slot j's input frame is built from the previous topic through a learned
+        map (a learned start vector for slot 1), the global image vector
+        [B, proj] and this slot's context [B, ctx]. The new topic is the causal
+        stack's output at slot j given the frames of slots 1..j.
         """
         j = len(state.topics) + 1
         if j > state.capacity:
             raise ShapeError(f"topic slot {j} exceeds capacity {state.capacity}")
-        if global_feat.ndim == 1:
-            global_feat = global_feat.reshape(1, -1)
-        if context.ndim == 1:
-            context = context.reshape(1, -1)
-        state.contexts.append(context)
-        frames = stack([self._topic_frame(None if i == 0 else state.topics[i - 1],
-                                          global_feat, state.contexts[i])
-                        for i in range(j)], axis=1)
-        out = self._run_topic_stack(frames)
-        topic = out[:, j - 1, :]
+        if global_feat.ndim != 2 or context.ndim != 2:
+            raise ShapeError("topic_forward expects [B, proj] global and [B, ctx] context")
+        if state.topics:
+            tok = self.topic_in_embed(state.topics[-1])
+        else:
+            B = global_feat.shape[0]
+            tok = self.topic_start.reshape(1, -1).broadcast_to((B, self.cfg.embed_dim))
+        state.frames.append(self.topic_in(concat([tok, global_feat, context], axis=-1)))
+        h = stack(state.frames, axis=1)
+        for block in self.topic_blocks:
+            h = block(h)
+        topic = h[:, j - 1, :]
         state.topics.append(topic)
         return topic
 
-    def _topics_batched(self, global_feat: Tensor, contexts: list) -> list:
-        """Teacher-forced topics for M slots over a batch; contexts is a list of [B, ctx]."""
-        topics = []
-        frames = []
-        for i, ctx in enumerate(contexts):
-            prev = topics[i - 1] if i > 0 else None
-            frames.append(self._topic_frame(prev, global_feat, ctx))
-            out = self._run_topic_stack(stack(frames, axis=1))
-            topics.append(out[:, i, :])
-        return topics
-
     # -- word stack -----------------------------------------------------------------
 
-    def _word_stack(self, frames: Tensor, regions: Tensor, region_mask):
-        """frames: [B, T, channels] -> (pre-logit frames, logits [B, T, V])."""
-        h = frames
+    def sentence_forward(self, topics: Tensor, inputs, regions: Tensor, region_mask=None):
+        """Word stack over S sentences: returns (hidden [S, T, channels], logits [S, T, V]).
+
+        ``topics`` is [S, topic], ``inputs`` the [S, T] input tokens (each row
+        starting with <start>), ``regions`` [S, R, proj] with an optional [S, R]
+        mask. The logit row at position t scores the token following
+        inputs[:, t]; the hidden frames are the pre-logit features.
+        """
+        inputs = np.asarray(inputs, dtype=np.int64)
+        if inputs.ndim != 2:
+            raise ShapeError("sentence_forward expects [S, T] input tokens")
+        S, T = inputs.shape
+        if T > self.cfg.max_words:
+            raise ShapeError(f"prefix length {T} exceeds max_words {self.cfg.max_words}")
+        top = topics.reshape(S, 1, self.cfg.topic_dim).broadcast_to((S, T, self.cfg.topic_dim))
+        h = self.word_in(concat([self.embed(inputs), top], axis=-1))
         for i, block in enumerate(self.word_blocks, start=1):
             h = block(h)
             tap = self.word_attn.get(str(i))
             if tap is not None:
                 h = tap(h, regions, region_mask)
         return h, self.vocab_head(h)
-
-    def sentence_forward(self, topic: Tensor, word_prefix, regions: Tensor,
-                         region_mask=None):
-        """Logits for each position of one sentence prefix.
-
-        ``word_prefix`` lists the input tokens (starting with <start>); the
-        logit row at position t scores the token following prefix[t].
-        """
-        prefix = np.asarray(word_prefix, dtype=np.int64)
-        if prefix.ndim != 1:
-            raise ShapeError("sentence_forward expects a flat token prefix")
-        if prefix.size > self.cfg.max_words:
-            raise ShapeError(f"prefix length {prefix.size} exceeds max_words {self.cfg.max_words}")
-        emb = self.embed(prefix)  # [t, embed]
-        t = prefix.size
-        if topic.ndim == 2:
-            topic = topic.reshape(topic.shape[-1:])
-        top = topic.reshape(1, -1).broadcast_to((t, self.cfg.topic_dim))
-        frames = self.word_in(concat([emb, top], axis=-1)).reshape(1, t, self.cfg.channels)
-        if regions.ndim == 2:
-            regions = regions.reshape((1,) + regions.shape)
-        _, logits = self._word_stack(frames, regions, region_mask)
-        return logits.reshape(t, self.cfg.vocab_size)
 
     # -- teacher-forced paragraph pass --------------------------------------------------
 
@@ -263,16 +235,14 @@ class ParagraphModel(Layer):
         for j in range(1, M):
             prev = token_embeds[:, j - 1, :, :]
             contexts.append(self.pool_context(prev, mask[:, j - 1, :]))
-        topics = self._topics_batched(global_feat, contexts)
+        state = TopicState(capacity=M)
+        for context in contexts:
+            self.topic_forward(state, global_feat, context)
 
         # shift targets right: input 0 is <start>, input t is token t-1
         inputs = np.empty_like(tokens)
         inputs[:, :, 0] = start_index
         inputs[:, :, 1:] = tokens[:, :, :-1]
-        in_embeds = self.embed(inputs).reshape(B * M, N, c.embed_dim)
-        topic_seq = stack(topics, axis=1).reshape(B * M, 1, c.topic_dim)
-        topic_rep = topic_seq.broadcast_to((B * M, N, c.topic_dim))
-        frames = self.word_in(concat([in_embeds, topic_rep], axis=-1))
 
         R = regions.shape[-2]
         reg_rep = regions.reshape(B, 1, R, c.proj_dim).broadcast_to(
@@ -282,7 +252,9 @@ class ParagraphModel(Layer):
             rm = np.asarray(region_mask, dtype=np.float64)
             rm_rep = np.broadcast_to(rm.reshape(B, 1, R), (B, M, R)).reshape(B * M, R)
 
-        hidden, logits = self._word_stack(frames, reg_rep, rm_rep)
+        hidden, logits = self.sentence_forward(
+            stack(state.topics, axis=1).reshape(B * M, c.topic_dim),
+            inputs.reshape(B * M, N), reg_rep, rm_rep)
         return (logits.reshape(B, M, N, c.vocab_size),
                 hidden.reshape(B, M, N, c.channels),
                 global_feat)

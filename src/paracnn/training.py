@@ -139,23 +139,22 @@ def reverse_targets(batch: ParagraphBatch, granularity: str = "paragraph") -> Pa
                           list(batch.feature_refs))
 
 
-def _twin_alignment_rows(mask: np.ndarray):
-    """Row indices pairing forward frames with same-target backward frames.
+def _mirror_frames(frames: np.ndarray, mask) -> np.ndarray:
+    """Backward-network frames [B, ..., C] re-reversed to forward order, [B, L, C].
 
-    For the flattened [B*M*N, C] hidden grids, forward row vi[t] pairs with
-    backward row vi[L-1-t] (the backward network predicts the reversed
-    stream, so its frame for the same target sits mirrored over the valid
-    positions).
+    The backward network predicts each paragraph's valid token stream
+    reversed, so its frame for the target at a paragraph's t-th of L valid
+    positions sits at the (L-1-t)-th. ``mask`` is [B, ...] with L positions
+    per item; frames at invalid positions come back zero.
     """
     B = mask.shape[0]
-    MN = mask.shape[1] * mask.shape[2]
-    flat = mask.reshape(B, MN)
-    rows_f, rows_b = [], []
+    fm = mask.reshape(B, -1)
+    flat = frames.reshape(B, fm.shape[1], -1)
+    out = np.zeros_like(flat)
     for b in range(B):
-        idx = np.flatnonzero(flat[b]) + b * MN
-        rows_f.append(idx)
-        rows_b.append(idx[::-1])
-    return np.concatenate(rows_f), np.concatenate(rows_b)
+        idx = np.flatnonzero(fm[b])
+        out[b, idx] = flat[b, idx[::-1]]
+    return out
 
 
 def twin_l2_loss(h_fwd: Tensor, h_bwd: Tensor, mask) -> Tensor:
@@ -169,20 +168,14 @@ def twin_l2_loss(h_fwd: Tensor, h_bwd: Tensor, mask) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if h_fwd.shape != h_bwd.shape:
         raise ValueError(f"hidden shapes differ: {h_fwd.shape} vs {h_bwd.shape}")
-    if h_fwd.ndim == 2:
-        grid_mask = mask.reshape(1, 1, -1)
-        C = h_fwd.shape[-1]
-        flat_f, flat_b = h_fwd, h_bwd
-    else:
-        grid_mask = mask
-        C = h_fwd.shape[-1]
-        flat_f = h_fwd.reshape(-1, C)
-        flat_b = h_bwd.reshape(-1, C)
-    if grid_mask.size != flat_f.shape[0]:
+    C = h_fwd.shape[-1]
+    if mask.size != h_fwd.data.size // C:
         raise ValueError("mask size does not match hidden sequence length")
-    rows_f, rows_b = _twin_alignment_rows(grid_mask)
-    picked_f = gather_rows(flat_f, rows_f)
-    target_b = Tensor(flat_b.data.reshape(-1, C)[rows_b])
+    if h_fwd.ndim == 2:
+        mask = mask.reshape(1, -1)
+    rows = np.flatnonzero(mask.reshape(-1))
+    picked_f = gather_rows(h_fwd.reshape(-1, C), rows)
+    target_b = Tensor(_mirror_frames(h_bwd.data, mask).reshape(-1, C)[rows])
     diff = picked_f - target_b
     return (diff * diff).mean()
 
@@ -195,18 +188,6 @@ def _masked_grid(h: Tensor, mask: np.ndarray) -> Tensor:
     B, M, N, C = h.shape
     m = mask.reshape(B, M * N, 1).astype(np.float64)
     return h.reshape(B, M * N, C) * Tensor(m)
-
-
-def _aligned_backward_frames(h_bwd_data: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Re-reverse the backward network's frames to forward order (numpy only)."""
-    B, M, N, C = h_bwd_data.shape
-    out = np.zeros((B, M * N, C))
-    flat = h_bwd_data.reshape(B, M * N, C)
-    fm = mask.reshape(B, M * N)
-    for b in range(B):
-        idx = np.flatnonzero(fm[b])
-        out[b, idx] = flat[b, idx[::-1]]
-    return out
 
 
 def critic_step(critic: Critic, h_fwd_detached: Tensor, h_bwd_detached: Tensor,
@@ -234,17 +215,6 @@ def batch_ce(model: ParagraphModel, batch: ParagraphBatch, features: Tensor,
         batch.tokens, batch.mask, features, region_mask, start_index=start_index)
     loss = cross_entropy(logits, batch.tokens, batch.mask)
     return loss, hidden, global_feat
-
-
-def mle_step(model: ParagraphModel, batch: ParagraphBatch, features: Tensor,
-             region_mask, opt: RmspropOptimizer, start_index: int = 1) -> float:
-    opt.zero_grad()
-    loss, _, _ = batch_ce(model, batch, features, region_mask, start_index)
-    if not np.isfinite(loss.data):
-        raise TrainingDiverged(f"non-finite MLE loss {loss.data}")
-    loss.backward()
-    opt.step()
-    return float(loss.data)
 
 
 @dataclass
@@ -286,36 +256,33 @@ class TwinTrainer:
         self.opt_pred = RmspropOptimizer(self.predictor.named_parameters(), lr=lr)
 
     def train_batch(self, batch: ParagraphBatch, train_predictor: bool = True) -> EpochStats:
-        """One generator update (plus 5 critic updates in adversarial modes)."""
+        """One generator update (plus 5 critic updates in adversarial modes).
+
+        Without a twin there is no backward network or critic and the update
+        is plain teacher-forced maximum likelihood.
+        """
         feats, region_mask = pad_feature_batch(batch.feature_refs)
         features = Tensor(feats)
         twin = self.twin
 
-        if twin.mode == "none":
-            ce = mle_step(self.model, batch, features, region_mask, self.opt, self.start_index)
-            stats = EpochStats(ce_fwd=ce, generator_updates=1)
-            if train_predictor:
-                self._predictor_step(batch, features, region_mask)
-            return stats
-
         self.opt.zero_grad()
         ce_f, h_f, _ = batch_ce(self.model, batch, features, region_mask, self.start_index)
+        stats = EpochStats(ce_fwd=float(ce_f.data), generator_updates=1)
 
-        rev = reverse_targets(batch, twin.reverse_granularity)
-        self.opt_bwd.zero_grad()
-        ce_b, h_b, _ = batch_ce(self.model_bwd, rev, features, region_mask, self.start_index)
+        ce_b = None
+        if self.model_bwd is not None:
+            rev = reverse_targets(batch, twin.reverse_granularity)
+            self.opt_bwd.zero_grad()
+            ce_b, h_b, _ = batch_ce(self.model_bwd, rev, features, region_mask, self.start_index)
+            stats.ce_bwd = float(ce_b.data)
 
-        if not (np.isfinite(ce_f.data) and np.isfinite(ce_b.data)):
-            raise TrainingDiverged(f"non-finite CE (fwd={ce_f.data}, bwd={ce_b.data})")
+        if not (np.isfinite(stats.ce_fwd) and (ce_b is None or np.isfinite(stats.ce_bwd))):
+            raise TrainingDiverged(f"non-finite CE (fwd={stats.ce_fwd}, bwd={stats.ce_bwd})")
 
-        stats = EpochStats(ce_fwd=float(ce_f.data), ce_bwd=float(ce_b.data),
-                           generator_updates=1)
-
-        aligned_b = _aligned_backward_frames(h_b.data, batch.mask)
         critic_losses = []
         if twin.uses_adversarial:
             fwd_det = Tensor(_masked_grid(h_f, batch.mask).data)
-            bwd_det = Tensor(aligned_b)  # invalid frames already zero
+            bwd_det = Tensor(_mirror_frames(h_b.data, batch.mask))  # invalid frames zero
             for _ in range(twin.critic_steps):
                 critic_losses.append(critic_step(self.critic, fwd_det, bwd_det,
                                                  self.opt_critic, twin.weight_clip))
@@ -338,8 +305,9 @@ class TwinTrainer:
         gen_loss.backward()
         self.opt.step()
 
-        ce_b.backward()
-        self.opt_bwd.step()
+        if ce_b is not None:
+            ce_b.backward()
+            self.opt_bwd.step()
 
         if train_predictor:
             self._predictor_step(batch, features, region_mask)

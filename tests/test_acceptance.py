@@ -16,11 +16,11 @@ from paracnn import cli as cli_mod
 from paracnn import training as training_mod
 from paracnn.checkpoint import read_checkpoint
 from paracnn.cli import gradcheck_report, main as cli_main
-from paracnn.corpus import (ParagraphBatch, build_vocab, encode_paragraph,
-                            generate_synthetic_corpus, synthetic_vocab_paragraphs)
+from paracnn.corpus import (build_vocab, encode_paragraph, generate_synthetic_corpus,
+                            make_batches, synthetic_vocab_paragraphs)
 from paracnn.decode import DecodeConfig, decode_adaptive, greedy_decode
 from paracnn.metrics import EvalPair, bleu_n, cider, rouge_l
-from paracnn.model import (ModelConfig, ParagraphModel, SentenceCountPredictor,
+from paracnn.model import (ModelConfig, ParagraphModel, SentenceCountPredictor, TopicState,
                            predict_sentence_count)
 from paracnn.tensor import RngState, Tensor
 from paracnn.training import TwinConfig, TwinTrainer, twin_train_epoch
@@ -43,29 +43,24 @@ def toy_model_config(vocab_size, feat_dim, channels=64):
                        pooling="mean", attn_layers=(2,), attn_heads=4)
 
 
-def toy_batches(records, encoded, order, batch_size):
-    out = []
-    for lo in range(0, len(order), batch_size):
-        idx = order[lo:lo + batch_size]
-        out.append(ParagraphBatch(
-            np.stack([encoded[i][0] for i in idx]),
-            np.stack([encoded[i][1] for i in idx]),
-            np.asarray([encoded[i][2] for i in idx]),
-            [records[i]["features"] for i in idx]))
-    return out
+def toy_entries(records):
+    """Manifest-style entries whose feature_path holds the in-memory features."""
+    return [{"paragraph": r["paragraph"], "feature_path": r["features"]} for r in records]
 
 
-def train_toy(mode, records, encoded, vocab, seed, epochs, batch_size, lr,
+def train_toy(mode, records, vocab, seed, epochs, batch_size, lr,
               lambda_l2=0.1, train_predictor=False):
     cfg = toy_model_config(len(vocab), records[0]["features"].shape[1])
     twin = TwinConfig(mode=mode, lambda_l2=lambda_l2, lambda_adv=0.001,
                       critic_hidden=32)
     trainer = TwinTrainer(cfg, twin, seed=seed, lr=lr)
+    entries = toy_entries(records)
     history = []
     for epoch in range(1, epochs + 1):
         order = RngState(seed).child(11).child(epoch).permutation(len(records))
-        stats = twin_train_epoch(trainer, toy_batches(records, encoded, order, batch_size),
-                                 train_predictor=train_predictor)
+        batches = make_batches(entries, vocab, cfg.max_sentences, cfg.max_words, batch_size,
+                               order)
+        stats = twin_train_epoch(trainer, batches, train_predictor=train_predictor)
         history.append(stats)
     return trainer, history
 
@@ -95,10 +90,13 @@ def _topics_of(model, tokens, mask, feats):
     B, M, N = tokens.shape
     global_feat, _ = model.project_features(feats)
     token_embeds = model.embed(tokens)
-    contexts = [Tensor(np.zeros((B, model.cfg.context_dim)))]
-    for j in range(1, M):
-        contexts.append(model.pool_context(token_embeds[:, j - 1, :, :], mask[:, j - 1, :]))
-    return np.stack([t.data for t in model._topics_batched(global_feat, contexts)], axis=1)
+    state = TopicState(capacity=M)
+    context = Tensor(np.zeros((B, model.cfg.context_dim)))
+    for j in range(M):
+        if j > 0:
+            context = model.pool_context(token_embeds[:, j - 1, :, :], mask[:, j - 1, :])
+        model.topic_forward(state, global_feat, context)
+    return np.stack([t.data for t in state.topics], axis=1)
 
 
 def test_criterion_2_causality_suite():
@@ -146,7 +144,6 @@ def test_criterion_3_incremental_equivalence():
     cfg = tiny_config(max_sentences=2, max_words=4)
     model = ParagraphModel(cfg, RngState(110).child(1))
     rng = RngState(111)
-    from paracnn.model import TopicState
 
     worst = 0.0
     for _ in range(100):
@@ -155,18 +152,18 @@ def test_criterion_3_incremental_equivalence():
         feats = rng.normal((1, 2, cfg.visual_dim))
         full, _, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
 
-        g, regions = model.project_features(Tensor(feats[0]))
+        g, regions = model.project_features(Tensor(feats))
         state = TopicState(capacity=2)
-        ctx = Tensor(np.zeros(cfg.context_dim))
+        ctx = Tensor(np.zeros((1, cfg.context_dim)))
         for j in range(2):
             if j > 0:
-                emb = model.embed(tokens[0, j - 1])
-                ctx = model.pool_context(emb, mask[0, j - 1])
+                emb = model.embed(tokens[:, j - 1])
+                ctx = model.pool_context(emb, mask[:, j - 1])
             topic = model.topic_forward(state, g, ctx)
             prefix = [1] + list(tokens[0, j, :-1])
             for t in range(1, 5):
-                step_logits = model.sentence_forward(topic, prefix[:t], regions)
-                diff = np.abs(step_logits.data[-1] - full.data[0, j, t - 1]).max()
+                _, step_logits = model.sentence_forward(topic, [prefix[:t]], regions)
+                diff = np.abs(step_logits.data[0, -1] - full.data[0, j, t - 1]).max()
                 worst = max(worst, diff)
     ok = worst < 1e-10
     report(3, ok, f"100 instances, max |teacher-forced - incremental| = {worst:.2e}")
@@ -181,9 +178,8 @@ def test_criterion_4_toy_corpus_learning(toy_vocab_mod):
     records = generate_synthetic_corpus(3, 560, noise=0.0)
     train, held_out = records[:500], records[500:]
     assert len(vocab) <= 60
-    encoded = [encode_paragraph(r["paragraph"], vocab, 3, 8) for r in train]
 
-    trainer, history = train_toy("none", train, encoded, vocab, seed=5, epochs=200,
+    trainer, history = train_toy("none", train, vocab, seed=5, epochs=200,
                                  batch_size=25, lr=1e-3, train_predictor=True)
 
     dc = DecodeConfig(num_sentences=3, rep_penalty=0.0, block_trigrams=False)
@@ -212,11 +208,10 @@ def test_criterion_4_toy_corpus_learning(toy_vocab_mod):
 def test_criterion_5_twin_non_degradation(toy_vocab_mod):
     vocab = toy_vocab_mod
     records = generate_synthetic_corpus(3, 200, noise=0.0)
-    encoded = [encode_paragraph(r["paragraph"], vocab, 3, 8) for r in records]
 
-    _, base_hist = train_toy("none", records, encoded, vocab, seed=5, epochs=30,
+    _, base_hist = train_toy("none", records, vocab, seed=5, epochs=30,
                              batch_size=5, lr=1e-3)
-    _, twin_hist = train_toy("l2_plus_adversarial", records, encoded, vocab, seed=5,
+    _, twin_hist = train_toy("l2_plus_adversarial", records, vocab, seed=5,
                              epochs=30, batch_size=5, lr=1e-3)
 
     ce_base = base_hist[-1].ce_fwd
@@ -236,7 +231,7 @@ def test_criterion_5_twin_non_degradation(toy_vocab_mod):
 def test_criterion_6_twin_off_equivalence(toy_vocab_mod):
     vocab = toy_vocab_mod
     records = generate_synthetic_corpus(7, 60, noise=0.0)
-    encoded = [encode_paragraph(r["paragraph"], vocab, 3, 8) for r in records]
+    entries = toy_entries(records)
 
     def run(mode, lambda_l2):
         cfg = ModelConfig(vocab_size=len(vocab), max_sentences=3, max_words=8,
@@ -249,7 +244,7 @@ def test_criterion_6_twin_off_equivalence(toy_vocab_mod):
         trace = []
         for epoch in range(1, 4):
             order = RngState(13).child(11).child(epoch).permutation(len(records))
-            stats = twin_train_epoch(trainer, toy_batches(records, encoded, order, 10))
+            stats = twin_train_epoch(trainer, make_batches(entries, vocab, 3, 8, 10, order))
             trace.append(stats.ce_fwd)
         return trainer, trace
 
@@ -269,7 +264,6 @@ def test_criterion_6_twin_off_equivalence(toy_vocab_mod):
 def test_criterion_7_wgan_mechanics(toy_vocab_mod, monkeypatch):
     vocab = toy_vocab_mod
     records = generate_synthetic_corpus(15, 20, noise=0.0)
-    encoded = [encode_paragraph(r["paragraph"], vocab, 3, 8) for r in records]
     cfg = ModelConfig(vocab_size=len(vocab), max_sentences=3, max_words=8,
                       visual_dim=records[0]["features"].shape[1], proj_dim=16,
                       topic_dim=16, embed_dim=16, context_dim=16, channels=16,
@@ -288,7 +282,8 @@ def test_criterion_7_wgan_mechanics(toy_vocab_mod, monkeypatch):
         return loss
 
     monkeypatch.setattr(training_mod, "critic_step", checked_step)
-    stats = twin_train_epoch(trainer, toy_batches(records, encoded, np.arange(20), 5))
+    batches = make_batches(toy_entries(records), vocab, 3, 8, 5, np.arange(20))
+    stats = twin_train_epoch(trainer, batches)
     schedule_ok = stats.critic_updates == 5 * stats.generator_updates
     clip_ok = len(clip_checks) == stats.critic_updates and all(clip_checks)
     report(7, schedule_ok and clip_ok,
@@ -358,7 +353,6 @@ def test_criterion_9_repetition_penalty(toy_vocab_mod):
 def test_criterion_10_length_flexibility(toy_vocab_mod):
     vocab = toy_vocab_mod
     records = generate_synthetic_corpus(23, 40, grid=(3, 3), max_objects=6, noise=0.0)
-    encoded = [encode_paragraph(r["paragraph"], vocab, 6, 10) for r in records]
     cfg = ModelConfig(vocab_size=len(vocab), max_sentences=6, max_words=10,
                       visual_dim=records[0]["features"].shape[1], proj_dim=16,
                       topic_dim=16, embed_dim=16, context_dim=16, channels=16,
@@ -366,7 +360,7 @@ def test_criterion_10_length_flexibility(toy_vocab_mod):
                       pooling="mean", attn_layers=(2,), attn_heads=2)
     trainer = TwinTrainer(cfg, TwinConfig(mode="none"), seed=29, lr=1e-3)
     order = RngState(29).child(11).child(1).permutation(len(records))
-    twin_train_epoch(trainer, toy_batches(records, encoded, order, 10))
+    twin_train_epoch(trainer, make_batches(toy_entries(records), vocab, 6, 10, 10, order))
 
     feats = records[0]["features"]
     lengths_ok = True

@@ -290,6 +290,58 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
+    def test_truncated_or_padded_checkpoint_raises(self, train_dir, tmp_path):
+        from paracnn.checkpoint import CheckpointError
+        blob = (train_dir / "best.pckpt").read_bytes()
+        json_end = 10 + int.from_bytes(blob[6:10], "little")
+        name_end = json_end + 6 + int.from_bytes(blob[json_end + 4:json_end + 6], "little")
+        # inside the magic, the header, the JSON, the entry count, the first
+        # entry's name length, name, shape and data, and the last byte
+        cuts = [3, 8, (10 + json_end) // 2, json_end + 2, json_end + 5, name_end - 1,
+                name_end + 3, name_end + 9, len(blob) - 1]
+        cuts += list(range(0, len(blob), max(1, len(blob) // 40)))
+        bad = [blob[:cut] for cut in cuts]
+        bad += [blob + b"\x00", blob + b"junk" * 10,
+                blob[:10] + b"{" * (json_end - 10) + blob[json_end:]]
+        path = tmp_path / "bad.pckpt"
+        for data in bad:
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError):
+                read_checkpoint(path)
+
+    def test_checkpoint_meta_without_required_keys_raises(self, train_dir, tmp_path):
+        from paracnn.checkpoint import CheckpointError
+        meta, arrays = read_checkpoint(train_dir / "best.pckpt")
+        path = tmp_path / "nometa.pckpt"
+        for key in ("config", "vocab", "seed"):
+            write_checkpoint(path, {k: v for k, v in meta.items() if k != key}, arrays)
+            with pytest.raises(CheckpointError, match=key):
+                cli.load_checkpoint_trainer(str(path))
+
+    def test_resume_from_checkpoint_without_epoch_exits_1(self, train_dir, corpus_dir,
+                                                          tmp_path, capsys):
+        meta, arrays = read_checkpoint(train_dir / "best.pckpt")
+        del meta["epoch"]
+        path = tmp_path / "noepoch.pckpt"
+        write_checkpoint(path, meta, arrays)
+        args = ["train", "--data", str(corpus_dir), "--out", str(tmp_path / "resumed"),
+                "--quiet", "--resume", str(path)]
+        for ov in TINY_OVERRIDES:
+            args += ["--set", ov]
+        assert run_cli(*args) == 1
+        assert "lacks 'epoch'" in capsys.readouterr().err
+
+    def test_generate_from_truncated_checkpoint_exits_1(self, train_dir, corpus_dir,
+                                                        tmp_path, capsys):
+        blob = (train_dir / "best.pckpt").read_bytes()
+        json_end = 10 + int.from_bytes(blob[6:10], "little")
+        path = tmp_path / "cut.pckpt"
+        for cut in (8, json_end // 2, len(blob) // 2):  # header, JSON, arrays
+            path.write_bytes(blob[:cut])
+            assert run_cli("generate", "--checkpoint", str(path),
+                           "--features", str(corpus_dir / "test.jsonl")) == 1
+            assert "error:" in capsys.readouterr().err
+
     def test_forward_only_checkpoint_generates_identically(self, train_dir, corpus_dir,
                                                            tmp_path):
         # deleting backward/critic entries must not change generation

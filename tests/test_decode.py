@@ -87,19 +87,19 @@ class TestGreedyDecode:
         dc = plain_decode_config(num_sentences=2)
         sents = greedy_decode(model, feats, dc, vocab)
         # teacher-force the decoded tokens back through the model
-        g, regions = model.project_features(Tensor(feats))
+        g, regions = model.project_features(Tensor(feats[None]))
         from paracnn.model import TopicState
         state = TopicState(capacity=2)
-        ctx = Tensor(np.zeros(model.cfg.context_dim))
+        ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
         for j, words in enumerate(sents):
             if j > 0 and sents[j - 1]:
-                emb = model.embed(np.asarray(sents[j - 1]))
-                ctx = model.pool_context(emb, np.ones(len(sents[j - 1])))
+                emb = model.embed(np.asarray([sents[j - 1]]))
+                ctx = model.pool_context(emb, np.ones((1, len(sents[j - 1]))))
             topic = model.topic_forward(state, g, ctx)
             prefix = [vocab.start]
             for tok in words:
-                logits = model.sentence_forward(topic, prefix, regions)
-                assert int(np.argmax(logits.data[-1])) == tok
+                _, logits = model.sentence_forward(topic, [prefix], regions)
+                assert int(np.argmax(logits.data[0, -1])) == tok
                 if tok != vocab.eos:
                     prefix.append(tok)
 

@@ -83,22 +83,29 @@ class TestPoolContext:
 class TestTopicForward:
     def test_capacity_enforced(self, model):
         state = TopicState(capacity=1)
-        g = Tensor(data_rng().normal((8,)))
-        ctx = Tensor(np.zeros(8))
+        g = Tensor(data_rng().normal((1, 8)))
+        ctx = Tensor(np.zeros((1, 8)))
         model.topic_forward(state, g, ctx)
         with pytest.raises(ShapeError):
             model.topic_forward(state, g, ctx)
 
+    def test_unbatched_inputs_rejected(self, model):
+        with pytest.raises(ShapeError):
+            model.topic_forward(TopicState(capacity=1), Tensor(np.zeros(8)), Tensor(np.zeros(8)))
+
     def test_incremental_equals_batch(self, model):
+        # a batch of three images gives each row the topics it gets alone
         rng = data_rng()
-        g = Tensor(rng.normal((1, 8)))
-        contexts = [Tensor(np.zeros((1, 8))), Tensor(rng.normal((1, 8))),
-                    Tensor(rng.normal((1, 8)))]
+        g = Tensor(rng.normal((3, 8)))
+        contexts = [Tensor(np.zeros((3, 8))), Tensor(rng.normal((3, 8))),
+                    Tensor(rng.normal((3, 8)))]
         state = TopicState(capacity=3)
-        inc = [model.topic_forward(state, g, c).data.copy() for c in contexts]
-        batch = model._topics_batched(g, contexts)
-        for a, b in zip(inc, batch):
-            assert np.allclose(a, b.data, atol=1e-10)
+        batch = [model.topic_forward(state, g, c).data for c in contexts]
+        for b in range(3):
+            single = TopicState(capacity=3)
+            for c, topic in zip(contexts, batch):
+                inc = model.topic_forward(single, g[b:b + 1], c[b:b + 1])
+                assert np.allclose(inc.data[0], topic[b], atol=1e-10)
 
     def test_perturbing_later_context_leaves_earlier_topics(self, model):
         rng = data_rng()
@@ -113,44 +120,51 @@ class TestTopicForward:
         assert np.array_equal(t1a, t1b)
 
 
+def sentence_logits(model, topic, prefix, regions):
+    """Logits [T, V] of one sentence prefix through the word stack."""
+    _, logits = model.sentence_forward(topic.reshape(1, -1), [prefix],
+                                       regions.reshape((1,) + regions.shape))
+    return logits.data[0]
+
+
 class TestSentenceForward:
     def test_word_causality_bit_exact(self, model):
         rng = data_rng()
         topic = Tensor(rng.normal((8,)))
         regions = Tensor(rng.normal((3, 8)))
         prefix = [1, 5, 6, 7]
-        base = model.sentence_forward(topic, prefix, regions).data.copy()
+        base = sentence_logits(model, topic, prefix, regions)
         bumped = list(prefix)
         bumped[2] = 9
-        out = model.sentence_forward(topic, bumped, regions).data
+        out = sentence_logits(model, topic, bumped, regions)
         assert np.array_equal(out[:2], base[:2])
         assert not np.allclose(out[2:], base[2:])
 
     def test_topic_conditioning_is_live(self, model):
         rng = data_rng()
         regions = Tensor(rng.normal((3, 8)))
-        l1 = model.sentence_forward(Tensor(rng.normal((8,))), [1, 4], regions).data
-        l2 = model.sentence_forward(Tensor(rng.normal((8,))), [1, 4], regions).data
+        l1 = sentence_logits(model, Tensor(rng.normal((8,))), [1, 4], regions)
+        l2 = sentence_logits(model, Tensor(rng.normal((8,))), [1, 4], regions)
         assert not np.allclose(l1, l2)
 
     def test_prefix_length_capped(self, model):
         topic = Tensor(np.zeros(8))
         regions = Tensor(np.zeros((2, 8)))
         with pytest.raises(ShapeError):
-            model.sentence_forward(topic, [1] * 5, regions)
+            sentence_logits(model, topic, [1] * 5, regions)
 
     def test_token_out_of_range(self, model):
         with pytest.raises(IndexError):
-            model.sentence_forward(Tensor(np.zeros(8)), [11], Tensor(np.zeros((2, 8))))
+            sentence_logits(model, Tensor(np.zeros(8)), [11], Tensor(np.zeros((2, 8))))
 
     def test_incremental_equals_batch_logits(self, model):
         rng = data_rng()
         topic = Tensor(rng.normal((8,)))
         regions = Tensor(rng.normal((3, 8)))
         prefix = [1, 5, 6, 7]
-        full = model.sentence_forward(topic, prefix, regions).data
+        full = sentence_logits(model, topic, prefix, regions)
         for t in range(1, 5):
-            part = model.sentence_forward(topic, prefix[:t], regions).data
+            part = sentence_logits(model, topic, prefix[:t], regions)
             assert np.allclose(part, full[:t], atol=1e-10)
 
 
@@ -163,27 +177,28 @@ class TestParagraphForward:
         mask = np.ones((1, 1, 4), dtype=bool)
         feats = rng.normal((1, 3, 6))
         logits, hidden, _ = m.paragraph_forward(tokens, mask, Tensor(feats))
-        g, regions = m.project_features(Tensor(feats[0]))
+        g, regions = m.project_features(Tensor(feats))
         state = TopicState(capacity=1)
-        topic = m.topic_forward(state, g, Tensor(np.zeros(8)))
-        direct = m.sentence_forward(topic, [1, 5, 6, 7], regions)
-        assert np.allclose(logits.data[0, 0], direct.data, atol=1e-10)
+        topic = m.topic_forward(state, g, Tensor(np.zeros((1, 8))))
+        direct_hidden, direct = m.sentence_forward(topic, [[1, 5, 6, 7]], regions)
+        assert np.allclose(logits.data[0, 0], direct.data[0], atol=1e-10)
+        assert np.allclose(hidden.data[0, 0], direct_hidden.data[0], atol=1e-10)
 
     def test_compositional_oracle(self, model):
         rng = data_rng()
         tokens, mask, feats = random_grid(rng, model.cfg)
         logits, _, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
-        g, regions = model.project_features(Tensor(feats[0]))
+        g, regions = model.project_features(Tensor(feats))
         state = TopicState(capacity=2)
-        ctx = Tensor(np.zeros(8))
+        ctx = Tensor(np.zeros((1, 8)))
         for j in range(2):
             if j > 0:
-                emb = model.embed(tokens[0, j - 1])
-                ctx = model.pool_context(emb, mask[0, j - 1])
+                emb = model.embed(tokens[:, j - 1])
+                ctx = model.pool_context(emb, mask[:, j - 1])
             topic = model.topic_forward(state, g, ctx)
             prefix = np.concatenate([[1], tokens[0, j, :-1]])
-            direct = model.sentence_forward(topic, prefix, regions)
-            assert np.allclose(logits.data[0, j], direct.data, atol=1e-10)
+            _, direct = model.sentence_forward(topic, [prefix], regions)
+            assert np.allclose(logits.data[0, j], direct.data[0], atol=1e-10)
 
     def test_masked_positions_contribute_zero_loss(self, model):
         rng = data_rng()

@@ -11,7 +11,7 @@ from paracnn.tensor import RngState, Tensor, grad_check
 from paracnn.training import (Critic, RmspropOptimizer, TrainingDiverged, TwinConfig,
                               TwinTrainer, adversarial_generator_loss, critic_step,
                               reverse_targets, twin_l2_loss, twin_train_epoch,
-                              _aligned_backward_frames)
+                              _mirror_frames)
 
 
 def make_batch(rng: RngState, B=2, M=2, N=4, vocab=11, d_feat=6, ragged=True):
@@ -315,7 +315,7 @@ class TestTwinTrainer:
         mask[0, 0, :] = True
         mask[0, 1, 0] = True
         h = rng.normal((1, 2, 2, 3))
-        out = _aligned_backward_frames(h, mask)
+        out = _mirror_frames(h, mask)
         flat = h.reshape(1, 4, 3)
         # valid slots 0,1,2 -> reversed source order 2,1,0
         assert np.array_equal(out[0, 0], flat[0, 2])
