@@ -5,6 +5,12 @@ RNG seed, epoch), then u32-counted named array entries. Array entries carry
 the parameters of every network (prefixes fwd./bwd./critic./predictor.) plus
 optimizer state (prefix opt.*), each as (u16 name, u8 ndim, u32 dims, f64 LE
 data) so round trips are bit-exact and fixtures are language-neutral.
+
+Causal-conv weights (``*.topic_blocks.N.weight``, ``*.word_blocks.N.weight``)
+and their optimizer state are stored as [2*out, in, kernel]. In memory they
+are held in GEMM layout [kernel*in, 2*out] (see ``layers.CausalConvBlock``);
+``trainer_arrays`` and ``load_trainer_arrays`` convert at this boundary, so
+the file layout and its bytes do not depend on the in-memory layout.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import os
 import struct
 
 import numpy as np
+
+from .layers import conv_weight_from_gemm, conv_weight_to_gemm, conv_weights
 
 MAGIC = b"PCKPT1"
 
@@ -79,51 +87,60 @@ def read_checkpoint(path):
     return meta, arrays
 
 
-def trainer_arrays(trainer) -> dict:
-    """Flatten every network's parameters and optimizer state into one map."""
-    out = {}
-    sections = [("fwd", trainer.model, trainer.opt),
-                ("predictor", trainer.predictor, trainer.opt_pred)]
-    if trainer.model_bwd is not None:
-        sections.append(("bwd", trainer.model_bwd, trainer.opt_bwd))
-    if trainer.critic is not None:
-        sections.append(("critic", trainer.critic, trainer.opt_critic))
-    for prefix, module, opt in sections:
-        for name, p in module.named_parameters().items():
-            out[f"{prefix}.{name}"] = p.data
-        for name, v in opt.state_arrays().items():
-            out[f"opt.{prefix}.{name}"] = v
-    return out
-
-
-def load_trainer_arrays(trainer, arrays: dict, require_aux: bool = True):
-    """Copy checkpoint arrays into a freshly built trainer.
-
-    With ``require_aux`` false, missing backward-network/critic entries are
-    tolerated (only the forward network is needed for inference).
-    """
+def _sections(trainer, require_aux: bool = True) -> list:
+    """(prefix, network, optimizer, required) for every network the trainer holds."""
     sections = [("fwd", trainer.model, trainer.opt, True),
                 ("predictor", trainer.predictor, trainer.opt_pred, True)]
     if trainer.model_bwd is not None:
         sections.append(("bwd", trainer.model_bwd, trainer.opt_bwd, require_aux))
     if trainer.critic is not None:
         sections.append(("critic", trainer.critic, trainer.opt_critic, require_aux))
-    for prefix, module, opt, required in sections:
-        params = module.named_parameters()
+    return sections
+
+
+def trainer_arrays(trainer) -> dict:
+    """Flatten every network's parameters and optimizer state into one map (file layout)."""
+    out = {}
+    for prefix, module, opt, _ in _sections(trainer):
+        convs = conv_weights(module)
+        for name, p in module.named_parameters().items():
+            out[f"{prefix}.{name}"] = _to_file(p.data, convs.get(name))
+        for name, v in opt.state_arrays().items():
+            out[f"opt.{prefix}.{name}"] = _to_file(v, convs.get(name))
+    return out
+
+
+def _to_file(arr: np.ndarray, conv) -> np.ndarray:
+    """``arr`` in file layout: [2*out, in, k] for a conv weight or its optimizer state."""
+    return arr if conv is None else conv_weight_from_gemm(arr, conv.kernel_size)
+
+
+def _from_file(arrays: dict, key: str, p, conv) -> np.ndarray:
+    """Entry ``key`` checked against parameter ``p``'s file shape, in memory layout."""
+    arr = arrays[key]
+    shape = p.data.shape if conv is None else conv.conv_shape
+    if arr.shape != shape:
+        raise CheckpointError(
+            f"shape mismatch for {key!r}: checkpoint {arr.shape} vs model {shape}")
+    return arr.astype(np.float64, copy=True) if conv is None else conv_weight_to_gemm(arr)
+
+
+def load_trainer_arrays(trainer, arrays: dict, require_aux: bool = True):
+    """Copy checkpoint arrays into a freshly built trainer.
+
+    With ``require_aux`` false, missing backward-network/critic entries are
+    tolerated (only the forward network is needed for inference). A present
+    entry, optimizer state included, must have its parameter's file shape.
+    """
+    for prefix, module, opt, required in _sections(trainer, require_aux):
+        convs = conv_weights(module)
         opt_state = opt.state_arrays()
-        for name, p in params.items():
+        for name, p in module.named_parameters().items():
             key = f"{prefix}.{name}"
-            if key not in arrays:
-                if required:
-                    raise CheckpointError(f"checkpoint missing parameter {key!r}")
-                continue
-            arr = arrays[key]
-            if arr.shape != p.data.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {key!r}: checkpoint {arr.shape} vs model {p.data.shape}")
-            p.data = arr.astype(np.float64, copy=True)
-        for name in opt_state:
-            key = f"opt.{prefix}.{name}"
+            conv = convs.get(name)
             if key in arrays:
-                opt_state[name] = arrays[key].astype(np.float64, copy=True).reshape(
-                    opt_state[name].shape)
+                p.data = _from_file(arrays, key, p, conv)
+            elif required:
+                raise CheckpointError(f"checkpoint missing parameter {key!r}")
+            if f"opt.{key}" in arrays:
+                opt_state[name] = _from_file(arrays, f"opt.{key}", p, conv)

@@ -469,9 +469,16 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-5):
     # generic random point (small-init attention is nearly uniform, which
     # leaves some gradients too close to finite-difference noise)
     model = ParagraphModel(cfg, root.child(1))
+    # conv weights get the noise of their [2*out, in, k] layout, so the point
+    # checked does not depend on how the weights are held in memory
     shake = root.child(92)
-    for p in model.named_parameters().values():
-        p.data += shake.normal(p.data.shape, scale=0.3)
+    convs = L.conv_weights(model)
+    for name, p in model.named_parameters().items():
+        conv = convs.get(name)
+        if conv is None:
+            p.data += shake.normal(p.data.shape, scale=0.3)
+        else:
+            p.data += L.conv_weight_to_gemm(shake.normal(conv.conv_shape, scale=0.3))
     data_rng = root.child(91)
     tokens = data_rng.integers(4, cfg.vocab_size, (1, 2, 4)).astype(np.int64)
     mask = np.ones((1, 2, 4), dtype=bool)

@@ -4,10 +4,10 @@ Decoding is deterministic: per sentence, the context pools the previously
 *generated* sentence, the topic stack is extended by one slot, and words are
 picked by argmax until <eos> or the word budget. Decoding runs the same
 ``ParagraphModel.topic_forward`` and ``ParagraphModel.sentence_forward`` as
-teacher-forced training, for one image and one growing prefix at a time. The
-repetition penalty subtracts gamma times a token's emission count from its
-logit, and trigram blocking forbids completing any already-emitted trigram;
-both apply at inference only.
+teacher-forced training, for one image and one growing prefix at a time, and
+records no tape (``no_grad``). The repetition penalty subtracts gamma times a
+token's emission count from its logit, and trigram blocking forbids
+completing any already-emitted trigram; both apply at inference only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Vocab
 from .model import ParagraphModel, SentenceCountPredictor, TopicState, predict_sentence_count
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 NEG_INF = float("-inf")
 
@@ -65,20 +65,27 @@ def apply_repetition_penalty(logits: np.ndarray, history, gamma: float,
     return out
 
 
+@no_grad()
 def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Vocab,
-                  num_sentences: int = None) -> list:
+                  num_sentences: int = None, predictor: SentenceCountPredictor = None) -> list:
     """Decode one paragraph as a list of sentences (lists of word indices).
 
     <eos> terminates a sentence early and is not included in the returned
-    words; a sentence that never emits <eos> stops at the word budget.
+    words; a sentence that never emits <eos> stops at the word budget. With a
+    ``predictor``, the sentence count is predicted from the projected image
+    and clamped to [dc.min_sentences, dc.max_sentences].
     """
     cfg = model.cfg
-    n_sent = num_sentences if num_sentences is not None else dc.num_sentences
     n_words = min(dc.max_words or cfg.max_words, cfg.max_words)
 
     feats = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
     # a batch of one image: [1, proj] global vector, [1, R, proj] regions
     global_feat, regions = model.project_features(feats.reshape((1,) + feats.shape))
+    if predictor is not None:
+        n_sent = predict_sentence_count(predictor, global_feat, min_sentences=dc.min_sentences,
+                                        max_sentences=dc.max_sentences)
+    else:
+        n_sent = num_sentences if num_sentences is not None else dc.num_sentences
 
     state = TopicState(capacity=n_sent)
     sentences = []
@@ -113,12 +120,7 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
 def decode_adaptive(model: ParagraphModel, predictor: SentenceCountPredictor, features,
                     dc: DecodeConfig, vocab: Vocab) -> list:
     """Greedy decode with the sentence count predicted then clamped."""
-    feats = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
-    global_feat, _ = model.project_features(feats)
-    n = predict_sentence_count(predictor, global_feat,
-                               min_sentences=dc.min_sentences,
-                               max_sentences=dc.max_sentences)
-    return greedy_decode(model, feats, dc, vocab, num_sentences=n)
+    return greedy_decode(model, features, dc, vocab, predictor=predictor)
 
 
 def sentences_to_text(sentences, vocab: Vocab) -> str:

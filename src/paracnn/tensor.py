@@ -7,12 +7,33 @@ walks the tape in reverse topological order and accumulates gradients into
 every ``requires_grad`` ancestor.
 
 Broadcasting is restricted to numpy's trailing-dimension alignment; anything
-else fails with a ``ShapeError``.
+else fails with a ``ShapeError``. Inside a ``no_grad()`` block nothing is
+recorded, so inference keeps no tape alive.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+
+# False inside no_grad(): operations then record no parents and no closures
+_taping = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without a tape: op outputs have no parents and need no grad.
+
+    Usable as ``with no_grad():`` or as a decorator; the previous state comes
+    back on exit, also when the block raises.
+    """
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
 
 
 class ShapeError(ValueError):
@@ -74,7 +95,7 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _taping and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -395,6 +416,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
+    """Join same-shape tensors along a new axis, like ``np.stack`` (negative axes too)."""
+    tensors = list(tensors)
+    if not tensors:
+        raise ShapeError("stack of zero tensors")
+    ndim = tensors[0].ndim
+    if not -ndim - 1 <= axis <= ndim:
+        raise ShapeError(f"stack axis {axis} out of range for {ndim}-D tensors")
+    axis %= ndim + 1
     expanded = [t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
     return concat(expanded, axis=axis)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import ParagraphBatch, pad_feature_batch
 from .layers import BiGruCell, Layer, Linear
 from .model import ModelConfig, ParagraphModel, SentenceCountPredictor
-from .tensor import RngState, Tensor, cross_entropy, gather_rows
+from .tensor import RngState, Tensor, cross_entropy, gather_rows, no_grad
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +67,10 @@ class RmspropOptimizer:
         self.lr = lr
         self.alpha = alpha
         self.eps = eps
-        self.state = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        # np.zeros leaves the pages to be zeroed on first write (zeros_like fills
+        # them now); a trainer loaded for inference never writes them
+        self.state = {name: np.zeros(p.data.shape, p.data.dtype)
+                      for name, p in self.params.items()}
 
     def step(self):
         for name, p in self.params.items():
@@ -87,12 +90,6 @@ class RmspropOptimizer:
 
     def state_arrays(self) -> dict:
         return self.state
-
-    def load_state(self, arrays: dict):
-        for name in self.state:
-            if name in arrays:
-                self.state[name] = np.asarray(arrays[name], dtype=np.float64).reshape(
-                    self.state[name].shape)
 
 
 class Critic(Layer):
@@ -322,6 +319,7 @@ class TwinTrainer:
         loss.backward()
         self.opt_pred.step()
 
+    @no_grad()
     def eval_ce(self, batch: ParagraphBatch) -> float:
         feats, region_mask = pad_feature_batch(batch.feature_refs)
         loss, _, _ = batch_ce(self.model, batch, Tensor(feats), region_mask, self.start_index)

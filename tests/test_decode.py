@@ -150,6 +150,37 @@ class TestDecodeAdaptive:
                                  min_sentences=2, max_sentences=3)
         assert len(decode_adaptive(model, pred, RngState(14).normal((2, 6)), dc, vocab)) == 2
 
+    def test_image_projected_once(self, vocab, monkeypatch):
+        model, pred = self.setup_predictor(vocab, cls_index=2)  # count 3
+        dc = plain_decode_config(adaptive=True, min_sentences=1, max_sentences=4)
+        feats = RngState(15).normal((2, 6))
+        expected = greedy_decode(model, feats, plain_decode_config(num_sentences=3), vocab)
+        calls = []
+        project = ParagraphModel.project_features
+
+        def counting(self, raw, region_mask=None):
+            calls.append(raw.shape)
+            return project(self, raw, region_mask)
+
+        monkeypatch.setattr(ParagraphModel, "project_features", counting)
+        assert decode_adaptive(model, pred, feats, dc, vocab) == expected
+        assert calls == [(1, 2, 6)]
+
+
+def test_decoding_records_no_tape(vocab, monkeypatch):
+    logits = []
+    forward = ParagraphModel.sentence_forward
+
+    def keep(self, *args, **kwargs):
+        out = forward(self, *args, **kwargs)
+        logits.append(out[1])
+        return out
+
+    monkeypatch.setattr(ParagraphModel, "sentence_forward", keep)
+    greedy_decode(fresh_model(vocab), RngState(16).normal((2, 6)),
+                  plain_decode_config(num_sentences=1), vocab)
+    assert logits and all(t._parents == () and not t.requires_grad for t in logits)
+
 
 class TestParagraphFormat:
     def test_round_trip(self):

@@ -4,12 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paracnn.layers import (BiGruCell, CausalConvBlock, Embedding, Linear,
-                            MultiHeadSelfAttention, VisualAttention)
+                            MultiHeadSelfAttention, VisualAttention, conv_weight_from_gemm,
+                            conv_weight_to_gemm)
 from paracnn.tensor import RngState, ShapeError, Tensor, grad_check
 
 
 def rng_for(tag):
     return RngState(1234).child(tag)
+
+
+def conv_tap(conv, out, c, tau):
+    """Index of weight[out, c, tau] (file layout) in the GEMM-layout weight."""
+    return tau * conv.in_channels + c, out
 
 
 class TestCausalConvBlock:
@@ -18,7 +24,7 @@ class TestCausalConvBlock:
         conv = CausalConvBlock(rng_for(1), 2, 2, 2, residual=False)
         conv.weight.data[:] = 0.0
         for c in range(2):
-            conv.weight.data[c, c, 1] = 1.0  # tap 1 = current frame
+            conv.weight.data[conv_tap(conv, c, c, 1)] = 1.0  # tap 1 = current frame
         conv.bias.data[:] = 0.0
         conv.bias.data[2:] = 50.0  # sigmoid(50) ~ 1
         x = rng_for(2).normal((1, 5, 2))
@@ -29,8 +35,8 @@ class TestCausalConvBlock:
         # kernel 2, linear half sums previous and current frame of one channel
         conv = CausalConvBlock(rng_for(3), 1, 1, 2, residual=False)
         conv.weight.data[:] = 0.0
-        conv.weight.data[0, 0, 0] = 1.0
-        conv.weight.data[0, 0, 1] = 1.0
+        conv.weight.data[conv_tap(conv, 0, 0, 0)] = 1.0
+        conv.weight.data[conv_tap(conv, 0, 0, 1)] = 1.0
         conv.bias.data[:] = 0.0
         conv.bias.data[1] = 50.0
         out = conv(Tensor(np.array([[[1.0], [2.0], [3.0]]]))).data
@@ -78,6 +84,44 @@ class TestCausalConvBlock:
         assert grad_check(lambda t: (conv(t) * conv(t)).sum(), x) < 1e-4
         assert grad_check(lambda w: conv(Tensor(rng_for(16).normal((1, 4, 3)))).pow(2).sum(),
                           conv.weight) < 1e-4
+
+    def test_weight_is_seeded_draw_in_gemm_layout(self):
+        # 70 output columns: two full copy slabs and a partial one
+        conv = CausalConvBlock(rng_for(17), 4, 35, 3)
+        draw = rng_for(17).uniform(-1 / np.sqrt(12), 1 / np.sqrt(12), (70, 4, 3))
+        w = conv.weight.data
+        assert w.shape == (12, 70) and w.flags.c_contiguous
+        for o, c, tau in np.ndindex(draw.shape):
+            assert w[conv_tap(conv, o, c, tau)] == draw[o, c, tau]
+        back = conv_weight_from_gemm(w, 3)
+        assert back.flags.c_contiguous and np.array_equal(back, draw)
+        assert np.array_equal(conv_weight_to_gemm(back), w)
+
+    def test_forward_matches_direct_convolution(self):
+        conv = CausalConvBlock(rng_for(18), 3, 2, 3)
+        x = rng_for(19).normal((2, 5, 3))
+        w = conv_weight_from_gemm(conv.weight.data, 3)  # [2*out, in, k]
+        xp = np.concatenate([np.zeros((2, 2, 3)), x], axis=1)
+        pre = np.stack([sum(xp[:, t + tau] @ w[:, :, tau].T for tau in range(3))
+                        for t in range(5)], axis=1) + conv.bias.data
+        expect = pre[..., :2] / (1.0 + np.exp(-pre[..., 2:]))
+        assert np.allclose(conv(Tensor(x)).data, expect, rtol=1e-12, atol=1e-12)
+
+    def test_gemm_operand_is_the_weight_itself(self, monkeypatch):
+        # a per-call copy or re-layout of the weight must not come back
+        operands = []
+        matmul = Tensor.matmul
+
+        def spy(a, b):
+            operands.append(b.data if isinstance(b, Tensor) else b)
+            return matmul(a, b)
+
+        monkeypatch.setattr(Tensor, "matmul", spy)
+        monkeypatch.setattr(Tensor, "__matmul__", spy)
+        conv = CausalConvBlock(rng_for(20), 4, 4, 3)
+        conv(Tensor(rng_for(21).normal((2, 6, 4)), requires_grad=True))
+        assert len(operands) == 1
+        assert np.shares_memory(operands[0], conv.weight.data)
 
 
 class TestEmbedding:

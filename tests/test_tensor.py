@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paracnn.tensor import (EmptyLossError, RngState, ShapeError, Tensor, concat,
-                            cross_entropy, gather_rows, grad_check, stack)
+                            cross_entropy, gather_rows, grad_check, no_grad, stack)
 
 
 def randn(rng, *shape):
@@ -106,6 +106,9 @@ class TestBackward:
         "broadcast": lambda t: (t.reshape(4, 1, 3).broadcast_to((4, 2, 3))).pow(2).sum(),
         "concat": lambda t: concat([t, t * 2.0], axis=0).pow(2).sum(),
         "stack": lambda t: stack([t, t.tanh()], axis=1).sum(),
+        # position-dependent weights: a wrongly placed axis changes the value
+        "stack_negative_axis": lambda t: (stack([t, t.tanh()], axis=-1)
+                                          * Tensor(np.arange(24.0).reshape(4, 3, 2))).sum(),
     }
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -125,6 +128,63 @@ class TestBackward:
         b = Tensor(np.zeros(3), requires_grad=True)
         ((x + b) * 2.0).sum().backward()
         assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
+
+
+class TestStack:
+    def test_matches_numpy_on_every_axis(self):
+        a = np.arange(12.0).reshape(3, 4)
+        b = a * 10.0
+        for axis in range(-a.ndim - 1, a.ndim + 1):
+            out = stack([Tensor(a), Tensor(b)], axis=axis).data
+            assert np.array_equal(out, np.stack([a, b], axis=axis)), axis
+
+    def test_axis_out_of_range_raises(self):
+        t = Tensor(np.zeros((3, 4)))
+        for axis in (-4, 3):
+            with pytest.raises(ShapeError):
+                stack([t, t], axis=axis)
+
+
+class TestNoGrad:
+    def test_outputs_record_no_tape(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with no_grad():
+            outs = [x + x, x * 2.0, x @ x.swapaxes(0, 1), x.sigmoid(), stack([x, x], axis=-1),
+                    concat([x, x]), x[0], x.sum()]
+        for y in outs:
+            assert y._parents == () and y._backward is None and not y.requires_grad
+        assert (x * x)._parents == (x, x)  # taping is back after the block
+
+    def test_values_match_taped_run(self):
+        x = Tensor(RngState(3).normal((4, 3)), requires_grad=True)
+        taped = (x @ x.swapaxes(0, 1)).tanh().softmax().data
+        with no_grad():
+            untaped = (x @ x.swapaxes(0, 1)).tanh().softmax().data
+        assert np.array_equal(taped, untaped)
+
+    def test_taping_restored_after_exception(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        y = x * 3.0
+        assert y.requires_grad and y._backward is not None
+        y.sum().backward()
+        assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
+
+    def test_nested_blocks_and_decorator(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+
+        @no_grad()
+        def untaped():
+            return x * 2.0
+
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * 2.0).requires_grad  # the inner exit keeps the outer block
+        assert not untaped().requires_grad
+        assert (x * 2.0).requires_grad
 
 
 class TestCrossEntropy:

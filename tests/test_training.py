@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from paracnn.corpus import ParagraphBatch
+from paracnn import training as training_mod
+from paracnn.corpus import ParagraphBatch, pad_feature_batch
 from paracnn.layers import Linear
 from paracnn.model import ParagraphModel
 from paracnn.tensor import RngState, Tensor, grad_check
 from paracnn.training import (Critic, RmspropOptimizer, TrainingDiverged, TwinConfig,
-                              TwinTrainer, adversarial_generator_loss, critic_step,
+                              TwinTrainer, adversarial_generator_loss, batch_ce, critic_step,
                               reverse_targets, twin_l2_loss, twin_train_epoch,
                               _mirror_frames)
 
@@ -267,6 +268,22 @@ class TestTwinTrainer:
         tr = small_trainer("none")
         ce = tr.eval_ce(batch)
         assert abs(ce - np.log(11)) / np.log(11) < 0.1
+
+    def test_eval_ce_untaped_equals_taped_loss(self, monkeypatch):
+        batch = make_batch(RngState(57))
+        tr = small_trainer("l2")
+        feats, region_mask = pad_feature_batch(batch.feature_refs)
+        taped, _, _ = batch_ce(tr.model, batch, Tensor(feats), region_mask, tr.start_index)
+        losses = []
+
+        def keep(*args, **kwargs):
+            out = batch_ce(*args, **kwargs)
+            losses.append(out[0])
+            return out
+
+        monkeypatch.setattr(training_mod, "batch_ce", keep)
+        assert tr.eval_ce(batch) == float(taped.data)
+        assert taped._parents and losses[0]._parents == () and not losses[0].requires_grad
 
     def test_adversarial_schedule_counts(self):
         rng = RngState(54)
