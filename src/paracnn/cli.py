@@ -56,15 +56,6 @@ class RunConfig:
     train: TrainConfig
     decode: DecodeConfig
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "model": dataclasses.asdict(self.model),
-            "twin": dataclasses.asdict(self.twin),
-            "train": dataclasses.asdict(self.train),
-            "decode": dataclasses.asdict(self.decode),
-        }
-
 
 def _build_section(cls, data: dict, section: str):
     fields = {f.name for f in dataclasses.fields(cls)}
@@ -75,6 +66,17 @@ def _build_section(cls, data: dict, section: str):
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid [{section}] config: {exc}") from exc
+
+
+def _run_config(seed: int, sections: dict) -> RunConfig:
+    """RunConfig from one raw dict per section (model, twin, train, decode)."""
+    return RunConfig(
+        seed=seed,
+        model=_build_section(ModelConfig, sections["model"], "model"),
+        twin=_build_section(TwinConfig, sections["twin"], "twin"),
+        train=_build_section(TrainConfig, sections["train"], "train"),
+        decode=_build_section(DecodeConfig, sections["decode"], "decode"),
+    )
 
 
 def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
@@ -110,7 +112,8 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
     if env_seed is not None:
         seed = int(env_seed)
 
-    model_raw = dict(raw.get("model", {}))
+    sections = {name: dict(raw.get(name, {})) for name in ("model", "twin", "train", "decode")}
+    model_raw = sections["model"]
     if "vocab_size" not in model_raw:
         if default_vocab_size is None:
             raise ConfigError("model.vocab_size is required (or derivable from data)")
@@ -120,18 +123,12 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
         if default_visual_dim is None:
             raise ConfigError("model.visual_dim=0 needs feature data to infer from")
         model_raw["visual_dim"] = default_visual_dim
-    return RunConfig(
-        seed=seed,
-        model=_build_section(ModelConfig, model_raw, "model"),
-        twin=_build_section(TwinConfig, dict(raw.get("twin", {})), "twin"),
-        train=_build_section(TrainConfig, dict(raw.get("train", {})), "train"),
-        decode=_build_section(DecodeConfig, dict(raw.get("decode", {})), "decode"),
-    )
+    return _run_config(seed, sections)
 
 
-def _write_resolved_config(run: RunConfig, out_dir: str):
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
-        json.dump(run.to_dict(), fh, indent=2, sort_keys=True)
+def _write_resolved_config(run: RunConfig, out_dir: str, name: str):
+    with open(os.path.join(out_dir, name), "w") as fh:
+        json.dump(dataclasses.asdict(run), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -230,7 +227,7 @@ def cmd_train(args) -> int:
 
 
 def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args) -> int:
-    _write_resolved_config(run, out_dir)
+    _write_resolved_config(run, out_dir, "resolved_config.json")
     trainer = build_trainer(run, vocab)
 
     start_epoch = 1
@@ -249,7 +246,7 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
     log_fh = open(log_path, "a" if args.resume else "w")
     best_val = float("inf")
     best_path = os.path.join(out_dir, "best.pckpt")
-    meta_base = {"seed": run.seed, "vocab": vocab.tokens, "config": run.to_dict(),
+    meta_base = {"seed": run.seed, "vocab": vocab.tokens, "config": dataclasses.asdict(run),
                  "rng_algorithm": RngState.ALGORITHM}
 
     for epoch in range(start_epoch, run.train.epochs + 1):
@@ -309,14 +306,7 @@ def _read_checkpoint_meta(path, keys):
 
 def load_checkpoint_trainer(path):
     meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"))
-    cfg_dict = meta["config"]
-    run = RunConfig(
-        seed=meta["seed"],
-        model=_build_section(ModelConfig, cfg_dict["model"], "model"),
-        twin=_build_section(TwinConfig, cfg_dict["twin"], "twin"),
-        train=_build_section(TrainConfig, cfg_dict["train"], "train"),
-        decode=_build_section(DecodeConfig, cfg_dict["decode"], "decode"),
-    )
+    run = _run_config(meta["seed"], meta["config"])
     vocab = corpus_mod.Vocab(meta["vocab"], min_freq=0)
     trainer = build_trainer(run, vocab)
     load_trainer_arrays(trainer, arrays, require_aux=False)
@@ -365,11 +355,9 @@ def cmd_generate(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             write_paragraphs(texts, fh)
-        resolved = dataclasses.replace(run, decode=dc)
-        out_dir = os.path.dirname(os.path.abspath(args.out))
-        with open(os.path.join(out_dir, "resolved_generate_config.json"), "w") as fh:
-            json.dump(resolved.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_resolved_config(dataclasses.replace(run, decode=dc),
+                               os.path.dirname(os.path.abspath(args.out)),
+                               "resolved_generate_config.json")
     else:
         write_paragraphs(texts, sys.stdout)
     return 0
@@ -454,16 +442,17 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-5):
           Tensor(rng.normal((6, 2)), requires_grad=True))
 
     att = L.VisualAttention(rng, 6, 5, 4)
-    hq = Tensor(rng.normal((6,)), requires_grad=True)
-    regions = Tensor(rng.normal((3, 5)))
+    hq = Tensor(rng.normal((1, 1, 6)), requires_grad=True)
+    regions = Tensor(rng.normal((1, 3, 5)))
     check("layer.visual_attention", lambda t: att(t, regions)[0].sum(), hq)
 
     mha = L.MultiHeadSelfAttention(rng, 6, 2)
     check("layer.self_attention", lambda t: (mha(t) * mha(t)).sum(),
-          Tensor(rng.normal((3, 6)), requires_grad=True))
+          Tensor(rng.normal((1, 3, 6)), requires_grad=True))
 
     gru = L.BiGruCell(rng, 4, 3)
-    check("layer.bigru", lambda t: gru(t)[1].sum(), Tensor(rng.normal((4, 4)), requires_grad=True))
+    check("layer.bigru", lambda t: gru(t)[1].sum(),
+          Tensor(rng.normal((1, 4, 4)), requires_grad=True))
 
     # full model: CE gradient w.r.t. every parameter tensor, checked at a
     # generic random point (small-init attention is nearly uniform, which

@@ -139,18 +139,6 @@ def encode_paragraph(text: str, vocab: Vocab, max_sentences: int = 6,
     return tokens[:max_sentences], mask[:max_sentences], count
 
 
-def decode_tokens(row, vocab: Vocab) -> list:
-    """Word tokens of one encoded sentence (strips specials)."""
-    out = []
-    for idx in row:
-        tok = vocab.decode_index(int(idx))
-        if tok == EOS:
-            break
-        if tok not in SPECIALS:
-            out.append(tok)
-    return out
-
-
 @dataclass
 class ParagraphBatch:
     """Padded token grid [B, M, N] with prefix masks and per-item counts."""

@@ -67,13 +67,14 @@ def apply_repetition_penalty(logits: np.ndarray, history, gamma: float,
 
 @no_grad()
 def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Vocab,
-                  num_sentences: int = None, predictor: SentenceCountPredictor = None) -> list:
+                  predictor: SentenceCountPredictor = None) -> list:
     """Decode one paragraph as a list of sentences (lists of word indices).
 
     <eos> terminates a sentence early and is not included in the returned
-    words; a sentence that never emits <eos> stops at the word budget. With a
-    ``predictor``, the sentence count is predicted from the projected image
-    and clamped to [dc.min_sentences, dc.max_sentences].
+    words; a sentence that never emits <eos> stops at the word budget.
+    ``dc.num_sentences`` sentences are decoded; with a ``predictor``, the count
+    is predicted from the projected image instead and clamped to
+    [dc.min_sentences, dc.max_sentences].
     """
     cfg = model.cfg
     n_words = min(dc.max_words or cfg.max_words, cfg.max_words)
@@ -85,7 +86,7 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
         n_sent = predict_sentence_count(predictor, global_feat, min_sentences=dc.min_sentences,
                                         max_sentences=dc.max_sentences)
     else:
-        n_sent = num_sentences if num_sentences is not None else dc.num_sentences
+        n_sent = dc.num_sentences
 
     state = TopicState(capacity=n_sent)
     sentences = []

@@ -114,14 +114,13 @@ class CausalConvBlock(Layer):
     out once here.
     """
 
-    def __init__(self, rng: RngState, in_channels: int, out_channels: int, kernel_size: int,
-                 residual: bool = True):
+    def __init__(self, rng: RngState, in_channels: int, out_channels: int, kernel_size: int):
         if kernel_size < 1:
             raise ShapeError("kernel_size must be >= 1")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.residual = residual and in_channels == out_channels
+        self.residual = in_channels == out_channels
         fan_in = in_channels * kernel_size
         self.weight = _param(rng, self.conv_shape, fan_in)
         self.weight.data = conv_weight_to_gemm(self.weight.data)
@@ -201,18 +200,11 @@ class VisualAttention(Layer):
         self.v = _param(rng, (attn_dim, 1), attn_dim)
 
     def __call__(self, h: Tensor, regions: Tensor, region_mask=None):
-        """h: [d] with regions [R, d_v], or h: [B, T, d] with regions [B, R, d_v].
+        """h: [B, T, d] with regions [B, R, d_v] and an optional [B, R] mask.
 
-        Returns (context, weights); weights form a probability simplex over
-        regions (masked regions get weight 0).
+        Returns (context [B, T, d_v], weights [B, T, R]); weights form a
+        probability simplex over regions (masked regions get weight 0).
         """
-        if h.ndim == 1:
-            ctx, w = self._batched(h.reshape(1, 1, h.shape[0]),
-                                   regions.reshape((1,) + regions.shape), region_mask)
-            return ctx.reshape(ctx.shape[-1:]), w.reshape(w.shape[-1:])
-        return self._batched(h, regions, region_mask)
-
-    def _batched(self, h: Tensor, regions: Tensor, region_mask):
         B, T, _ = h.shape
         R = regions.shape[-2]
         hw = (h @ self.Wh).reshape(B, T, 1, self.Wh.shape[1])
@@ -245,7 +237,7 @@ class MultiHeadSelfAttention(Layer):
         B, T, d = t.shape
         return t.reshape(B, T, self.heads, d // self.heads).transpose((0, 2, 1, 3))
 
-    def _weights(self, x: Tensor, key_mask) -> Tensor:
+    def attention_weights(self, x: Tensor, key_mask=None) -> Tensor:
         """Softmax attention rows [B, H, T, T] of x: [B, T, d]."""
         B, T, d = x.shape
         q, k = self._split(self.wq(x)), self._split(self.wk(x))
@@ -256,21 +248,11 @@ class MultiHeadSelfAttention(Layer):
         return scores.softmax(axis=-1)
 
     def __call__(self, x: Tensor, key_mask=None) -> Tensor:
-        """x: [T, d] or [B, T, d]; key_mask flags which positions may be attended."""
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape((1,) + x.shape)
+        """x: [B, T, d] -> [B, T, d]; key_mask [B, T] flags the positions that may be attended."""
         B, T, d = x.shape
-        attn = self._weights(x, key_mask)
+        attn = self.attention_weights(x, key_mask)
         out = (attn @ self._split(self.wv(x))).transpose((0, 2, 1, 3)).reshape(B, T, d)
-        out = self.wo(out)
-        return out.reshape(T, d) if squeeze else out
-
-    def attention_weights(self, x: Tensor, key_mask=None) -> np.ndarray:
-        """Per-head attention rows (for invariant checks), shape [B, H, T, T]."""
-        if x.ndim == 2:
-            x = x.reshape((1,) + x.shape)
-        return self._weights(x, key_mask).data
+        return self.wo(out)
 
 
 class GruDirection(Layer):
@@ -314,16 +296,11 @@ class BiGruCell(Layer):
     """Bidirectional gated recurrent layer used by the Wasserstein critic."""
 
     def __init__(self, rng: RngState, in_dim: int, hidden: int):
-        self.hidden = hidden
         self.fwd = GruDirection(rng, in_dim, hidden)
         self.bwd = GruDirection(rng, in_dim, hidden)
 
     def __call__(self, seq: Tensor):
-        """seq: [T, d] or [B, T, d] -> (outputs [.., T, 2h], final [.., 2h])."""
-        squeeze = seq.ndim == 2
-        if squeeze:
-            seq = seq.reshape((1,) + seq.shape)
-        B, T, _ = seq.shape
+        """seq: [B, T, d] -> (outputs [B, T, 2h], final [B, 2h])."""
         f_states = self.fwd.run(seq)
         rev = seq[:, ::-1, :]
         b_states_rev = self.bwd.run(rev)
@@ -331,6 +308,4 @@ class BiGruCell(Layer):
         per_pos = [concat([f, b], axis=-1) for f, b in zip(f_states, b_states)]
         outputs = stack(per_pos, axis=1)  # [B, T, 2h]
         final = concat([f_states[-1], b_states_rev[-1]], axis=-1)
-        if squeeze:
-            return outputs.reshape(T, 2 * self.hidden), final.reshape(2 * self.hidden)
         return outputs, final

@@ -110,53 +110,40 @@ class ParagraphModel(Layer):
     # -- feature projection ---------------------------------------------------
 
     def project_features(self, raw: Tensor, region_mask=None):
-        """raw: [R, d_I] or [B, R, d_I] -> (global [.., proj], regions [.., R, proj]).
+        """raw: [B, R, d_I] -> (global [B, proj], regions [B, R, proj]).
 
         Regions get an affine map; the global vector is the element-wise max
-        over (unmasked) regions.
+        over the regions left unmasked by the optional [B, R] region_mask.
         """
-        squeeze = raw.ndim == 2
-        if squeeze:
-            raw = raw.reshape((1,) + raw.shape)
         if raw.shape[-2] == 0:
             raise ShapeError("project_features needs at least one region")
         regions = self.feat_proj(raw)  # [B, R, proj]
         if region_mask is None:
-            pooled = regions.max(axis=-2)
-        else:
-            m = np.asarray(region_mask, dtype=np.float64)
-            if not m.any(axis=-1).all():
-                raise ShapeError("each item needs at least one unmasked region")
-            masked = regions + Tensor((m[..., None] - 1.0) * MASK_NEG)
-            pooled = masked.max(axis=-2)
-        if squeeze:
-            return pooled.reshape(pooled.shape[-1:]), regions.reshape(regions.shape[1:])
-        return pooled, regions
+            return regions.max(axis=-2), regions
+        m = np.asarray(region_mask, dtype=np.float64)
+        if not m.any(axis=-1).all():
+            raise ShapeError("each item needs at least one unmasked region")
+        masked = regions + Tensor((m[..., None] - 1.0) * MASK_NEG)
+        return masked.max(axis=-2), regions
 
     # -- context pooling --------------------------------------------------------
 
-    def pool_context(self, embeds: Tensor, mask, mode: str = None) -> Tensor:
-        """Masked pooling of previous-sentence embeddings [.., N, d] -> [.., d].
+    def pool_context(self, embeds: Tensor, mask) -> Tensor:
+        """Masked pooling of previous-sentence embeddings [B, N, d], mask [B, N] -> [B, d].
 
-        mean mode averages the embeddings; self_attention mode averages the
-        self-attended embeddings. An empty sentence pools to the zero vector.
+        The model's ``pooling`` mode decides: mean averages the embeddings,
+        self_attention averages the self-attended embeddings. An empty
+        sentence pools to the zero vector.
         """
-        mode = mode or self.cfg.pooling
-        if mode not in POOL_MODES:
-            raise ValueError(f"unknown pooling mode {mode!r}")
-        squeeze = embeds.ndim == 2
-        if squeeze:
-            embeds = embeds.reshape((1,) + embeds.shape)
         m = np.asarray(mask, dtype=np.float64).reshape(embeds.shape[0], embeds.shape[1])
         counts = m.sum(axis=1)
         if (counts == 0).any():
             log.debug("pool_context: empty previous sentence, using zero context")
-        if mode == "self_attention":
+        if self.cfg.pooling == "self_attention":
             embeds = self.ctx_attn(embeds, key_mask=m)
         weighted = embeds * Tensor(m[:, :, None])
         denom = np.maximum(counts, 1.0)[:, None]
-        pooled = weighted.sum(axis=1) * Tensor(1.0 / denom)
-        return pooled.reshape(pooled.shape[-1:]) if squeeze else pooled
+        return weighted.sum(axis=1) * Tensor(1.0 / denom)
 
     # -- topic stack ---------------------------------------------------------------
 
@@ -283,8 +270,7 @@ class SentenceCountPredictor(Layer):
         self.fc3 = Linear(rng, hidden2, max_sentences)
 
     def __call__(self, global_feat: Tensor) -> Tensor:
-        if global_feat.ndim == 1:
-            global_feat = global_feat.reshape(1, -1)
+        """global_feat: [B, in_dim] -> count logits [B, max_sentences]."""
         h = self.fc1(global_feat).relu()
         h = self.fc2(h).relu()
         return self.fc3(h)

@@ -89,10 +89,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def _from_op(data: np.ndarray, parents, backward) -> "Tensor":
         out = Tensor(data)
         if _taping and any(p.requires_grad for p in parents):
@@ -112,12 +108,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ShapeError(f"expected a scalar tensor, got shape {self.shape}")
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -193,8 +183,6 @@ class Tensor:
         return Tensor._from_op(-self.data, (a,), lambda g: a._accumulate(-g))
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -218,27 +206,6 @@ class Tensor:
         return Tensor._from_op(self.data * scale, (a,), lambda g: a._accumulate(g * scale))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            _check_broadcast(self.shape, other.shape)
-            data = self.data / other.data
-            a, b = self, other
-
-            def bw(g):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g / b.data, a.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-            return Tensor._from_op(data, (a, b), bw)
-        return self * (1.0 / float(other))
-
-    def pow(self, exponent: float) -> "Tensor":
-        a = self
-        e = float(exponent)
-        data = self.data ** e
-        return Tensor._from_op(data, (a,), lambda g: a._accumulate(g * e * a.data ** (e - 1.0)))
 
     # -- structural ops ----------------------------------------------------------
 
@@ -352,15 +319,6 @@ class Tensor:
         y = np.maximum(self.data, 0.0)
         return Tensor._from_op(y, (a,), lambda g: a._accumulate(g * (a.data > 0.0)))
 
-    def exp(self) -> "Tensor":
-        a = self
-        y = np.exp(self.data)
-        return Tensor._from_op(y, (a,), lambda g: a._accumulate(g * y))
-
-    def log(self) -> "Tensor":
-        a = self
-        return Tensor._from_op(np.log(self.data), (a,), lambda g: a._accumulate(g / a.data))
-
     def softmax(self, axis: int = -1) -> "Tensor":
         """Numerically stabilized softmax; output sums to 1 along ``axis``."""
         a = self
@@ -371,18 +329,6 @@ class Tensor:
         def bw(g):
             dot = (g * y).sum(axis=axis, keepdims=True)
             a._accumulate(y * (g - dot))
-
-        return Tensor._from_op(y, (a,), bw)
-
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        a = self
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        y = shifted - lse
-
-        def bw(g):
-            soft = np.exp(y)
-            a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
 
         return Tensor._from_op(y, (a,), bw)
 

@@ -157,19 +157,18 @@ def _mirror_frames(frames: np.ndarray, mask) -> np.ndarray:
 def twin_l2_loss(h_fwd: Tensor, h_bwd: Tensor, mask) -> Tensor:
     """Mean squared coordinate difference between aligned hidden frames.
 
-    ``h_fwd`` and ``h_bwd`` are [T, C] (or [B, M, N, C] grids) sharing one
-    mask layout; the backward sequence is re-reversed to forward order before
+    ``h_fwd`` and ``h_bwd`` are [B, M, N, C] grids sharing one [B, M, N]
+    mask; each item's backward sequence is re-reversed to forward order before
     comparison. The backward frames act as targets (no gradient flows into
     them).
     """
     mask = np.asarray(mask, dtype=bool)
     if h_fwd.shape != h_bwd.shape:
         raise ValueError(f"hidden shapes differ: {h_fwd.shape} vs {h_bwd.shape}")
+    if h_fwd.ndim != 4 or mask.shape != h_fwd.shape[:-1]:
+        raise ValueError(f"expected [B, M, N, C] frames and a [B, M, N] mask, got "
+                         f"{h_fwd.shape} and {mask.shape}")
     C = h_fwd.shape[-1]
-    if mask.size != h_fwd.data.size // C:
-        raise ValueError("mask size does not match hidden sequence length")
-    if h_fwd.ndim == 2:
-        mask = mask.reshape(1, -1)
     rows = np.flatnonzero(mask.reshape(-1))
     picked_f = gather_rows(h_fwd.reshape(-1, C), rows)
     target_b = Tensor(_mirror_frames(h_bwd.data, mask).reshape(-1, C)[rows])
@@ -287,12 +286,11 @@ class TwinTrainer:
             stats.critic_loss = float(np.mean(critic_losses))
 
         gen_loss = ce_f
-        if twin.uses_l2 and twin.lambda_l2 > 0:
+        if twin.uses_l2:
             l2 = twin_l2_loss(h_f, h_b.detach(), batch.mask)
             stats.twin_l2 = float(l2.data)
-            gen_loss = gen_loss + twin.lambda_l2 * l2
-        elif twin.uses_l2:
-            stats.twin_l2 = float(twin_l2_loss(h_f, h_b.detach(), batch.mask).data)
+            if twin.lambda_l2 > 0:
+                gen_loss = gen_loss + twin.lambda_l2 * l2
         if twin.uses_adversarial and twin.lambda_adv > 0:
             adv = adversarial_generator_loss(self.critic, _masked_grid(h_f, batch.mask))
             gen_loss = gen_loss + twin.lambda_adv * adv

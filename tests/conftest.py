@@ -16,6 +16,11 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def sum_sq(t):
+    """Sum of squares: a scalar test loss with nonzero gradients everywhere."""
+    return (t * t).sum()
+
+
 def random_grid(rng: RngState, cfg: ModelConfig, batch: int = 1):
     """Random token grid with a ragged prefix mask plus region features."""
     B, M, N = batch, cfg.max_sentences, cfg.max_words

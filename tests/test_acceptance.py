@@ -20,8 +20,7 @@ from paracnn.corpus import (build_vocab, encode_paragraph, generate_synthetic_co
                             make_batches, synthetic_vocab_paragraphs)
 from paracnn.decode import DecodeConfig, decode_adaptive, greedy_decode
 from paracnn.metrics import EvalPair, bleu_n, cider, rouge_l
-from paracnn.model import (ModelConfig, ParagraphModel, SentenceCountPredictor, TopicState,
-                           predict_sentence_count)
+from paracnn.model import ModelConfig, ParagraphModel, TopicState
 from paracnn.tensor import RngState, Tensor
 from paracnn.training import TwinConfig, TwinTrainer, twin_train_epoch
 from test_metrics import CIDER_FIXTURE, CIDER_FIXTURE_SCORE, cider_oracle
@@ -182,13 +181,13 @@ def test_criterion_4_toy_corpus_learning(toy_vocab_mod):
     trainer, history = train_toy("none", train, vocab, seed=5, epochs=200,
                                  batch_size=25, lr=1e-3, train_predictor=True)
 
-    dc = DecodeConfig(num_sentences=3, rep_penalty=0.0, block_trigrams=False)
+    # the predicted sentence count, clamped to [1, 3]
+    dc = DecodeConfig(adaptive=True, min_sentences=1, max_sentences=3, rep_penalty=0.0,
+                      block_trigrams=False)
     matched = 0
     total = 0
     for rec in held_out:
-        gfeat, _ = trainer.model.project_features(Tensor(rec["features"]))
-        n = predict_sentence_count(trainer.predictor, gfeat, 1, 3)
-        sents = greedy_decode(trainer.model, rec["features"], dc, vocab, num_sentences=n)
+        sents = decode_adaptive(trainer.model, trainer.predictor, rec["features"], dc, vocab)
         ref_t, ref_m, ref_c = encode_paragraph(rec["paragraph"], vocab, 3, 8)
         refs = [list(ref_t[j][ref_m[j]]) for j in range(ref_c)]
         total += ref_c

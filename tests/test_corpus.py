@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from paracnn import corpus
 from paracnn.corpus import (CorpusError, FeatureFileError, ParagraphBatch, Vocab,
-                            build_vocab, decode_tokens, encode_paragraph,
+                            build_vocab, encode_paragraph,
                             generate_synthetic_corpus, load_features, save_features,
                             read_manifest, write_manifest, pad_feature_batch)
+from paracnn.decode import sentences_to_text
 
 
 class TestBuildVocab:
@@ -44,9 +45,8 @@ class TestEncodeParagraph:
         v = build_vocab(["a cat. a dog. a cat. a dog."], min_freq=2)
         tokens, mask, count = encode_paragraph("a cat. a dog.", v, 6, 30)
         assert count == 2
-        assert decode_tokens(tokens[0], v) == ["a", "cat"]
-        assert decode_tokens(tokens[1], v) == ["a", "dog"]
-        assert tokens[0, 2] == v.eos and tokens[1, 2] == v.eos
+        assert list(tokens[0, :3]) == [v.index["a"], v.index["cat"], v.eos]
+        assert list(tokens[1, :3]) == [v.index["a"], v.index["dog"], v.eos]
         assert mask[0, :3].all() and not mask[0, 3:].any()
         assert not mask[2:].any()
 
@@ -58,13 +58,13 @@ class TestEncodeParagraph:
         assert count == 1
         assert mask[0].sum() == 30
         assert tokens[0, 29] == v.eos
-        assert decode_tokens(tokens[0], v) == words[:29]
+        assert [v.decode_index(i) for i in tokens[0, :29]] == words[:29]
 
     def test_round_trip_up_to_truncation_and_unk(self):
         refs = ["the red circle is in the north. the blue star is in the south."]
         v = build_vocab(refs * 2, min_freq=2)
         tokens, mask, count = encode_paragraph(refs[0], v, 6, 30)
-        decoded = [" ".join(decode_tokens(tokens[j], v)) for j in range(count)]
+        decoded = sentences_to_text([tokens[j][mask[j]] for j in range(count)], v).split("\n")
         expected = [" ".join(corpus.tokenize(s)) for s in corpus.split_sentences(refs[0])]
         assert decoded == expected
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
+from paracnn import decode as decode_mod
 from paracnn.corpus import build_vocab, synthetic_vocab_paragraphs
 from paracnn.decode import (DecodeConfig, apply_repetition_penalty, decode_adaptive,
                             greedy_decode, read_paragraphs, sentences_to_text,
@@ -223,6 +224,42 @@ class TestPenaltyBehavior:
             top = max(np.bincount(stream, minlength=len(vocab)).max(), 0) if stream else 0
             counts.append(int(top))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+class TestPenaltyScope:
+    """penalty_scope="sentence" restarts the penalty history at every sentence."""
+
+    def decode(self, vocab, scope):
+        # constant logits red > blue > star, everything else far below
+        model = fresh_model(vocab)
+        for p in model.named_parameters().values():
+            p.data[:] = 0.0
+        model.vocab_head.b.data[:] = -10.0
+        for word, logit in (("red", 3.0), ("blue", 2.0), ("star", 1.0)):
+            model.vocab_head.b.data[vocab.index[word]] = logit
+        dc = DecodeConfig(num_sentences=2, rep_penalty=2.5, block_trigrams=False,
+                          penalty_scope=scope)
+        return greedy_decode(model, np.zeros((2, 6)), dc, vocab)
+
+    def test_history_restarts_at_each_sentence(self, vocab, monkeypatch):
+        seen = []
+        penalty = decode_mod.apply_repetition_penalty
+
+        def record(logits, history, gamma, block_trigrams):
+            seen.append(list(history))
+            return penalty(logits, history, gamma, block_trigrams)
+
+        monkeypatch.setattr(decode_mod, "apply_repetition_penalty", record)
+        sents = self.decode(vocab, "sentence")
+        assert seen == [words[:t] for words in sents for t in range(len(words))]
+
+    def test_differs_from_paragraph_scope_when_tokens_repeat(self, vocab):
+        red, blue, star = (vocab.index[w] for w in ("red", "blue", "star"))
+        # each sentence decodes as if it were the first
+        assert self.decode(vocab, "sentence") == [[red, blue, star, red]] * 2
+        # the first sentence's counts carry over and push red down
+        assert self.decode(vocab, "paragraph") == [[red, blue, star, red],
+                                                   [blue, star, red, blue]]
 
 
 @settings(max_examples=40, deadline=None)

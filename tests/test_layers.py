@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sum_sq
 from paracnn.layers import (BiGruCell, CausalConvBlock, Embedding, Linear,
                             MultiHeadSelfAttention, VisualAttention, conv_weight_from_gemm,
                             conv_weight_to_gemm)
@@ -20,8 +21,9 @@ def conv_tap(conv, out, c, tau):
 
 class TestCausalConvBlock:
     def test_identity_configuration(self):
-        # kernel 2, linear half selects the current frame, gate forced wide open
-        conv = CausalConvBlock(rng_for(1), 2, 2, 2, residual=False)
+        # kernel 2, linear half selects the current frame, gate forced wide open;
+        # the residual adds the input once more
+        conv = CausalConvBlock(rng_for(1), 2, 2, 2)
         conv.weight.data[:] = 0.0
         for c in range(2):
             conv.weight.data[conv_tap(conv, c, c, 1)] = 1.0  # tap 1 = current frame
@@ -29,18 +31,20 @@ class TestCausalConvBlock:
         conv.bias.data[2:] = 50.0  # sigmoid(50) ~ 1
         x = rng_for(2).normal((1, 5, 2))
         out = conv(Tensor(x)).data
-        assert np.allclose(out, x, atol=1e-12)
+        assert np.allclose(out - x, x, atol=1e-12)
 
     def test_previous_plus_current_sum(self):
         # kernel 2, linear half sums previous and current frame of one channel
-        conv = CausalConvBlock(rng_for(3), 1, 1, 2, residual=False)
+        # (on top of the residual)
+        conv = CausalConvBlock(rng_for(3), 1, 1, 2)
         conv.weight.data[:] = 0.0
         conv.weight.data[conv_tap(conv, 0, 0, 0)] = 1.0
         conv.weight.data[conv_tap(conv, 0, 0, 1)] = 1.0
         conv.bias.data[:] = 0.0
         conv.bias.data[1] = 50.0
-        out = conv(Tensor(np.array([[[1.0], [2.0], [3.0]]]))).data
-        assert np.allclose(out.reshape(-1), [1.0, 3.0, 5.0], atol=1e-12)
+        x = np.array([[[1.0], [2.0], [3.0]]])
+        out = conv(Tensor(x)).data
+        assert np.allclose((out - x).reshape(-1), [1.0, 3.0, 5.0], atol=1e-12)
 
     def test_causality_bit_exact(self):
         conv = CausalConvBlock(rng_for(4), 3, 3, 3)
@@ -82,7 +86,7 @@ class TestCausalConvBlock:
         conv = CausalConvBlock(rng_for(14), 3, 3, 2)
         x = Tensor(rng_for(15).normal((1, 4, 3)), requires_grad=True)
         assert grad_check(lambda t: (conv(t) * conv(t)).sum(), x) < 1e-4
-        assert grad_check(lambda w: conv(Tensor(rng_for(16).normal((1, 4, 3)))).pow(2).sum(),
+        assert grad_check(lambda w: sum_sq(conv(Tensor(rng_for(16).normal((1, 4, 3))))),
                           conv.weight) < 1e-4
 
     def test_weight_is_seeded_draw_in_gemm_layout(self):
@@ -148,31 +152,31 @@ class TestEmbedding:
 class TestVisualAttention:
     def test_single_region(self):
         att = VisualAttention(rng_for(30), 4, 5, 3)
-        V = Tensor(rng_for(31).normal((1, 5)))
-        ctx, w = att(Tensor(rng_for(32).normal((4,))), V)
-        assert np.allclose(w.data, [1.0])
-        assert np.allclose(ctx.data, V.data[0], atol=1e-12)
+        V = Tensor(rng_for(31).normal((1, 1, 5)))
+        ctx, w = att(Tensor(rng_for(32).normal((1, 1, 4))), V)
+        assert np.allclose(w.data, [[[1.0]]])
+        assert np.allclose(ctx.data, V.data, atol=1e-12)
 
     def test_identical_regions_ignore_query(self):
         att = VisualAttention(rng_for(33), 4, 5, 3)
         row = rng_for(34).normal((5,))
-        V = Tensor(np.tile(row, (4, 1)))
-        c1, _ = att(Tensor(rng_for(35).normal((4,))), V)
-        c2, _ = att(Tensor(rng_for(36).normal((4,))), V)
-        assert np.allclose(c1.data, row, atol=1e-12)
-        assert np.allclose(c2.data, row, atol=1e-12)
+        V = Tensor(np.tile(row, (1, 4, 1)))
+        c1, _ = att(Tensor(rng_for(35).normal((1, 1, 4))), V)
+        c2, _ = att(Tensor(rng_for(36).normal((1, 1, 4))), V)
+        assert np.allclose(c1.data[0, 0], row, atol=1e-12)
+        assert np.allclose(c2.data[0, 0], row, atol=1e-12)
 
     def test_matches_direct_formula(self):
         att = VisualAttention(rng_for(37), 4, 5, 3)
         h = rng_for(38).normal((4,))
         V = rng_for(39).normal((3, 5))
-        ctx, w = att(Tensor(h), Tensor(V))
+        ctx, w = att(Tensor(h[None, None]), Tensor(V[None]))
         scores = np.array([att.v.data[:, 0] @ np.tanh(h @ att.Wh.data + V[r] @ att.Wv.data)
                            for r in range(3)])
         e = np.exp(scores - scores.max())
         w_direct = e / e.sum()
-        assert np.allclose(w.data, w_direct, atol=1e-12)
-        assert np.allclose(ctx.data, w_direct @ V, atol=1e-12)
+        assert np.allclose(w.data[0, 0], w_direct, atol=1e-12)
+        assert np.allclose(ctx.data[0, 0], w_direct @ V, atol=1e-12)
 
     def test_weights_are_simplex_batched(self):
         att = VisualAttention(rng_for(40), 4, 5, 3)
@@ -191,24 +195,25 @@ class TestVisualAttention:
 
     def test_gradcheck(self):
         att = VisualAttention(rng_for(46), 3, 4, 3)
-        V = Tensor(rng_for(47).normal((3, 4)))
-        x = Tensor(rng_for(48).normal((3,)), requires_grad=True)
+        V = Tensor(rng_for(47).normal((1, 3, 4)))
+        x = Tensor(rng_for(48).normal((1, 1, 3)), requires_grad=True)
         assert grad_check(lambda t: att(t, V)[0].sum(), x) < 1e-4
 
 
 class TestMultiHeadSelfAttention:
     def test_single_position(self):
         mha = MultiHeadSelfAttention(rng_for(50), 6, 2)
-        x = rng_for(51).normal((1, 6))
+        x = rng_for(51).normal((1, 1, 6))
         out = mha(Tensor(x)).data
         manual = x @ mha.wv.W.data + mha.wv.b.data
         manual = manual @ mha.wo.W.data + mha.wo.b.data
         assert np.allclose(out, manual, atol=1e-12)
-        assert np.allclose(mha.attention_weights(Tensor(x)), 1.0)
+        assert np.allclose(mha.attention_weights(Tensor(x)).data, 1.0)
 
     def test_rows_sum_to_one(self):
         mha = MultiHeadSelfAttention(rng_for(52), 8, 4)
-        w = mha.attention_weights(Tensor(rng_for(53).normal((5, 8))))
+        w = mha.attention_weights(Tensor(rng_for(53).normal((1, 5, 8)))).data
+        assert w.shape == (1, 4, 5, 5)
         assert np.allclose(w.sum(-1), 1.0)
 
     def test_output_shape_matches_input(self):
@@ -226,7 +231,7 @@ class TestMultiHeadSelfAttention:
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn = e / e.sum(axis=-1, keepdims=True)
         direct = (attn @ v) @ mha.wo.W.data + mha.wo.b.data
-        assert np.allclose(mha(Tensor(x)).data, direct, atol=1e-12)
+        assert np.allclose(mha(Tensor(x[None])).data[0], direct, atol=1e-12)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ShapeError):
@@ -234,7 +239,7 @@ class TestMultiHeadSelfAttention:
 
     def test_gradcheck(self):
         mha = MultiHeadSelfAttention(rng_for(59), 4, 2)
-        x = Tensor(rng_for(60).normal((3, 4)), requires_grad=True)
+        x = Tensor(rng_for(60).normal((1, 3, 4)), requires_grad=True)
         assert grad_check(lambda t: (mha(t) * mha(t)).sum(), x) < 1e-4
 
 
@@ -252,18 +257,18 @@ class TestBiGruCell:
         for name, p in gru.named_parameters().items():
             if name.endswith(("bz", "br", "bh")):
                 p.data[:] = 0.0
-        outs, final = gru(Tensor(np.zeros((4, 3))))
+        outs, final = gru(Tensor(np.zeros((1, 4, 3))))
         assert np.all(outs.data == 0)
         assert np.all(final.data == 0)
 
     def test_single_step_directions(self):
         gru = BiGruCell(rng_for(71), 3, 2)
-        x = rng_for(72).normal((1, 3))
+        x = rng_for(72).normal((1, 1, 3))
         outs, final = gru(Tensor(x))
         # T=1: each direction sees the same single frame
-        f = gru_step_oracle(gru.fwd, x[0], np.zeros(2))
-        b = gru_step_oracle(gru.bwd, x[0], np.zeros(2))
-        assert np.allclose(final.data, np.concatenate([f, b]), atol=1e-12)
+        f = gru_step_oracle(gru.fwd, x[0, 0], np.zeros(2))
+        b = gru_step_oracle(gru.bwd, x[0, 0], np.zeros(2))
+        assert np.allclose(final.data[0], np.concatenate([f, b]), atol=1e-12)
 
     def test_two_step_recurrence_oracle(self):
         gru = BiGruCell(rng_for(73), 2, 1)
@@ -274,8 +279,8 @@ class TestBiGruCell:
         hb = np.zeros(1)
         for t in reversed(range(2)):
             hb = gru_step_oracle(gru.bwd, x[t], hb)
-        _, final = gru(Tensor(x))
-        assert np.allclose(final.data, np.concatenate([hf, hb]), atol=1e-12)
+        _, final = gru(Tensor(x[None]))
+        assert np.allclose(final.data[0], np.concatenate([hf, hb]), atol=1e-12)
 
     def test_reversal_identity(self):
         # forward pass over reversed input == backward pass over original,
@@ -284,16 +289,16 @@ class TestBiGruCell:
         swapped = BiGruCell(rng_for(76), 3, 2)
         swapped.fwd, swapped.bwd = gru.bwd, gru.fwd
         x = rng_for(77).normal((5, 3))
-        outs, _ = gru(Tensor(x))
-        outs_sw, _ = swapped(Tensor(x[::-1].copy()))
-        fwd_half = outs.data[:, 2:]          # backward direction of original
-        sw_half = outs_sw.data[::-1, :2]     # forward direction over reversed input
+        outs, _ = gru(Tensor(x[None]))
+        outs_sw, _ = swapped(Tensor(x[None, ::-1].copy()))
+        fwd_half = outs.data[0, :, 2:]          # backward direction of original
+        sw_half = outs_sw.data[0, ::-1, :2]     # forward direction over reversed input
         assert np.allclose(fwd_half, sw_half, atol=1e-12)
 
     def test_gradcheck(self):
         gru = BiGruCell(rng_for(78), 3, 2)
-        x = Tensor(rng_for(79).normal((4, 3)), requires_grad=True)
-        assert grad_check(lambda t: gru(t)[1].pow(2).sum(), x) < 1e-4
+        x = Tensor(rng_for(79).normal((1, 4, 3)), requires_grad=True)
+        assert grad_check(lambda t: sum_sq(gru(t)[1]), x) < 1e-4
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,25 +18,26 @@ def data_rng():
 
 class TestProjectFeatures:
     def test_single_region_equals_projection(self, model):
-        raw = data_rng().normal((1, 6))
+        raw = data_rng().normal((1, 1, 6))
         pooled, regions = model.project_features(Tensor(raw))
-        assert np.allclose(pooled.data, regions.data[0], atol=1e-14)
+        assert pooled.shape == (1, 8) and regions.shape == (1, 1, 8)
+        assert np.allclose(pooled.data, regions.data[:, 0], atol=1e-14)
 
     def test_duplicate_region_does_not_change_max(self, model):
-        raw = data_rng().normal((2, 6))
-        dup = np.vstack([raw, raw[1:]])
+        raw = data_rng().normal((1, 2, 6))
+        dup = np.concatenate([raw, raw[:, 1:]], axis=1)
         p1, _ = model.project_features(Tensor(raw))
         p2, _ = model.project_features(Tensor(dup))
         assert np.allclose(p1.data, p2.data, atol=1e-14)
 
     def test_matches_per_coordinate_max_oracle(self, model):
-        raw = data_rng().normal((3, 6))
+        raw = data_rng().normal((2, 3, 6))
         pooled, regions = model.project_features(Tensor(raw))
-        assert np.allclose(pooled.data, regions.data.max(axis=0), atol=1e-14)
+        assert np.allclose(pooled.data, regions.data.max(axis=1), atol=1e-14)
 
     def test_zero_regions_rejected(self, model):
         with pytest.raises(ShapeError):
-            model.project_features(Tensor(np.zeros((0, 6))))
+            model.project_features(Tensor(np.zeros((1, 0, 6))))
 
     def test_masked_regions_excluded(self, model):
         raw = data_rng().normal((1, 3, 6))
@@ -46,38 +47,41 @@ class TestProjectFeatures:
 
 
 class TestPoolContext:
+    # the fixture model pools by mean (tiny_config's default)
+
     def test_equal_embeddings_mean_is_identity(self, model):
         row = data_rng().normal((8,))
-        embeds = Tensor(np.tile(row, (4, 1)))
-        out = model.pool_context(embeds, np.ones(4), mode="mean")
-        assert np.allclose(out.data, row, atol=1e-14)
+        embeds = Tensor(np.tile(row, (1, 4, 1)))
+        out = model.pool_context(embeds, np.ones((1, 4)))
+        assert np.allclose(out.data, row[None], atol=1e-14)
 
     def test_empty_mask_gives_zero_vector(self, model):
-        embeds = Tensor(data_rng().normal((4, 8)))
-        out = model.pool_context(embeds, np.zeros(4), mode="mean")
-        assert np.all(out.data == 0)
+        embeds = Tensor(data_rng().normal((1, 4, 8)))
+        out = model.pool_context(embeds, np.zeros((1, 4)))
+        assert out.shape == (1, 8) and np.all(out.data == 0)
 
     def test_mean_matches_direct_average(self, model):
-        e = data_rng().normal((3, 8))
-        out = model.pool_context(Tensor(e), np.ones(3), mode="mean")
-        assert np.allclose(out.data, e.mean(axis=0), atol=1e-14)
+        e = data_rng().normal((2, 3, 8))
+        out = model.pool_context(Tensor(e), np.ones((2, 3)))
+        assert np.allclose(out.data, e.mean(axis=1), atol=1e-14)
 
     def test_masked_mean(self, model):
-        e = data_rng().normal((4, 8))
-        out = model.pool_context(Tensor(e), np.array([1.0, 1.0, 0.0, 0.0]), mode="mean")
-        assert np.allclose(out.data, e[:2].mean(axis=0), atol=1e-14)
+        e = data_rng().normal((2, 4, 8))
+        mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
+        out = model.pool_context(Tensor(e), mask)
+        assert np.allclose(out.data, [e[0, :2].mean(axis=0), e[1, :3].mean(axis=0)],
+                           atol=1e-14)
 
-    def test_self_attention_mode_changes_only_pathway(self):
-        cfg = tiny_config(pooling="self_attention")
-        m = ParagraphModel(cfg, RngState(7).child(1))
-        e = Tensor(data_rng().normal((3, 8)))
-        attended = m.ctx_attn(e.reshape(1, 3, 8), key_mask=np.ones((1, 3)))
-        direct = attended.data.mean(axis=1)[0]
-        out = m.pool_context(e, np.ones(3), mode="self_attention")
-        assert np.allclose(out.data, direct, atol=1e-12)
-        # mean mode on the same model bypasses attention entirely
-        out_mean = m.pool_context(e, np.ones(3), mode="mean")
-        assert np.allclose(out_mean.data, e.data.mean(axis=0), atol=1e-14)
+    def test_self_attention_mode_changes_only_pathway(self, model):
+        m = ParagraphModel(tiny_config(pooling="self_attention"), RngState(7).child(1))
+        e = Tensor(data_rng().normal((1, 3, 8)))
+        attended = m.ctx_attn(e, key_mask=np.ones((1, 3)))
+        out = m.pool_context(e, np.ones((1, 3)))
+        assert np.allclose(out.data, attended.data.mean(axis=1), atol=1e-12)
+        # the config's pooling mode alone selects the pathway: a mean-pooling
+        # model averages the raw embeddings
+        out_mean = model.pool_context(e, np.ones((1, 3)))
+        assert np.allclose(out_mean.data, e.data.mean(axis=1), atol=1e-14)
 
 
 class TestTopicForward:
@@ -244,7 +248,7 @@ class TestSentenceCountPredictor:
         pred.fc3.W.data[:] = 0.0
         pred.fc3.b.data[:] = 0.0
         pred.fc3.b.data[2] = 5.0  # class index 2 -> count 3
-        out = predict_sentence_count(pred, Tensor(np.zeros(8)), 1, 6)
+        out = predict_sentence_count(pred, Tensor(np.zeros((1, 8))), 1, 6)
         assert out == 3
 
     def test_lower_clamp(self):
@@ -252,13 +256,13 @@ class TestSentenceCountPredictor:
         pred.fc3.W.data[:] = 0.0
         pred.fc3.b.data[:] = 0.0
         pred.fc3.b.data[1] = 5.0  # argmax count 2
-        assert predict_sentence_count(pred, Tensor(np.zeros(8)), 5, 6) == 5
+        assert predict_sentence_count(pred, Tensor(np.zeros((1, 8))), 5, 6) == 5
 
     def test_tie_breaks_to_lowest_index(self):
         pred = SentenceCountPredictor(RngState(3).child(1), 8, 6)
         pred.fc3.W.data[:] = 0.0
         pred.fc3.b.data[:] = 1.0
-        assert predict_sentence_count(pred, Tensor(np.zeros(8)), 1, 6) == 1
+        assert predict_sentence_count(pred, Tensor(np.zeros((1, 8))), 1, 6) == 1
 
 
 class TestModelConfigValidation:

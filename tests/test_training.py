@@ -149,6 +149,12 @@ class TestTwinL2:
         with pytest.raises(ValueError):
             twin_l2_loss(Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 2, 4))),
                          np.ones((1, 1, 2), dtype=bool))
+        with pytest.raises(ValueError):  # mask of another layout
+            twin_l2_loss(Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 2, 3))),
+                         np.ones((1, 2), dtype=bool))
+        with pytest.raises(ValueError):  # an unbatched [T, C] sequence
+            twin_l2_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                         np.ones(2, dtype=bool))
 
     def test_gradient_flows_to_forward_only(self):
         rng = RngState(34)
