@@ -87,25 +87,23 @@ def read_checkpoint(path):
     return meta, arrays
 
 
-def _sections(trainer, require_aux: bool = True) -> list:
-    """(prefix, network, optimizer, required) for every network the trainer holds."""
-    sections = [("fwd", trainer.model, trainer.opt, True),
-                ("predictor", trainer.predictor, trainer.opt_pred, True)]
-    if trainer.model_bwd is not None:
-        sections.append(("bwd", trainer.model_bwd, trainer.opt_bwd, require_aux))
-    if trainer.critic is not None:
-        sections.append(("critic", trainer.critic, trainer.opt_critic, require_aux))
-    return sections
+def _sections(trainer) -> list:
+    """(prefix, network, optimizer) for every network the trainer holds."""
+    sections = [("fwd", trainer.model, trainer.opt),
+                ("predictor", trainer.predictor, trainer.opt_pred),
+                ("bwd", trainer.model_bwd, trainer.opt_bwd),
+                ("critic", trainer.critic, trainer.opt_critic)]
+    return [(prefix, net, opt) for prefix, net, opt in sections if net is not None]
 
 
 def trainer_arrays(trainer) -> dict:
     """Flatten every network's parameters and optimizer state into one map (file layout)."""
     out = {}
-    for prefix, module, opt, _ in _sections(trainer):
+    for prefix, module, opt in _sections(trainer):
         convs = conv_weights(module)
         for name, p in module.named_parameters().items():
             out[f"{prefix}.{name}"] = _to_file(p.data, convs.get(name))
-        for name, v in opt.state_arrays().items():
+        for name, v in opt.state.items():
             out[f"opt.{prefix}.{name}"] = _to_file(v, convs.get(name))
     return out
 
@@ -125,22 +123,20 @@ def _from_file(arrays: dict, key: str, p, conv) -> np.ndarray:
     return arr.astype(np.float64, copy=True) if conv is None else conv_weight_to_gemm(arr)
 
 
-def load_trainer_arrays(trainer, arrays: dict, require_aux: bool = True):
+def load_trainer_arrays(trainer, arrays: dict):
     """Copy checkpoint arrays into a freshly built trainer.
 
-    With ``require_aux`` false, missing backward-network/critic entries are
-    tolerated (only the forward network is needed for inference). A present
-    entry, optimizer state included, must have its parameter's file shape.
+    Every parameter of every network the trainer holds must be in ``arrays``
+    (entries of networks it does not hold are ignored). A loaded entry,
+    optimizer state included, must have its parameter's file shape.
     """
-    for prefix, module, opt, required in _sections(trainer, require_aux):
+    for prefix, module, opt in _sections(trainer):
         convs = conv_weights(module)
-        opt_state = opt.state_arrays()
         for name, p in module.named_parameters().items():
             key = f"{prefix}.{name}"
             conv = convs.get(name)
-            if key in arrays:
-                p.data = _from_file(arrays, key, p, conv)
-            elif required:
+            if key not in arrays:
                 raise CheckpointError(f"checkpoint missing parameter {key!r}")
+            p.data = _from_file(arrays, key, p, conv)
             if f"opt.{key}" in arrays:
-                opt_state[name] = _from_file(arrays, f"opt.{key}", p, conv)
+                opt.state[name] = _from_file(arrays, f"opt.{key}", p, conv)

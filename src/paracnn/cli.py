@@ -305,11 +305,19 @@ def _read_checkpoint_meta(path, keys):
 
 
 def load_checkpoint_trainer(path):
+    """(trainer, run, vocab) for decoding; the trainer holds no backward network or critic."""
     meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"))
-    run = _run_config(meta["seed"], meta["config"])
-    vocab = corpus_mod.Vocab(meta["vocab"], min_freq=0)
-    trainer = build_trainer(run, vocab)
-    load_trainer_arrays(trainer, arrays, require_aux=False)
+    config = meta["config"] if isinstance(meta["config"], dict) else {}
+    for name in ("model", "twin", "train", "decode"):
+        if not isinstance(config.get(name), dict):
+            raise CheckpointError(f"{path}: checkpoint config lacks a {name!r} section")
+    # decoding ignores the twin section; older checkpoints carry keys since removed
+    known = {f.name for f in dataclasses.fields(TwinConfig)}
+    twin = {k: v for k, v in config["twin"].items() if k in known}
+    run = _run_config(meta["seed"], dict(config, twin=twin))
+    vocab = corpus_mod.Vocab(meta["vocab"])
+    trainer = build_trainer(dataclasses.replace(run, twin=TwinConfig()), vocab)
+    load_trainer_arrays(trainer, arrays)
     return trainer, run, vocab
 
 
@@ -451,7 +459,7 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-5):
           Tensor(rng.normal((1, 3, 6)), requires_grad=True))
 
     gru = L.BiGruCell(rng, 4, 3)
-    check("layer.bigru", lambda t: gru(t)[1].sum(),
+    check("layer.bigru", lambda t: gru(t).sum(),
           Tensor(rng.normal((1, 4, 4)), requires_grad=True))
 
     # full model: CE gradient w.r.t. every parameter tensor, checked at a

@@ -51,10 +51,9 @@ def split_sentences(text: str) -> list:
 
 @dataclass
 class Vocab:
-    """Bidirectional token map with specials and a frequency threshold."""
+    """Bidirectional token map; the first four tokens are the specials."""
 
     tokens: list
-    min_freq: int = 2
     index: dict = field(init=False)
 
     def __post_init__(self):
@@ -108,7 +107,7 @@ def build_vocab(paragraphs, min_freq: int = 2) -> Vocab:
             freq[tok] = freq.get(tok, 0) + 1
     kept = sorted((t for t, c in freq.items() if c >= min_freq),
                   key=lambda t: (-freq[t], t))
-    return Vocab(list(SPECIALS) + kept, min_freq=min_freq)
+    return Vocab(list(SPECIALS) + kept)
 
 
 def encode_paragraph(text: str, vocab: Vocab, max_sentences: int = 6,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import RngState, ShapeError, Tensor, concat, gather_rows, stack
+from .tensor import RngState, ShapeError, Tensor, concat, gather_rows
 
 MASK_NEG = 1e9
 
@@ -299,13 +299,8 @@ class BiGruCell(Layer):
         self.fwd = GruDirection(rng, in_dim, hidden)
         self.bwd = GruDirection(rng, in_dim, hidden)
 
-    def __call__(self, seq: Tensor):
-        """seq: [B, T, d] -> (outputs [B, T, 2h], final [B, 2h])."""
+    def __call__(self, seq: Tensor) -> Tensor:
+        """seq: [B, T, d] -> final states of both directions, [B, 2h]."""
         f_states = self.fwd.run(seq)
-        rev = seq[:, ::-1, :]
-        b_states_rev = self.bwd.run(rev)
-        b_states = b_states_rev[::-1]
-        per_pos = [concat([f, b], axis=-1) for f, b in zip(f_states, b_states)]
-        outputs = stack(per_pos, axis=1)  # [B, T, 2h]
-        final = concat([f_states[-1], b_states_rev[-1]], axis=-1)
-        return outputs, final
+        b_states = self.bwd.run(seq[:, ::-1, :])
+        return concat([f_states[-1], b_states[-1]], axis=-1)

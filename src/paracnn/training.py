@@ -10,8 +10,7 @@ step), or both. Only the forward network is ever consulted at inference.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,8 +18,6 @@ from .corpus import ParagraphBatch, pad_feature_batch
 from .layers import BiGruCell, Layer, Linear
 from .model import ModelConfig, ParagraphModel, SentenceCountPredictor
 from .tensor import RngState, Tensor, cross_entropy, gather_rows, no_grad
-
-log = logging.getLogger(__name__)
 
 TWIN_MODES = ("none", "l2", "adversarial", "l2_plus_adversarial")
 
@@ -38,7 +35,6 @@ class TwinConfig:
     critic_steps: int = 5
     weight_clip: float = 0.01
     critic_hidden: int = 512
-    reverse_granularity: str = "paragraph"
 
     def __post_init__(self):
         if self.mode not in TWIN_MODES:
@@ -47,8 +43,6 @@ class TwinConfig:
             raise ValueError("twin loss weights must be >= 0")
         if self.critic_steps < 1:
             raise ValueError("critic_steps must be >= 1")
-        if self.reverse_granularity not in ("paragraph", "sentence"):
-            raise ValueError("reverse_granularity must be 'paragraph' or 'sentence'")
 
     @property
     def uses_l2(self) -> bool:
@@ -88,9 +82,6 @@ class RmspropOptimizer:
         for p in self.params.values():
             p.zero_grad()
 
-    def state_arrays(self) -> dict:
-        return self.state
-
 
 class Critic(Layer):
     """Wasserstein critic: bi-GRU over hidden-frame sequences, affine to a score."""
@@ -101,8 +92,7 @@ class Critic(Layer):
 
     def score(self, seqs: Tensor) -> Tensor:
         """seqs: [B, T, C] -> unbounded scores [B, 1]."""
-        _, final = self.gru(seqs)
-        return self.head(final)
+        return self.head(self.gru(seqs))
 
     def clip_weights(self, c: float):
         for p in self.named_parameters().values():
@@ -112,37 +102,27 @@ class Critic(Layer):
 # -- target reversal -------------------------------------------------------------
 
 
-def reverse_targets(batch: ParagraphBatch, granularity: str = "paragraph") -> ParagraphBatch:
+def reverse_targets(batch: ParagraphBatch) -> ParagraphBatch:
     """Reverse each paragraph's valid token stream in place over the mask.
 
     The mask layout is untouched: valid slots keep their positions, the
     tokens they hold are read out in sentence-major order, reversed, and
-    written back. ``granularity='sentence'`` reverses within each sentence
-    instead.
+    written back. This is ``_mirror_frames`` on the tokens (pad is 0), so
+    mirroring the backward network's frames undoes exactly this permutation.
     """
-    tokens = batch.tokens.copy()
-    B, M, N = tokens.shape
-    flat_t = tokens.reshape(B, M * N)
-    flat_m = batch.mask.reshape(B, M * N)
-    for b in range(B):
-        if granularity == "paragraph":
-            idx = np.flatnonzero(flat_m[b])
-            flat_t[b, idx] = flat_t[b, idx][::-1]
-        else:
-            for j in range(M):
-                idx = np.flatnonzero(batch.mask[b, j]) + j * N
-                flat_t[b, idx] = flat_t[b, idx][::-1]
-    return ParagraphBatch(tokens, batch.mask.copy(), batch.sentence_counts.copy(),
-                          list(batch.feature_refs))
+    tokens = _mirror_frames(batch.tokens, batch.mask).reshape(batch.tokens.shape)
+    return replace(batch, tokens=tokens)
 
 
 def _mirror_frames(frames: np.ndarray, mask) -> np.ndarray:
-    """Backward-network frames [B, ..., C] re-reversed to forward order, [B, L, C].
+    """Each item's valid frames in reverse order, [B, L, C]; the one twin alignment.
 
-    The backward network predicts each paragraph's valid token stream
-    reversed, so its frame for the target at a paragraph's t-th of L valid
-    positions sits at the (L-1-t)-th. ``mask`` is [B, ...] with L positions
-    per item; frames at invalid positions come back zero.
+    The backward network trains on ``reverse_targets`` (this permutation of the
+    tokens), so its frame for the target at a paragraph's t-th of L valid
+    positions sits at the (L-1-t)-th and mirroring puts it back in forward
+    order. ``mask`` is [B, ...] with L positions per item and ``frames`` is
+    [B, ..., C] (or the mask's shape, read as C = 1); invalid positions come
+    back zero.
     """
     B = mask.shape[0]
     fm = mask.reshape(B, -1)
@@ -267,23 +247,22 @@ class TwinTrainer:
 
         ce_b = None
         if self.model_bwd is not None:
-            rev = reverse_targets(batch, twin.reverse_granularity)
             self.opt_bwd.zero_grad()
-            ce_b, h_b, _ = batch_ce(self.model_bwd, rev, features, region_mask, self.start_index)
+            ce_b, h_b, _ = batch_ce(self.model_bwd, reverse_targets(batch), features,
+                                    region_mask, self.start_index)
             stats.ce_bwd = float(ce_b.data)
 
         if not (np.isfinite(stats.ce_fwd) and (ce_b is None or np.isfinite(stats.ce_bwd))):
             raise TrainingDiverged(f"non-finite CE (fwd={stats.ce_fwd}, bwd={stats.ce_bwd})")
 
-        critic_losses = []
         if twin.uses_adversarial:
-            fwd_det = Tensor(_masked_grid(h_f, batch.mask).data)
+            fwd_grid = _masked_grid(h_f, batch.mask)  # also the generator's adversarial input
+            fwd_det = Tensor(fwd_grid.data)
             bwd_det = Tensor(_mirror_frames(h_b.data, batch.mask))  # invalid frames zero
-            for _ in range(twin.critic_steps):
-                critic_losses.append(critic_step(self.critic, fwd_det, bwd_det,
-                                                 self.opt_critic, twin.weight_clip))
+            losses = [critic_step(self.critic, fwd_det, bwd_det, self.opt_critic, twin.weight_clip)
+                      for _ in range(twin.critic_steps)]
             stats.critic_updates = twin.critic_steps
-            stats.critic_loss = float(np.mean(critic_losses))
+            stats.critic_loss = float(np.mean(losses))
 
         gen_loss = ce_f
         if twin.uses_l2:
@@ -292,7 +271,7 @@ class TwinTrainer:
             if twin.lambda_l2 > 0:
                 gen_loss = gen_loss + twin.lambda_l2 * l2
         if twin.uses_adversarial and twin.lambda_adv > 0:
-            adv = adversarial_generator_loss(self.critic, _masked_grid(h_f, batch.mask))
+            adv = adversarial_generator_loss(self.critic, fwd_grid)
             gen_loss = gen_loss + twin.lambda_adv * adv
 
         if not np.isfinite(gen_loss.data):

@@ -63,7 +63,7 @@ def test_conv_optimizer_state_keeps_file_layout():
     for name in conv_names(arrays):
         prefix, param = name.split(".", 1)
         opt = tr.opt if prefix == "fwd" else tr.opt_bwd
-        state = opt.state_arrays()[param]  # [k*in, 2*out]
+        state = opt.state[param]  # [k*in, 2*out]
         disk = arrays[f"opt.{name}"]
         assert disk.shape == CONV_SHAPE and np.any(disk)
         for o, c, tau in np.ndindex(CONV_SHAPE):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from paracnn import cli
-from paracnn.checkpoint import read_checkpoint, trainer_arrays, write_checkpoint
+from paracnn.checkpoint import read_checkpoint, write_checkpoint
 from paracnn.cli import ConfigError, load_run_config, main
 from paracnn.corpus import load_features, read_manifest
 from paracnn.tensor import Tensor
@@ -41,6 +41,25 @@ def train_dir(tmp_path_factory, corpus_dir):
         args += ["--set", ov]
     assert run_cli(*args) == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def twin_dir(tmp_path_factory, corpus_dir):
+    """One epoch of l2_plus_adversarial training: the checkpoint holds every network."""
+    d = tmp_path_factory.mktemp("twin_run")
+    args = ["train", "--data", str(corpus_dir), "--out", str(d), "--quiet"]
+    for ov in TINY_OVERRIDES + ["train.epochs=1", "twin.mode=l2_plus_adversarial",
+                                "twin.critic_hidden=4"]:
+        args += ["--set", ov]
+    assert run_cli(*args) == 0
+    return d
+
+
+def generate_bytes(checkpoint, corpus_dir, out):
+    assert run_cli("generate", "--checkpoint", str(checkpoint),
+                   "--features", str(corpus_dir / "test.jsonl"),
+                   "--sentences", "3", "--out", str(out)) == 0
+    return out.read_bytes()
 
 
 class TestMakeCorpus:
@@ -124,6 +143,14 @@ class TestRunConfig:
         assert run.twin.weight_clip == 0.01
         assert run.decode.rep_penalty == 2.0
         assert run.decode.block_trigrams is True
+
+    def test_removed_twin_alignment_key_rejected(self, corpus_dir, tmp_path, capsys):
+        args = ["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), "--quiet",
+                "--set", "twin.reverse_granularity=sentence"]
+        for ov in TINY_OVERRIDES:
+            args += ["--set", ov]
+        assert run_cli(*args) == 1
+        assert "unknown key" in capsys.readouterr().err
 
     def test_nan_abort_retains_checkpoints(self, corpus_dir, tmp_path, capsys,
                                            monkeypatch):
@@ -342,22 +369,56 @@ class TestCheckpointFormat:
                            "--features", str(corpus_dir / "test.jsonl")) == 1
             assert "error:" in capsys.readouterr().err
 
-    def test_forward_only_checkpoint_generates_identically(self, train_dir, corpus_dir,
+    @pytest.mark.parametrize("section", ["model", "twin", "train", "decode"])
+    def test_generate_without_config_section_exits_1(self, train_dir, corpus_dir, tmp_path,
+                                                     capsys, section):
+        meta, arrays = read_checkpoint(train_dir / "best.pckpt")
+        path = tmp_path / "nosection.pckpt"
+        for value in (None, ["not", "an", "object"]):
+            config = {k: v for k, v in meta["config"].items() if k != section}
+            if value is not None:
+                config[section] = value
+            write_checkpoint(path, dict(meta, config=config), arrays)
+            assert run_cli("generate", "--checkpoint", str(path),
+                           "--features", str(corpus_dir / "test.jsonl")) == 1
+            assert f"error: {path}: checkpoint config lacks a '{section}' section" in \
+                capsys.readouterr().err
+
+    def test_forward_only_checkpoint_generates_identically(self, twin_dir, corpus_dir,
                                                            tmp_path):
         # deleting backward/critic entries must not change generation
-        meta, arrays = read_checkpoint(train_dir / "best.pckpt")
-        stripped = {k: v for k, v in arrays.items()
-                    if not (k.startswith(("bwd.", "critic.", "opt.bwd.", "opt.critic.")))}
+        meta, arrays = read_checkpoint(twin_dir / "best.pckpt")
+        aux = ("bwd.", "critic.", "opt.bwd.", "opt.critic.")
+        stripped = {k: v for k, v in arrays.items() if not k.startswith(aux)}
+        for prefix in aux:
+            assert any(k.startswith(prefix) for k in arrays), prefix
         path = tmp_path / "stripped.pckpt"
         write_checkpoint(path, meta, stripped)
-        outs = []
-        for ck in (train_dir / "best.pckpt", path):
-            out = tmp_path / f"gen_{os.path.basename(ck)}.txt"
-            assert run_cli("generate", "--checkpoint", str(ck),
-                           "--features", str(corpus_dir / "test.jsonl"),
-                           "--sentences", "3", "--out", str(out)) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert generate_bytes(twin_dir / "best.pckpt", corpus_dir, tmp_path / "full.txt") == \
+            generate_bytes(path, corpus_dir, tmp_path / "stripped.txt")
+
+    def test_loading_builds_forward_network_only(self, twin_dir):
+        trainer, run, _ = cli.load_checkpoint_trainer(str(twin_dir / "best.pckpt"))
+        assert trainer.model_bwd is None and trainer.opt_bwd is None
+        assert trainer.critic is None and trainer.opt_critic is None
+        assert run.twin.mode == "l2_plus_adversarial" and run.twin.critic_hidden == 4
+
+    def test_checkpoint_with_removed_twin_key_generates_identically(self, twin_dir,
+                                                                    corpus_dir, tmp_path):
+        # checkpoints written while the twin alignment was configurable carry
+        # config.twin.reverse_granularity
+        meta, arrays = read_checkpoint(twin_dir / "best.pckpt")
+        assert "reverse_granularity" not in meta["config"]["twin"]
+        config = dict(meta["config"], twin=dict(meta["config"]["twin"],
+                                                reverse_granularity="paragraph"))
+        old = tmp_path / "old" / "best.pckpt"
+        old.parent.mkdir()
+        write_checkpoint(old, dict(meta, config=config), arrays)
+        new_out, old_out = tmp_path / "new.txt", tmp_path / "old" / "gen.txt"
+        assert generate_bytes(twin_dir / "best.pckpt", corpus_dir, new_out) == \
+            generate_bytes(old, corpus_dir, old_out)
+        assert (tmp_path / "resolved_generate_config.json").read_bytes() == \
+            (old.parent / "resolved_generate_config.json").read_bytes()
 
     def test_checkpoint_logits_bit_identical_after_reload(self, train_dir, corpus_dir):
         trainer, run, vocab = cli.load_checkpoint_trainer(str(train_dir / "best.pckpt"))

@@ -257,14 +257,15 @@ class TestBiGruCell:
         for name, p in gru.named_parameters().items():
             if name.endswith(("bz", "br", "bh")):
                 p.data[:] = 0.0
-        outs, final = gru(Tensor(np.zeros((1, 4, 3))))
-        assert np.all(outs.data == 0)
-        assert np.all(final.data == 0)
+        x = Tensor(np.zeros((1, 4, 3)))
+        for d in (gru.fwd, gru.bwd):
+            assert all(np.all(h.data == 0) for h in d.run(x))
+        assert np.all(gru(x).data == 0)
 
     def test_single_step_directions(self):
         gru = BiGruCell(rng_for(71), 3, 2)
         x = rng_for(72).normal((1, 1, 3))
-        outs, final = gru(Tensor(x))
+        final = gru(Tensor(x))
         # T=1: each direction sees the same single frame
         f = gru_step_oracle(gru.fwd, x[0, 0], np.zeros(2))
         b = gru_step_oracle(gru.bwd, x[0, 0], np.zeros(2))
@@ -273,13 +274,15 @@ class TestBiGruCell:
     def test_two_step_recurrence_oracle(self):
         gru = BiGruCell(rng_for(73), 2, 1)
         x = rng_for(74).normal((2, 2))
+        states = gru.fwd.run(Tensor(x[None]))
         hf = np.zeros(1)
         for t in range(2):
             hf = gru_step_oracle(gru.fwd, x[t], hf)
+            assert np.allclose(states[t].data[0], hf, atol=1e-12)
         hb = np.zeros(1)
         for t in reversed(range(2)):
             hb = gru_step_oracle(gru.bwd, x[t], hb)
-        _, final = gru(Tensor(x[None]))
+        final = gru(Tensor(x[None]))
         assert np.allclose(final.data[0], np.concatenate([hf, hb]), atol=1e-12)
 
     def test_reversal_identity(self):
@@ -289,16 +292,19 @@ class TestBiGruCell:
         swapped = BiGruCell(rng_for(76), 3, 2)
         swapped.fwd, swapped.bwd = gru.bwd, gru.fwd
         x = rng_for(77).normal((5, 3))
-        outs, _ = gru(Tensor(x[None]))
-        outs_sw, _ = swapped(Tensor(x[None, ::-1].copy()))
-        fwd_half = outs.data[0, :, 2:]          # backward direction of original
-        sw_half = outs_sw.data[0, ::-1, :2]     # forward direction over reversed input
-        assert np.allclose(fwd_half, sw_half, atol=1e-12)
+        rev = Tensor(x[None, ::-1].copy())
+        bwd_states = gru.bwd.run(Tensor(x[None])[:, ::-1, :])  # as BiGruCell runs it
+        sw_states = swapped.fwd.run(rev)
+        for a, b in zip(bwd_states, sw_states):
+            assert np.allclose(a.data, b.data, atol=1e-12)
+        final, final_sw = gru(Tensor(x[None])), swapped(rev)
+        assert np.allclose(final.data[0, 2:], final_sw.data[0, :2], atol=1e-12)
+        assert np.allclose(final.data[0, :2], final_sw.data[0, 2:], atol=1e-12)
 
     def test_gradcheck(self):
         gru = BiGruCell(rng_for(78), 3, 2)
         x = Tensor(rng_for(79).normal((1, 4, 3)), requires_grad=True)
-        assert grad_check(lambda t: sum_sq(gru(t)[1]), x) < 1e-4
+        assert grad_check(lambda t: sum_sq(gru(t)), x) < 1e-4
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from conftest import tiny_config
 from paracnn import training as training_mod
 from paracnn.corpus import ParagraphBatch, pad_feature_batch
-from paracnn.layers import Linear
-from paracnn.model import ParagraphModel
 from paracnn.tensor import RngState, Tensor, grad_check
 from paracnn.training import (Critic, RmspropOptimizer, TrainingDiverged, TwinConfig,
                               TwinTrainer, adversarial_generator_loss, batch_ce, critic_step,
@@ -55,16 +53,6 @@ class TestReverseTargets:
             expect[idx] = flat_t[idx[::-1]]
             assert np.array_equal(r.tokens[i].reshape(-1), expect)
             assert (r.tokens[i][~b.mask[i]] == 0).all()
-
-    def test_per_sentence_granularity(self):
-        tokens = np.zeros((1, 2, 3), dtype=np.int64)
-        tokens[0, 0] = [4, 5, 6]
-        tokens[0, 1, :2] = [7, 8]
-        mask = np.array([[[True] * 3, [True, True, False]]])
-        b = ParagraphBatch(tokens, mask, np.array([2]), [None])
-        r = reverse_targets(b, granularity="sentence")
-        assert list(r.tokens[0, 0]) == [6, 5, 4]
-        assert list(r.tokens[0, 1, :2]) == [8, 7]
 
     def test_preserves_token_multiset(self):
         rng = RngState(23)
@@ -354,3 +342,18 @@ def test_reverse_targets_involution_property(seed):
     r2 = reverse_targets(reverse_targets(b))
     assert np.array_equal(r2.tokens, b.tokens)
     assert np.array_equal(r2.mask, b.mask)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5))
+def test_mirror_frames_undoes_reverse_targets_property(seed, B, M, N):
+    # the backward network's frames are mirrored with the permutation that
+    # reversed its targets, so each frame meets the forward frame of its token
+    rng = RngState(seed)
+    lengths = rng.integers(0, N + 1, (B, M))
+    mask = np.arange(N)[None, None, :] < lengths[:, :, None]
+    tokens = np.where(mask, rng.integers(4, 11, (B, M, N)), 0)
+    b = ParagraphBatch(tokens, mask, mask.any(axis=2).sum(axis=1), [None] * B)
+    r = reverse_targets(b)
+    assert np.array_equal(r.mask, b.mask)
+    assert np.array_equal(_mirror_frames(r.tokens, b.mask).reshape(b.tokens.shape), b.tokens)
