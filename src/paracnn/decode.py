@@ -4,8 +4,9 @@ Decoding is deterministic: per sentence, the context pools the previously
 *generated* sentence, the topic stack is extended by one slot, and words are
 picked by argmax until <eos> or the word budget. Decoding runs the same
 ``ParagraphModel.topic_forward`` and ``ParagraphModel.sentence_forward`` as
-teacher-forced training, for one image and one growing prefix at a time, and
-records no tape (``no_grad``). The repetition penalty subtracts gamma times a
+teacher-forced training, for one image at a time; each word step feeds only
+the newest token against per-sentence word-block caches and records no tape
+(``no_grad``). The repetition penalty subtracts gamma times a
 token's emission count from its logit, and trigram blocking forbids
 completing any already-emitted trigram; both apply at inference only.
 """
@@ -21,6 +22,8 @@ from .model import ParagraphModel, SentenceCountPredictor, TopicState, predict_s
 from .tensor import Tensor, no_grad
 
 NEG_INF = float("-inf")
+# the line standing for a sentence without words in the paragraph text format
+EMPTY_SENTENCE = "<empty>"
 
 
 @dataclass
@@ -100,20 +103,19 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
         topic = model.topic_forward(state, global_feat, context)
 
         history = paragraph_history if dc.penalty_scope == "paragraph" else []
-        prefix = [vocab.start]
+        caches = [[] for _ in model.word_blocks]
+        tok = vocab.start
         words = []
         for _ in range(n_words):
-            _, logits = model.sentence_forward(topic, [prefix], regions)
+            _, logits = model.sentence_forward(topic, [[tok]], regions, caches=caches)
             row = logits.data[0, -1]
             if dc.rep_penalty > 0 or dc.block_trigrams:
                 row = apply_repetition_penalty(row, history, dc.rep_penalty, dc.block_trigrams)
             tok = int(np.argmax(row))
             history.append(tok)
-            if tok == vocab.eos:
-                words.append(tok)
-                break
             words.append(tok)
-            prefix.append(tok)
+            if tok == vocab.eos:
+                break
         sentences.append(words)
     return sentences
 
@@ -135,11 +137,15 @@ def sentences_to_text(sentences, vocab: Vocab) -> str:
 
 
 def write_paragraphs(paragraph_texts, fh):
-    """Emit paragraphs separated by blank lines (bit-exact metric format)."""
+    """Emit paragraphs separated by blank lines, one sentence per line.
+
+    An empty sentence is the line ``<empty>``: blank lines only separate paragraphs.
+    """
     for i, text in enumerate(paragraph_texts):
         if i:
             fh.write("\n")
-        fh.write(text + "\n")
+        for line in text.split("\n"):
+            fh.write((line or EMPTY_SENTENCE) + "\n")
 
 
 def read_paragraphs(fh) -> list:
@@ -152,7 +158,7 @@ def read_paragraphs(fh) -> list:
                 paragraphs.append(current)
                 current = []
         else:
-            current.append(line)
+            current.append("" if line == EMPTY_SENTENCE else line)
     if current:
         paragraphs.append(current)
     return paragraphs

@@ -133,8 +133,7 @@ class CausalConvBlock(Layer):
 
     def __call__(self, x: Tensor) -> Tensor:
         """x: [..., T, in_channels] -> [..., T, out_channels]."""
-        if x.shape[-1] != self.in_channels:
-            raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[-1]}")
+        self._check_channels(x)
         T = x.shape[-2]
         k = self.kernel_size
         pad = Tensor(np.zeros(x.shape[:-2] + (k - 1, self.in_channels)))
@@ -146,9 +145,37 @@ class CausalConvBlock(Layer):
             sl = [slice(None)] * xp.ndim
             sl[-2] = slice(tau, tau + T)
             taps.append(xp[tuple(sl)])
-        windows = concat(taps, axis=-1)  # [..., T, k*in]
+        return self._gated(concat(taps, axis=-1), x)
+
+    def step(self, x: Tensor, history: list) -> Tensor:
+        """One new frame x: [..., in_channels] -> its output [..., out_channels].
+
+        ``history`` holds the block's previous input frames, oldest first; it
+        is extended by x and trimmed to the last k-1 frames in place. Taps
+        older than the history are zero, as the left padding of ``__call__``
+        makes them, so stepping frames 1..T one by one gives the rows of
+        ``__call__`` over the whole sequence.
+        """
+        self._check_channels(x)
+        k = self.kernel_size
+        taps = list(history)
+        missing = k - 1 - len(taps)
+        if missing > 0:
+            taps.insert(0, Tensor(np.zeros(x.shape[:-1] + (missing * self.in_channels,))))
+        out = self._gated(concat(taps + [x], axis=-1), x)
+        history.append(x)
+        # max(0, ...): a negative bound would drop taps while history is short
+        del history[:max(0, len(history) - (k - 1))]
+        return out
+
+    def _check_channels(self, x: Tensor):
+        if x.shape[-1] != self.in_channels:
+            raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[-1]}")
+
+    def _gated(self, windows: Tensor, x: Tensor) -> Tensor:
+        """Tap-major windows [..., k*in] of the frames x: [..., in] -> gated output [..., out]."""
         lead = windows.shape[:-1]
-        pre = windows.reshape(-1, k * self.in_channels) @ self.weight
+        pre = windows.reshape(-1, self.kernel_size * self.in_channels) @ self.weight
         pre = pre.reshape(lead + (2 * self.out_channels,)) + self.bias
         a = pre[..., : self.out_channels]
         b = pre[..., self.out_channels:]

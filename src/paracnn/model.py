@@ -9,11 +9,11 @@ with additive visual attention over region features injected after selected
 layers.
 
 Teacher-forced training (``paragraph_forward``) and greedy decoding share one
-code path: ``topic_forward`` adds one topic slot to a ``TopicState`` and is the
-only way into the topic stack, and ``sentence_forward`` runs the word stack
-over S sentences at once (S = B*M teacher-forced sentences in training, the
-one growing prefix in decoding). Training is fully parallel over word
-positions; only the sequential topic loop remains.
+code path. ``topic_forward`` adds one topic slot to a ``TopicState`` by stepping
+each topic block once against its last k-1 inputs. ``sentence_forward`` runs
+the word stack over S sentences: all positions in parallel in training
+(S = B*M teacher-forced sentences), or, given per-block caches, one new
+position per call in decoding. Only the sequential topic loop remains.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ class ModelConfig:
 
 @dataclass
 class TopicState:
-    """Topic-stack input frames and topics of the slots filled so far."""
+    """Per-block input histories of the topic stack and the topics filled so far."""
 
     capacity: int
-    frames: list = field(default_factory=list)
+    histories: dict = field(default_factory=dict)  # block index -> its last k-1 inputs
     topics: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -152,8 +152,9 @@ class ParagraphModel(Layer):
 
         Slot j's input frame is built from the previous topic through a learned
         map (a learned start vector for slot 1), the global image vector
-        [B, proj] and this slot's context [B, ctx]. The new topic is the causal
-        stack's output at slot j given the frames of slots 1..j.
+        [B, proj] and this slot's context [B, ctx]. Each block steps once on
+        the new frame against its history in ``state``, so the new topic is the
+        causal stack's output at slot j given the frames of slots 1..j.
         """
         j = len(state.topics) + 1
         if j > state.capacity:
@@ -165,23 +166,24 @@ class ParagraphModel(Layer):
         else:
             B = global_feat.shape[0]
             tok = self.topic_start.reshape(1, -1).broadcast_to((B, self.cfg.embed_dim))
-        state.frames.append(self.topic_in(concat([tok, global_feat, context], axis=-1)))
-        h = stack(state.frames, axis=1)
-        for block in self.topic_blocks:
-            h = block(h)
-        topic = h[:, j - 1, :]
-        state.topics.append(topic)
-        return topic
+        h = self.topic_in(concat([tok, global_feat, context], axis=-1))
+        for i, block in enumerate(self.topic_blocks):
+            h = block.step(h, state.histories.setdefault(i, []))
+        state.topics.append(h)
+        return h
 
     # -- word stack -----------------------------------------------------------------
 
-    def sentence_forward(self, topics: Tensor, inputs, regions: Tensor, region_mask=None):
+    def sentence_forward(self, topics: Tensor, inputs, regions: Tensor, region_mask=None,
+                         caches=None):
         """Word stack over S sentences: returns (hidden [S, T, channels], logits [S, T, V]).
 
         ``topics`` is [S, topic], ``inputs`` the [S, T] input tokens (each row
         starting with <start>), ``regions`` [S, R, proj] with an optional [S, R]
         mask. The logit row at position t scores the token following
         inputs[:, t]; the hidden frames are the pre-logit features.
+        With ``caches`` (one history list per word block, empty at a sentence's
+        start), ``inputs`` holds the [S, 1] newest tokens and only their row is computed.
         """
         inputs = np.asarray(inputs, dtype=np.int64)
         if inputs.ndim != 2:
@@ -189,10 +191,12 @@ class ParagraphModel(Layer):
         S, T = inputs.shape
         if T > self.cfg.max_words:
             raise ShapeError(f"prefix length {T} exceeds max_words {self.cfg.max_words}")
+        if caches is not None and T != 1:
+            raise ShapeError("a cached step takes the [S, 1] newest tokens")
         top = topics.reshape(S, 1, self.cfg.topic_dim).broadcast_to((S, T, self.cfg.topic_dim))
         h = self.word_in(concat([self.embed(inputs), top], axis=-1))
         for i, block in enumerate(self.word_blocks, start=1):
-            h = block(h)
+            h = block(h) if caches is None else block.step(h, caches[i - 1])
             tap = self.word_attn.get(str(i))
             if tap is not None:
                 h = tap(h, regions, region_mask)

@@ -67,6 +67,11 @@ class RmspropOptimizer:
                       for name, p in self.params.items()}
 
     def step(self):
+        # two scratch buffers of the largest parameter's size, viewed per
+        # parameter; the out= writes keep the rounding of
+        # v = a*v + (1-a)*g*g; p -= lr*g / (sqrt(v) + eps)
+        size = max((p.data.size for p in self.params.values()), default=0)
+        scratch_b, scratch_c = np.empty(size), np.empty(size)
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -74,9 +79,17 @@ class RmspropOptimizer:
             if not np.isfinite(g).all():
                 raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
             v = self.state[name]
+            b = scratch_b[:g.size].reshape(g.shape)
+            c = scratch_c[:g.size].reshape(g.shape)
             v *= self.alpha
-            v += (1.0 - self.alpha) * g * g
-            p.data -= self.lr * g / (np.sqrt(v) + self.eps)
+            np.multiply(g, 1.0 - self.alpha, out=b)
+            b *= g
+            v += b
+            np.sqrt(v, out=c)
+            c += self.eps
+            np.multiply(g, self.lr, out=b)
+            b /= c
+            p.data -= b
 
     def zero_grad(self):
         for p in self.params.values():

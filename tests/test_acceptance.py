@@ -159,9 +159,12 @@ def test_criterion_3_incremental_equivalence():
                 emb = model.embed(tokens[:, j - 1])
                 ctx = model.pool_context(emb, mask[:, j - 1])
             topic = model.topic_forward(state, g, ctx)
-            prefix = [1] + list(tokens[0, j, :-1])
+            inputs = [1] + list(tokens[0, j, :-1])
+            caches = [[] for _ in model.word_blocks]
             for t in range(1, 5):
-                _, step_logits = model.sentence_forward(topic, [prefix[:t]], regions)
+                # the cached step decoding uses: one new token per call
+                _, step_logits = model.sentence_forward(topic, [inputs[t - 1:t]], regions,
+                                                        caches=caches)
                 diff = np.abs(step_logits.data[0, -1] - full.data[0, j, t - 1]).max()
                 worst = max(worst, diff)
     ok = worst < 1e-10

@@ -7,7 +7,8 @@ import pytest
 from paracnn import cli
 from paracnn.checkpoint import read_checkpoint, write_checkpoint
 from paracnn.cli import ConfigError, load_run_config, main
-from paracnn.corpus import load_features, read_manifest
+from paracnn.corpus import load_features, read_manifest, tokenize
+from paracnn.metrics import EvalPair, evaluate_all
 from paracnn.tensor import Tensor
 
 
@@ -296,6 +297,30 @@ class TestGenerateAndEval:
         hyp.write_text("")
         assert run_cli("eval", "--hypotheses", str(hyp),
                        "--manifest", str(corpus_dir / "test.jsonl")) == 1
+
+    def test_eval_reads_generated_empty_sentences(self, corpus_dir, tmp_path):
+        # this 2-epoch l2 model with self-attention pooling emits <eos> first
+        # for some sentence slots
+        run = tmp_path / "run"
+        args = ["train", "--data", str(corpus_dir), "--out", str(run), "--quiet"]
+        for ov in TINY_OVERRIDES + ["twin.mode=l2", "model.pooling=self_attention"]:
+            args += ["--set", ov]
+        assert run_cli(*args) == 0
+        hyp = tmp_path / "hyp.txt"
+        assert run_cli("generate", "--checkpoint", str(run / "best.pckpt"),
+                       "--features", str(corpus_dir / "test.jsonl"),
+                       "--sentences", "3", "--out", str(hyp)) == 0
+        paragraphs = hyp.read_text().rstrip("\n").split("\n\n")
+        assert "<empty>" in hyp.read_text().split("\n")
+        scores = tmp_path / "scores.json"
+        assert run_cli("eval", "--hypotheses", str(hyp),
+                       "--manifest", str(corpus_dir / "test.jsonl"),
+                       "--json", str(scores)) == 0
+        # the scores are those of each paragraph's words; empty sentences add none
+        pairs = [EvalPair(tokenize(para.replace("<empty>", "")),
+                          [tokenize(entry["paragraph"])])
+                 for para, entry in zip(paragraphs, read_manifest(corpus_dir / "test.jsonl"))]
+        assert json.loads(scores.read_text())["raw"] == evaluate_all(pairs)
 
 
 class TestCheckpointFormat:

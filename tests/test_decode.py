@@ -11,8 +11,8 @@ from paracnn.corpus import build_vocab, synthetic_vocab_paragraphs
 from paracnn.decode import (DecodeConfig, apply_repetition_penalty, decode_adaptive,
                             greedy_decode, read_paragraphs, sentences_to_text,
                             write_paragraphs)
-from paracnn.model import ParagraphModel, SentenceCountPredictor
-from paracnn.tensor import RngState, Tensor
+from paracnn.model import ParagraphModel, SentenceCountPredictor, TopicState
+from paracnn.tensor import RngState, Tensor, no_grad
 
 
 @pytest.fixture
@@ -89,7 +89,6 @@ class TestGreedyDecode:
         sents = greedy_decode(model, feats, dc, vocab)
         # teacher-force the decoded tokens back through the model
         g, regions = model.project_features(Tensor(feats[None]))
-        from paracnn.model import TopicState
         state = TopicState(capacity=2)
         ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
         for j, words in enumerate(sents):
@@ -172,8 +171,10 @@ def test_decoding_records_no_tape(vocab, monkeypatch):
     logits = []
     forward = ParagraphModel.sentence_forward
 
-    def keep(self, *args, **kwargs):
-        out = forward(self, *args, **kwargs)
+    def keep(self, topics, inputs, regions, region_mask=None, caches=None):
+        # every decode step is a cached call on the one newest token
+        assert caches is not None and np.shape(inputs) == (1, 1)
+        out = forward(self, topics, inputs, regions, region_mask, caches=caches)
         logits.append(out[1])
         return out
 
@@ -181,6 +182,49 @@ def test_decoding_records_no_tape(vocab, monkeypatch):
     greedy_decode(fresh_model(vocab), RngState(16).normal((2, 6)),
                   plain_decode_config(num_sentences=1), vocab)
     assert logits and all(t._parents == () and not t.requires_grad for t in logits)
+    assert all(t.shape == (1, 1, len(vocab)) for t in logits)
+
+
+def prefix_oracle(model, feats, dc, vocab):
+    """Greedy decoding that re-runs the word stack on the whole prefix at every step."""
+    n_words = min(dc.max_words or model.cfg.max_words, model.cfg.max_words)
+    g, regions = model.project_features(Tensor(feats[None]))
+    state = TopicState(capacity=dc.num_sentences)
+    sentences, paragraph_history = [], []
+    for j in range(dc.num_sentences):
+        ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
+        if j > 0 and sentences[-1]:
+            prev = np.asarray([sentences[-1]])
+            ctx = model.pool_context(model.embed(prev), np.ones(prev.shape))
+        topic = model.topic_forward(state, g, ctx)
+        history = paragraph_history if dc.penalty_scope == "paragraph" else []
+        prefix, words = [vocab.start], []
+        for _ in range(n_words):
+            _, logits = model.sentence_forward(topic, [prefix], regions)
+            row = apply_repetition_penalty(logits.data[0, -1], history, dc.rep_penalty,
+                                           dc.block_trigrams)
+            tok = int(np.argmax(row))
+            history.append(tok)
+            words.append(tok)
+            if tok == vocab.eos:
+                break
+            prefix.append(tok)
+        sentences.append(words)
+    return sentences
+
+
+@pytest.mark.parametrize("penalty", [False, True])
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_cached_decode_matches_prefix_oracle(vocab, penalty, seed):
+    # 9 words through kernel-4 word blocks: every cache length and then some
+    model = fresh_model(vocab, seed=seed, max_words=9, word_kernel=4)
+    dc = DecodeConfig(num_sentences=3, rep_penalty=1.5 if penalty else 0.0,
+                      block_trigrams=penalty)
+    feats = RngState(seed + 20).normal((3, 6))
+    with no_grad():
+        expected = prefix_oracle(model, feats, dc, vocab)
+    assert greedy_decode(model, feats, dc, vocab) == expected
+    assert max(len(words) for words in expected) > model.cfg.word_kernel
 
 
 class TestParagraphFormat:
@@ -188,9 +232,20 @@ class TestParagraphFormat:
         texts = ["a b c\nd e", "x y"]
         buf = io.StringIO()
         write_paragraphs(texts, buf)
+        assert buf.getvalue() == "a b c\nd e\n\nx y\n"
         buf.seek(0)
         paras = read_paragraphs(buf)
         assert paras == [["a b c", "d e"], ["x y"]]
+
+    def test_empty_sentences_keep_their_place(self, vocab):
+        red = vocab.index["red"]
+        texts = [sentences_to_text(s, vocab) for s in
+                 ([[red], [vocab.eos], [red]], [[vocab.eos], [vocab.eos]], [[red]])]
+        buf = io.StringIO()
+        write_paragraphs(texts, buf)
+        assert buf.getvalue() == "red\n<empty>\nred\n\n<empty>\n<empty>\n\nred\n"
+        buf.seek(0)
+        assert read_paragraphs(buf) == [["red", "", "red"], ["", ""], ["red"]]
 
     def test_specials_stripped_from_text(self, vocab):
         sents = [[vocab.index["red"], vocab.eos], [vocab.index["blue"]]]
@@ -269,3 +324,20 @@ def test_penalty_never_raises_logits_property(history, gamma, block):
     logits = np.linspace(-1, 1, 10)
     out = apply_repetition_penalty(logits, history, gamma, block)
     assert np.all(out <= logits + 1e-12)
+
+
+SENTENCES = st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=3).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(SENTENCES, max_size=4), min_size=1, max_size=5))
+def test_paragraph_format_round_trip_property(paragraphs):
+    # empty sentences ("") and paragraphs without sentences included
+    buf = io.StringIO()
+    write_paragraphs(["\n".join(p) for p in paragraphs], buf)
+    buf.seek(0)
+    back = read_paragraphs(buf)
+    assert len(back) == len(paragraphs)
+    for written, read in zip(paragraphs, back):
+        # a paragraph without sentences has the text of one empty sentence
+        assert read == (written or [""])

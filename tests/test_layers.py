@@ -7,7 +7,7 @@ from conftest import sum_sq
 from paracnn.layers import (BiGruCell, CausalConvBlock, Embedding, Linear,
                             MultiHeadSelfAttention, VisualAttention, conv_weight_from_gemm,
                             conv_weight_to_gemm)
-from paracnn.tensor import RngState, ShapeError, Tensor, grad_check
+from paracnn.tensor import RngState, ShapeError, Tensor, concat, grad_check
 
 
 def rng_for(tag):
@@ -126,6 +126,52 @@ class TestCausalConvBlock:
         conv(Tensor(rng_for(21).normal((2, 6, 4)), requires_grad=True))
         assert len(operands) == 1
         assert np.shares_memory(operands[0], conv.weight.data)
+
+
+class TestCausalConvStep:
+    """``step`` on one frame at a time against the rows of ``__call__``."""
+
+    @pytest.mark.parametrize("k, cin, cout", [(1, 3, 3), (4, 3, 3), (5, 2, 4)])
+    def test_rows_match_full_pass(self, k, cin, cout):
+        conv = CausalConvBlock(rng_for(30 + k), cin, cout, k)
+        T = k + 3
+        x = rng_for(40 + k).normal((2, T, cin))
+        full = conv(Tensor(x)).data
+        history = []
+        lengths = []
+        for t in range(T):
+            lengths.append(len(history))
+            row = conv.step(Tensor(x[:, t]), history)
+            assert row.shape == (2, cout)
+            assert np.allclose(row.data, full[:, t], rtol=0, atol=1e-12)
+        # every history length 0..k-1 was stepped against, then it stays at k-1
+        assert lengths == [min(t, k - 1) for t in range(T)]
+
+    def test_history_holds_last_inputs(self):
+        conv = CausalConvBlock(rng_for(50), 2, 2, 4)
+        frames = [Tensor(rng_for(51 + t).normal((1, 2))) for t in range(6)]
+        history = []
+        for t, frame in enumerate(frames):
+            conv.step(frame, history)
+            assert history == frames[max(0, t - 2):t + 1]
+
+    def test_channel_mismatch_raises(self):
+        conv = CausalConvBlock(rng_for(52), 4, 4, 2)
+        with pytest.raises(ShapeError):
+            conv.step(Tensor(np.zeros((1, 5))), [])
+
+    def test_gradcheck_over_steps(self):
+        k, T = 4, 6
+        conv = CausalConvBlock(rng_for(53), 3, 3, k)
+        x = Tensor(rng_for(54).normal((1, T, 3)), requires_grad=True)
+
+        def stepped(t_in):
+            history = []
+            return sum_sq(concat([conv.step(t_in[:, t], history) for t in range(T)], axis=-1))
+
+        assert grad_check(stepped, x) < 1e-4
+        fixed = Tensor(x.data.copy())
+        assert grad_check(lambda w: stepped(fixed), conv.weight) < 1e-4
 
 
 class TestEmbedding:

@@ -100,6 +100,26 @@ class TestRmsprop:
 
         assert np.array_equal(run(), run())
 
+    def test_matches_textbook_expression_bitwise(self):
+        # parameters of several sizes share the scratch buffers; gradients
+        # span ten orders of magnitude
+        rng = RngState(4)
+        params = {f"p{i}": Tensor(rng.child(i).normal(shape), requires_grad=True)
+                  for i, shape in enumerate([(3, 4), (7,), (50, 13), (1,)])}
+        ref = {name: p.data.copy() for name, p in params.items()}
+        ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
+        opt = RmspropOptimizer(params, lr=4e-4)
+        for it in range(6):
+            for name, p in params.items():
+                g = rng.child(100 + it).normal(p.shape) * 10.0 ** (it * 2 - 8)
+                p.grad = g.copy()
+                ref_v[name] = 0.9 * ref_v[name] + (1.0 - 0.9) * g * g
+                ref[name] -= 4e-4 * g / (np.sqrt(ref_v[name]) + 1e-8)
+            opt.step()
+        for name, p in params.items():
+            assert np.array_equal(p.data, ref[name])
+            assert np.array_equal(opt.state[name], ref_v[name])
+
 
 class TestTwinL2:
     def test_identical_hiddens_zero(self):
