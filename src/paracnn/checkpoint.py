@@ -31,21 +31,33 @@ class CheckpointError(ValueError):
 
 
 def write_checkpoint(path, meta: dict, arrays: dict):
+    """Write a PCKPT1 file through ``path + ".tmp"``, synced then renamed over ``path``.
+
+    A write that fails or is killed part-way leaves any previous file at ``path`` whole.
+    """
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<B", arr.ndim))
+                for d in arr.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_exact(fh, n: int, end: int, what: str) -> bytes:

@@ -84,7 +84,12 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
     raw = {}
     if path:
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ConfigError(f"{path}: not a JSON config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
     known = {"seed", "model", "twin", "train", "decode"}
     unknown = set(raw) - known
     if unknown:
@@ -144,9 +149,8 @@ def cmd_make_corpus(args) -> int:
     feat_dir = os.path.join(out_dir, "features")
     os.makedirs(feat_dir, exist_ok=True)
 
-    grid = (args.grid, args.grid)
     records = corpus_mod.generate_synthetic_corpus(
-        args.seed, args.size, grid=grid, max_objects=args.max_objects, noise=args.noise)
+        args.seed, args.size, max_objects=args.max_objects, noise=args.noise)
     entries = []
     for rec in records:
         rel = os.path.join("features", rec["id"] + ".pfv")
@@ -165,7 +169,7 @@ def cmd_make_corpus(args) -> int:
         corpus_mod.write_manifest(os.path.join(out_dir, f"{name}.jsonl"), part)
     corpus_mod.write_manifest(os.path.join(out_dir, "manifest.jsonl"), entries)
     with open(os.path.join(out_dir, "corpus_config.json"), "w") as fh:
-        json.dump({"seed": args.seed, "size": args.size, "grid": args.grid,
+        json.dump({"seed": args.seed, "size": args.size,
                    "max_objects": args.max_objects, "noise": args.noise,
                    "split": {k: len(v) for k, v in splits.items()}},
                   fh, indent=2, sort_keys=True)
@@ -281,10 +285,12 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
 
         ckpt_path = os.path.join(out_dir, f"checkpoint_ep{epoch:04d}.pckpt")
         meta = dict(meta_base, epoch=epoch)
-        write_checkpoint(ckpt_path, meta, trainer_arrays(trainer))
+        arrays = trainer_arrays(trainer)
+        write_checkpoint(ckpt_path, meta, arrays)
         if val_ce < best_val:
             best_val = val_ce
-            write_checkpoint(best_path, meta, trainer_arrays(trainer))
+            write_checkpoint(best_path, meta, arrays)
+        del arrays  # a copy of every parameter; the next epoch should not hold it
         if not args.quiet:
             print(f"epoch {epoch}: ce_fwd={stats.ce_fwd:.4f} val_ce={val_ce:.4f}")
 
@@ -418,7 +424,7 @@ def cmd_eval(args) -> int:
 # -- gradcheck ------------------------------------------------------------------------
 
 
-def gradcheck_report(seed: int = 0, eps: float = 1e-5):
+def gradcheck_report(seed: int = 0):
     """Finite-difference checks for every layer type and the full CE loss.
 
     Returns a list of (component, max_rel_error) covering each parameterized
@@ -432,13 +438,11 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-5):
                       proj_dim=8, topic_dim=8, embed_dim=8, context_dim=8, channels=8,
                       topic_kernel=3, word_kernel=3, topic_depth=2, word_depth=3,
                       pooling="self_attention", attn_layers=(2,), attn_heads=2)
-    if cfg.channels > 16:
-        raise ConfigError("gradcheck requires a tiny config (channels <= 16)")
     root = RngState(seed)
     report = []
 
     def check(name, f, x):
-        report.append((name, grad_check(f, x, eps=eps)))
+        report.append((name, grad_check(f, x)))
 
     rng = root.child(90)
     conv = L.CausalConvBlock(rng, 4, 4, 3)
@@ -484,7 +488,7 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-5):
     feats = Tensor(data_rng.normal((1, 3, cfg.visual_dim)))
 
     def model_loss(_):
-        logits, _, _ = model.paragraph_forward(tokens, mask, feats)
+        logits, _ = model.paragraph_forward(tokens, mask, feats)
         return cross_entropy(logits, tokens, mask)
 
     for name, p in model.named_parameters().items():
@@ -535,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("make-corpus", help="generate the synthetic scene corpus")
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--size", type=int, required=True)
-    mc.add_argument("--grid", type=int, default=3, help="grid side length")
     mc.add_argument("--max-objects", type=int, default=3, dest="max_objects")
     mc.add_argument("--noise", type=float, default=0.05)
     mc.add_argument("--out", required=True)
@@ -582,7 +585,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, CheckpointError, corpus_mod.CorpusError,
-            corpus_mod.FeatureFileError) as exc:
+            corpus_mod.FeatureFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """Paragraph preprocessing, synthetic scene corpus, and feature file I/O.
 
 The synthetic corpus is the desk-scale stand-in for a real paragraph
-dataset: seeded scenes of colored shapes on a grid, one templated sentence
+dataset: seeded scenes of colored shapes on a 3x3 grid, one templated sentence
 per object, and region features that deterministically encode each object's
 (shape, color, position) so the text is a learnable function of the features.
 """
@@ -135,7 +135,7 @@ def encode_paragraph(text: str, vocab: Vocab, max_sentences: int = 6,
         count += 1
     if count == 0:
         raise CorpusError(f"no tokens after segmentation: {text!r}")
-    return tokens[:max_sentences], mask[:max_sentences], count
+    return tokens, mask, count
 
 
 @dataclass
@@ -180,7 +180,10 @@ COLORS = ("blue", "green", "orange", "purple", "red", "yellow")
 SHAPES = ("circle", "cone", "cube", "ring", "square", "star")
 POSITION_NAMES = ("northwest", "north", "northeast",
                   "west", "center", "east",
-                  "southwest", "south", "southeast")
+                  "southwest", "south", "southeast")  # the 3x3 grid's cells, row-major
+CELLS = len(POSITION_NAMES)
+# a position block plus one shape and one color block per cell
+FEATURE_DIM = CELLS * (1 + len(SHAPES) + len(COLORS))
 
 SENTENCE_TEMPLATE = "the {color} {shape} is in the {position}."
 
@@ -191,37 +194,22 @@ class SyntheticScene:
 
     objects: list  # list of (shape, color, cell)
 
-    def paragraph(self, grid=(3, 3)) -> str:
-        names = position_names(grid)
-        return " ".join(SENTENCE_TEMPLATE.format(color=c, shape=s, position=names[cell])
+    def paragraph(self) -> str:
+        return " ".join(SENTENCE_TEMPLATE.format(color=c, shape=s, position=POSITION_NAMES[cell])
                         for s, c, cell in self.objects)
 
 
-def position_names(grid) -> list:
-    rows, cols = grid
-    if (rows, cols) == (3, 3):
-        return list(POSITION_NAMES)
-    return [f"cell{r}x{c}" for r in range(rows) for c in range(cols)]
-
-
-def feature_dim(grid=(3, 3), n_shapes: int = len(SHAPES), n_colors: int = len(COLORS)) -> int:
-    cells = grid[0] * grid[1]
-    return cells + cells * n_shapes + cells * n_colors
-
-
-def encode_object(shape_idx: int, color_idx: int, cell: int, grid=(3, 3),
-                  n_shapes: int = len(SHAPES), n_colors: int = len(COLORS)) -> np.ndarray:
+def encode_object(shape_idx: int, color_idx: int, cell: int) -> np.ndarray:
     """Deterministic region feature: position block plus position-tied
     shape and color blocks, so pooled unions keep attribute pairings."""
-    cells = grid[0] * grid[1]
-    vec = np.zeros(feature_dim(grid, n_shapes, n_colors))
+    vec = np.zeros(FEATURE_DIM)
     vec[cell] = 1.0
-    vec[cells + cell * n_shapes + shape_idx] = 1.0
-    vec[cells + cells * n_shapes + cell * n_colors + color_idx] = 1.0
+    vec[CELLS + cell * len(SHAPES) + shape_idx] = 1.0
+    vec[CELLS + CELLS * len(SHAPES) + cell * len(COLORS) + color_idx] = 1.0
     return vec
 
 
-def generate_synthetic_corpus(seed: int, size: int, grid=(3, 3), max_objects: int = 3,
+def generate_synthetic_corpus(seed: int, size: int, max_objects: int = 3,
                               noise: float = 0.05):
     """Seeded dataset of (scene, paragraph, region features).
 
@@ -231,34 +219,32 @@ def generate_synthetic_corpus(seed: int, size: int, grid=(3, 3), max_objects: in
     """
     if size < 1:
         raise CorpusError("corpus size must be >= 1")
-    cells = grid[0] * grid[1]
-    if max_objects > cells:
-        raise CorpusError(f"max_objects {max_objects} exceeds {cells} grid cells")
+    if max_objects > CELLS:
+        raise CorpusError(f"max_objects {max_objects} exceeds {CELLS} grid cells")
     rng = RngState(seed).child(17)
     records = []
     for i in range(size):
         n = int(rng.integers(2, max_objects + 1))
-        chosen = sorted(int(c) for c in rng.choice(np.arange(cells), size=n, replace=False))
+        chosen = sorted(int(c) for c in rng.choice(np.arange(CELLS), size=n, replace=False))
         objs = []
-        feats = np.zeros((n, feature_dim(grid)))
+        feats = np.zeros((n, FEATURE_DIM))
         for r, cell in enumerate(chosen):
             s = int(rng.integers(0, len(SHAPES)))
             c = int(rng.integers(0, len(COLORS)))
             objs.append((SHAPES[s], COLORS[c], cell))
-            feats[r] = encode_object(s, c, cell, grid)
+            feats[r] = encode_object(s, c, cell)
         if noise > 0:
             feats = feats + rng.normal(feats.shape, scale=noise)
         scene = SyntheticScene(objects=objs)
         records.append({"id": f"scene{i:05d}", "scene": scene,
-                        "paragraph": scene.paragraph(grid), "features": feats})
+                        "paragraph": scene.paragraph(), "features": feats})
     return records
 
 
-def synthetic_vocab_paragraphs(grid=(3, 3)) -> list:
+def synthetic_vocab_paragraphs() -> list:
     """Every template sentence once, repeated so all words clear min_freq=2."""
-    names = position_names(grid)
     sents = [SENTENCE_TEMPLATE.format(color=c, shape=s, position=p)
-             for c in COLORS for s in SHAPES for p in names]
+             for c in COLORS for s in SHAPES for p in POSITION_NAMES]
     return [" ".join(sents)] * 2
 
 
@@ -311,7 +297,12 @@ def read_manifest(path) -> list:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{lineno}: manifest line is not JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise CorpusError(f"{path}:{lineno}: manifest record is not a JSON object")
             for key in ("id", "feature_path", "paragraph"):
                 if key not in rec:
                     raise CorpusError(f"{path}:{lineno}: manifest record missing {key!r}")

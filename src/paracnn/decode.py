@@ -86,12 +86,12 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     # a batch of one image: [1, proj] global vector, [1, R, proj] regions
     global_feat, regions = model.project_features(feats.reshape((1,) + feats.shape))
     if predictor is not None:
-        n_sent = predict_sentence_count(predictor, global_feat, min_sentences=dc.min_sentences,
-                                        max_sentences=dc.max_sentences)
+        n_sent = predict_sentence_count(predictor, global_feat, dc.min_sentences,
+                                        dc.max_sentences)
     else:
         n_sent = dc.num_sentences
 
-    state = TopicState(capacity=n_sent)
+    state = TopicState()
     sentences = []
     paragraph_history = []
     for j in range(n_sent):

@@ -20,7 +20,7 @@ def _param(rng: RngState, shape, fan_in: int) -> Tensor:
 
 
 class Layer:
-    """Base for parameterized blocks: nested parameter registry plus grad reset."""
+    """Base for parameterized blocks: a nested parameter registry."""
 
     def _members(self):
         """(name, value) per attribute; lists, tuples and dicts of layers are flattened."""
@@ -44,10 +44,6 @@ class Layer:
                     out[f"{name}.{sub}"] = p
         return out
 
-    def zero_grad(self):
-        for p in self.named_parameters().values():
-            p.zero_grad()
-
 
 class Linear(Layer):
     def __init__(self, rng: RngState, in_dim: int, out_dim: int, bias: bool = True):
@@ -67,11 +63,22 @@ class Linear(Layer):
         return out.reshape(lead + (self.W.shape[1],)) if squeeze else out
 
 
-# Tile (output channels, input channels) of a conv weight re-layout. A plain
+# Tile (outer axes, input channels) of a conv weight re-layout. A plain
 # transposed copy of a 512-channel, kernel-5 weight reads with a 20 KB stride
 # and took 60-80 ms, 14 ms in slabs of 32 output channels and 11 ms in these
 # tiles (x86-64, numpy 2.4, one core).
 _TILE = (128, 8)
+
+
+def _reversed_axes(a: np.ndarray) -> np.ndarray:
+    """``a.transpose(2, 1, 0)`` of a 3-D array as a new C-contiguous array, copied in tiles."""
+    out = np.empty(a.shape[::-1])
+    t, tc = _TILE
+    for i in range(0, a.shape[0], t):
+        for c in range(0, a.shape[1], tc):
+            for j in range(0, a.shape[2], t):
+                out[j:j + t, c:c + tc, i:i + t] = a[i:i + t, c:c + tc, j:j + t].T
+    return out
 
 
 def conv_weight_to_gemm(w: np.ndarray) -> np.ndarray:
@@ -81,22 +88,13 @@ def conv_weight_to_gemm(w: np.ndarray) -> np.ndarray:
     GEMM operand of the tap-major windows ``CausalConvBlock`` builds.
     """
     out2, cin, k = w.shape
-    gemm = np.empty((k, cin, out2))
-    for o in range(0, out2, _TILE[0]):
-        for c in range(0, cin, _TILE[1]):
-            gemm[:, c:c + _TILE[1], o:o + _TILE[0]] = w[o:o + _TILE[0], c:c + _TILE[1]].T
-    return gemm.reshape(k * cin, out2)
+    return _reversed_axes(w).reshape(k * cin, out2)
 
 
 def conv_weight_from_gemm(gemm: np.ndarray, kernel_size: int) -> np.ndarray:
     """Inverse of ``conv_weight_to_gemm``: a new C-contiguous [2*out, in, k] array."""
     rows, out2 = gemm.shape
-    taps = gemm.reshape(kernel_size, rows // kernel_size, out2)
-    w = np.empty(taps.shape[::-1])
-    for o in range(0, out2, _TILE[0]):
-        for c in range(0, taps.shape[1], _TILE[1]):
-            w[o:o + _TILE[0], c:c + _TILE[1]] = taps[:, c:c + _TILE[1], o:o + _TILE[0]].T
-    return w
+    return _reversed_axes(gemm.reshape(kernel_size, rows // kernel_size, out2))
 
 
 class CausalConvBlock(Layer):
@@ -297,8 +295,8 @@ class GruDirection(Layer):
         self.Uh = _param(rng, (hidden, hidden), hidden)
         self.bh = _param(rng, (hidden,), hidden)
 
-    def run(self, seq: Tensor) -> list:
-        """seq: [B, T, d] -> list of T hidden states [B, hidden].
+    def run(self, seq: Tensor) -> Tensor:
+        """seq: [B, T, d] -> the final hidden state [B, hidden].
 
         Input projections are hoisted out of the recurrence (one GEMM per
         gate over the whole sequence) so the loop only carries the h terms.
@@ -309,14 +307,12 @@ class GruDirection(Layer):
         xr = (flat @ self.Wr + self.br).reshape(B, T, self.hidden)
         xh = (flat @ self.Wh + self.bh).reshape(B, T, self.hidden)
         h = Tensor(np.zeros((B, self.hidden)))
-        outs = []
         for t in range(T):
             z = (xz[:, t, :] + h @ self.Uz).sigmoid()
             r = (xr[:, t, :] + h @ self.Ur).sigmoid()
             cand = (xh[:, t, :] + (r * h) @ self.Uh).tanh()
             h = (1.0 - z) * h + z * cand
-            outs.append(h)
-        return outs
+        return h
 
 
 class BiGruCell(Layer):
@@ -328,6 +324,4 @@ class BiGruCell(Layer):
 
     def __call__(self, seq: Tensor) -> Tensor:
         """seq: [B, T, d] -> final states of both directions, [B, 2h]."""
-        f_states = self.fwd.run(seq)
-        b_states = self.bwd.run(seq[:, ::-1, :])
-        return concat([f_states[-1], b_states[-1]], axis=-1)
+        return concat([self.fwd.run(seq), self.bwd.run(seq[:, ::-1, :])], axis=-1)

@@ -77,13 +77,8 @@ class ModelConfig:
 class TopicState:
     """Per-block input histories of the topic stack and the topics filled so far."""
 
-    capacity: int
     histories: dict = field(default_factory=dict)  # block index -> its last k-1 inputs
     topics: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("TopicState capacity must be >= 1")
 
 
 class ParagraphModel(Layer):
@@ -156,9 +151,6 @@ class ParagraphModel(Layer):
         the new frame against its history in ``state``, so the new topic is the
         causal stack's output at slot j given the frames of slots 1..j.
         """
-        j = len(state.topics) + 1
-        if j > state.capacity:
-            raise ShapeError(f"topic slot {j} exceeds capacity {state.capacity}")
         if global_feat.ndim != 2 or context.ndim != 2:
             raise ShapeError("topic_forward expects [B, proj] global and [B, ctx] context")
         if state.topics:
@@ -208,7 +200,7 @@ class ParagraphModel(Layer):
                           start_index: int = 1):
         """Teacher-forced full pass over a [B, M, N] token grid.
 
-        Returns (logits [B, M, N, V], hidden [B, M, N, channels], global [B, proj]).
+        Returns (logits [B, M, N, V], hidden [B, M, N, channels]).
         Contexts pool the ground-truth previous sentence; hidden frames are the
         pre-logit features exposed for twin training.
         """
@@ -226,7 +218,7 @@ class ParagraphModel(Layer):
         for j in range(1, M):
             prev = token_embeds[:, j - 1, :, :]
             contexts.append(self.pool_context(prev, mask[:, j - 1, :]))
-        state = TopicState(capacity=M)
+        state = TopicState()
         for context in contexts:
             self.topic_forward(state, global_feat, context)
 
@@ -246,9 +238,7 @@ class ParagraphModel(Layer):
         hidden, logits = self.sentence_forward(
             stack(state.topics, axis=1).reshape(B * M, c.topic_dim),
             inputs.reshape(B * M, N), reg_rep, rm_rep)
-        return (logits.reshape(B, M, N, c.vocab_size),
-                hidden.reshape(B, M, N, c.channels),
-                global_feat)
+        return logits.reshape(B, M, N, c.vocab_size), hidden.reshape(B, M, N, c.channels)
 
 
 class _AttentionTap(Layer):
@@ -268,7 +258,6 @@ class SentenceCountPredictor(Layer):
 
     def __init__(self, rng: RngState, in_dim: int, max_sentences: int,
                  hidden1: int = 256, hidden2: int = 128):
-        self.max_sentences = max_sentences
         self.fc1 = Linear(rng, in_dim, hidden1)
         self.fc2 = Linear(rng, hidden1, hidden2)
         self.fc3 = Linear(rng, hidden2, max_sentences)
@@ -281,11 +270,9 @@ class SentenceCountPredictor(Layer):
 
 
 def predict_sentence_count(predictor: SentenceCountPredictor, global_feat: Tensor,
-                           min_sentences: int = 1, max_sentences: int = None) -> int:
+                           min_sentences: int, max_sentences: int) -> int:
     """Argmax class (1-based count, lowest index wins ties) clamped to [min, max]."""
     logits = predictor(global_feat.detach())
     flat = logits.data.reshape(-1)
     count = int(np.argmax(flat)) + 1
-    if max_sentences is None:
-        max_sentences = predictor.max_sentences
     return int(np.clip(count, min_sentences, max_sentences))

@@ -105,10 +105,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 

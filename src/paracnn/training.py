@@ -200,10 +200,9 @@ def adversarial_generator_loss(critic: Critic, h_fwd: Tensor) -> Tensor:
 
 def batch_ce(model: ParagraphModel, batch: ParagraphBatch, features: Tensor,
              region_mask, start_index: int):
-    logits, hidden, global_feat = model.paragraph_forward(
+    logits, hidden = model.paragraph_forward(
         batch.tokens, batch.mask, features, region_mask, start_index=start_index)
-    loss = cross_entropy(logits, batch.tokens, batch.mask)
-    return loss, hidden, global_feat
+    return cross_entropy(logits, batch.tokens, batch.mask), hidden
 
 
 @dataclass
@@ -255,14 +254,14 @@ class TwinTrainer:
         twin = self.twin
 
         self.opt.zero_grad()
-        ce_f, h_f, _ = batch_ce(self.model, batch, features, region_mask, self.start_index)
+        ce_f, h_f = batch_ce(self.model, batch, features, region_mask, self.start_index)
         stats = EpochStats(ce_fwd=float(ce_f.data), generator_updates=1)
 
         ce_b = None
         if self.model_bwd is not None:
             self.opt_bwd.zero_grad()
-            ce_b, h_b, _ = batch_ce(self.model_bwd, reverse_targets(batch), features,
-                                    region_mask, self.start_index)
+            ce_b, h_b = batch_ce(self.model_bwd, reverse_targets(batch), features,
+                                 region_mask, self.start_index)
             stats.ce_bwd = float(ce_b.data)
 
         if not (np.isfinite(stats.ce_fwd) and (ce_b is None or np.isfinite(stats.ce_bwd))):
@@ -312,7 +311,7 @@ class TwinTrainer:
     @no_grad()
     def eval_ce(self, batch: ParagraphBatch) -> float:
         feats, region_mask = pad_feature_batch(batch.feature_refs)
-        loss, _, _ = batch_ce(self.model, batch, Tensor(feats), region_mask, self.start_index)
+        loss, _ = batch_ce(self.model, batch, Tensor(feats), region_mask, self.start_index)
         return float(loss.data)
 
 

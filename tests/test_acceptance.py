@@ -89,7 +89,7 @@ def _topics_of(model, tokens, mask, feats):
     B, M, N = tokens.shape
     global_feat, _ = model.project_features(feats)
     token_embeds = model.embed(tokens)
-    state = TopicState(capacity=M)
+    state = TopicState()
     context = Tensor(np.zeros((B, model.cfg.context_dim)))
     for j in range(M):
         if j > 0:
@@ -115,9 +115,9 @@ def test_criterion_2_causality_suite():
         bumped = tokens.copy()
         bumped[0, j, t] = 4 + (bumped[0, j, t] - 4 + 1) % (cfg.vocab_size - 4)
 
-        base_logits, _, _ = model.paragraph_forward(tokens, mask, feats)
+        base_logits, _ = model.paragraph_forward(tokens, mask, feats)
         base_topics = _topics_of(model, tokens, mask, feats)
-        new_logits, _, _ = model.paragraph_forward(bumped, mask, feats)
+        new_logits, _ = model.paragraph_forward(bumped, mask, feats)
         new_topics = _topics_of(model, bumped, mask, feats)
 
         # (b) topics of sentences <= j and all logits of sentences < j: bit-exact
@@ -149,10 +149,10 @@ def test_criterion_3_incremental_equivalence():
         tokens = rng.integers(4, cfg.vocab_size, (1, 2, 4)).astype(np.int64)
         mask = np.ones((1, 2, 4), dtype=bool)
         feats = rng.normal((1, 2, cfg.visual_dim))
-        full, _, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
+        full, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
 
         g, regions = model.project_features(Tensor(feats))
-        state = TopicState(capacity=2)
+        state = TopicState()
         ctx = Tensor(np.zeros((1, cfg.context_dim)))
         for j in range(2):
             if j > 0:
@@ -354,7 +354,7 @@ def test_criterion_9_repetition_penalty(toy_vocab_mod):
 
 def test_criterion_10_length_flexibility(toy_vocab_mod):
     vocab = toy_vocab_mod
-    records = generate_synthetic_corpus(23, 40, grid=(3, 3), max_objects=6, noise=0.0)
+    records = generate_synthetic_corpus(23, 40, max_objects=6, noise=0.0)
     cfg = ModelConfig(vocab_size=len(vocab), max_sentences=6, max_words=10,
                       visual_dim=records[0]["features"].shape[1], proj_dim=16,
                       topic_dim=16, embed_dim=16, context_dim=16, channels=16,

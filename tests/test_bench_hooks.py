@@ -2,16 +2,24 @@
 
 Each wrapped name must stay a module global or a class attribute, and a
 method must be defined on the class itself (the tracer reads the class
-``__dict__``). These tests install and restore both sets of hooks, so a
-renamed, removed or inherited name fails here instead of in a benchmark run.
+``__dict__``). These tests install and restore both sets of hooks, and run
+the tracer's wrappers once, so a renamed, removed or inherited name, or a
+wrapper whose signature no longer fits its target, fails here instead of in
+a benchmark run.
 """
 
 import importlib
 import os
 
+import numpy as np
 import pytest
 
+from conftest import tiny_config
 from paracnn import cli, training
+from paracnn.checkpoint import trainer_arrays
+from paracnn.corpus import SPECIALS, ParagraphBatch, Vocab
+from paracnn.decode import DecodeConfig
+from paracnn.tensor import RngState
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -48,3 +56,25 @@ def test_probe_installs_and_restores(bench_module):
     finally:
         probe.restore()
     assert names() == before
+
+
+def test_tracer_wrappers_record_calls(bench_module, tmp_path):
+    hooks = bench_module("tracer").Tracer().install()
+    try:
+        hooks.enabled = True
+        trainer = training.TwinTrainer(tiny_config(), training.TwinConfig(), seed=0, lr=1e-3)
+        rng = RngState(0)
+        tokens = rng.integers(4, 11, (1, 2, 4)).astype(np.int64)
+        trainer.train_batch(ParagraphBatch(tokens, np.ones(tokens.shape, dtype=bool),
+                                           np.array([2]), [rng.normal((3, 6))]))
+        vocab = Vocab(list(SPECIALS) + [f"w{i}" for i in range(7)])
+        cli.greedy_decode(trainer.model, rng.normal((3, 6)), DecodeConfig(num_sentences=1),
+                          vocab)
+        cli.write_checkpoint(tmp_path / "c.pckpt", {}, trainer_arrays(trainer))
+        rows = hooks.layer_metrics()
+    finally:
+        hooks.restore()
+    for name in ("layers.CausalConvBlock.calls", "training.train_batch.calls",
+                 "decode.greedy_decode.calls", "checkpoint.write_checkpoint.calls",
+                 "checkpoint.bytes_written"):
+        assert rows[name][0] > 0, name

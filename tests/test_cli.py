@@ -323,7 +323,66 @@ class TestGenerateAndEval:
         assert json.loads(scores.read_text())["raw"] == evaluate_all(pairs)
 
 
+class TestFileBoundaryErrors:
+    """A missing path or a malformed input file ends the command with ``error: ...`` and 1."""
+
+    @staticmethod
+    def fails_cleanly(capsys, argv, names):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+
+    def test_missing_checkpoint(self, corpus_dir, tmp_path, capsys):
+        missing = str(tmp_path / "none.pckpt")
+        self.fails_cleanly(capsys, ["generate", "--checkpoint", missing,
+                                    "--features", str(corpus_dir / "test.jsonl")], missing)
+
+    def test_missing_feature_file(self, train_dir, tmp_path, capsys):
+        missing = str(tmp_path / "none.pfv")
+        self.fails_cleanly(capsys, ["generate", "--checkpoint", str(train_dir / "best.pckpt"),
+                                    "--features", missing], missing)
+
+    def test_missing_manifest(self, train_dir, tmp_path, capsys):
+        missing = str(tmp_path / "none.jsonl")
+        self.fails_cleanly(capsys, ["generate", "--checkpoint", str(train_dir / "best.pckpt"),
+                                    "--features", missing], missing)
+
+    def test_missing_data_dir(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere")
+        self.fails_cleanly(capsys, ["train", "--data", missing, "--out", str(tmp_path / "run")],
+                           missing)
+
+    @pytest.mark.parametrize("text", ["{\"model\": ", "[1, 2]"])
+    def test_config_not_a_json_object(self, corpus_dir, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match="bad.json"):
+            load_run_config(cfg)
+        self.fails_cleanly(capsys, ["train", "--data", str(corpus_dir), "--config", str(cfg),
+                                    "--out", str(tmp_path / "run")], str(cfg))
+
+    @pytest.mark.parametrize("line", ["{\"id\": ", "42"])
+    def test_manifest_line_not_a_json_object(self, corpus_dir, tmp_path, capsys, line):
+        good = (corpus_dir / "test.jsonl").read_text().splitlines()[0]
+        manifest = tmp_path / "bad.jsonl"
+        manifest.write_text(good + "\n" + line + "\n")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a red circle\n\na blue cube\n")
+        self.fails_cleanly(capsys, ["eval", "--hypotheses", str(hyp), "--manifest",
+                                    str(manifest)], f"{manifest}:2:")
+
+
 class TestCheckpointFormat:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "best.pckpt"
+        write_checkpoint(path, {"epoch": 1}, {"a": np.ones(3)})
+        before = path.read_bytes()
+        # entries go out in name order: "a" is written before "z" fails to convert
+        with pytest.raises(ValueError):
+            write_checkpoint(path, {"epoch": 2}, {"a": np.zeros(3), "z": np.array(["x"])})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["best.pckpt"]
+
     def test_round_trip_bit_exact(self, tmp_path):
         arrays = {"a.W": np.random.RandomState(0).randn(3, 4),
                   "b": np.array([1.5])}
@@ -455,8 +514,8 @@ class TestCheckpointFormat:
                                    run.model.max_words, base_dir=str(corpus_dir))
         from paracnn.corpus import pad_feature_batch
         f, rm = pad_feature_batch(batch.feature_refs)
-        l1, _, _ = trainer.model.paragraph_forward(batch.tokens, batch.mask, Tensor(f), rm)
-        l2, _, _ = trainer2.model.paragraph_forward(batch.tokens, batch.mask, Tensor(f), rm)
+        l1, _ = trainer.model.paragraph_forward(batch.tokens, batch.mask, Tensor(f), rm)
+        l2, _ = trainer2.model.paragraph_forward(batch.tokens, batch.mask, Tensor(f), rm)
         assert np.array_equal(l1.data, l2.data)
 
 

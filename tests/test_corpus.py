@@ -118,12 +118,11 @@ class TestSyntheticCorpus:
         # every (shape, color, cell) encoding is unique: 1-NN over the clean
         # dictionary classifies each region feature exactly
         recs = generate_synthetic_corpus(13, 20, noise=0.0)
-        grid = (3, 3)
         dictionary = {}
         for s in range(len(corpus.SHAPES)):
             for c in range(len(corpus.COLORS)):
                 for cell in range(9):
-                    dictionary[(s, c, cell)] = corpus.encode_object(s, c, cell, grid)
+                    dictionary[(s, c, cell)] = corpus.encode_object(s, c, cell)
         keys = list(dictionary)
         mat = np.stack([dictionary[k] for k in keys])
         for rec in recs:
@@ -222,3 +221,27 @@ def test_vocab_order_independent_property(docs):
     base = build_vocab(["a cat ran. it was fast.", "a dog sat. a dog ate.",
                         "it was big. a cat sat."])
     assert build_vocab(docs).tokens == base.tokens
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_pfv1_truncations_and_byte_flips_property(tmp_path_factory, rows, dim, data):
+    """A damaged PFV1 file loads as a float64 [R, d] matrix or raises FeatureFileError."""
+    values = data.draw(st.lists(st.floats(width=32), min_size=rows * dim,
+                                max_size=rows * dim))
+    path = tmp_path_factory.mktemp("pfv1") / "f.pfv"
+    save_features(path, np.array(values, dtype=np.float32).reshape(rows, dim))
+    good = path.read_bytes()
+    for n in range(len(good)):
+        path.write_bytes(good[:n])
+        with pytest.raises(FeatureFileError):
+            load_features(path)
+    offset = data.draw(st.integers(0, len(good) - 1))
+    flipped = bytearray(good)
+    flipped[offset] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(bytes(flipped))
+    try:
+        loaded = load_features(path)
+    except FeatureFileError:
+        return
+    assert loaded.dtype == np.float64 and loaded.shape == (rows, dim)

@@ -89,7 +89,7 @@ class TestGreedyDecode:
         sents = greedy_decode(model, feats, dc, vocab)
         # teacher-force the decoded tokens back through the model
         g, regions = model.project_features(Tensor(feats[None]))
-        state = TopicState(capacity=2)
+        state = TopicState()
         ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
         for j, words in enumerate(sents):
             if j > 0 and sents[j - 1]:
@@ -189,7 +189,7 @@ def prefix_oracle(model, feats, dc, vocab):
     """Greedy decoding that re-runs the word stack on the whole prefix at every step."""
     n_words = min(dc.max_words or model.cfg.max_words, model.cfg.max_words)
     g, regions = model.project_features(Tensor(feats[None]))
-    state = TopicState(capacity=dc.num_sentences)
+    state = TopicState()
     sentences, paragraph_history = [], []
     for j in range(dc.num_sentences):
         ctx = Tensor(np.zeros((1, model.cfg.context_dim)))

@@ -85,17 +85,9 @@ class TestPoolContext:
 
 
 class TestTopicForward:
-    def test_capacity_enforced(self, model):
-        state = TopicState(capacity=1)
-        g = Tensor(data_rng().normal((1, 8)))
-        ctx = Tensor(np.zeros((1, 8)))
-        model.topic_forward(state, g, ctx)
-        with pytest.raises(ShapeError):
-            model.topic_forward(state, g, ctx)
-
     def test_unbatched_inputs_rejected(self, model):
         with pytest.raises(ShapeError):
-            model.topic_forward(TopicState(capacity=1), Tensor(np.zeros(8)), Tensor(np.zeros(8)))
+            model.topic_forward(TopicState(), Tensor(np.zeros(8)), Tensor(np.zeros(8)))
 
     def test_incremental_equals_batch(self, model):
         # a batch of three images gives each row the topics it gets alone
@@ -103,10 +95,10 @@ class TestTopicForward:
         g = Tensor(rng.normal((3, 8)))
         contexts = [Tensor(np.zeros((3, 8))), Tensor(rng.normal((3, 8))),
                     Tensor(rng.normal((3, 8)))]
-        state = TopicState(capacity=3)
+        state = TopicState()
         batch = [model.topic_forward(state, g, c).data for c in contexts]
         for b in range(3):
-            single = TopicState(capacity=3)
+            single = TopicState()
             for c, topic in zip(contexts, batch):
                 inc = model.topic_forward(single, g[b:b + 1], c[b:b + 1])
                 assert np.allclose(inc.data[0], topic[b], atol=1e-10)
@@ -115,10 +107,10 @@ class TestTopicForward:
         rng = data_rng()
         g = Tensor(rng.normal((1, 8)))
         c2 = rng.normal((1, 8))
-        state1 = TopicState(capacity=2)
+        state1 = TopicState()
         t1a = model.topic_forward(state1, g, Tensor(np.zeros((1, 8)))).data.copy()
         model.topic_forward(state1, g, Tensor(c2))
-        state2 = TopicState(capacity=2)
+        state2 = TopicState()
         t1b = model.topic_forward(state2, g, Tensor(np.zeros((1, 8)))).data.copy()
         model.topic_forward(state2, g, Tensor(c2 + 1.0))
         assert np.array_equal(t1a, t1b)
@@ -180,9 +172,9 @@ class TestParagraphForward:
         tokens = np.array([[[5, 6, 7, 2]]])
         mask = np.ones((1, 1, 4), dtype=bool)
         feats = rng.normal((1, 3, 6))
-        logits, hidden, _ = m.paragraph_forward(tokens, mask, Tensor(feats))
+        logits, hidden = m.paragraph_forward(tokens, mask, Tensor(feats))
         g, regions = m.project_features(Tensor(feats))
-        state = TopicState(capacity=1)
+        state = TopicState()
         topic = m.topic_forward(state, g, Tensor(np.zeros((1, 8))))
         direct_hidden, direct = m.sentence_forward(topic, [[1, 5, 6, 7]], regions)
         assert np.allclose(logits.data[0, 0], direct.data[0], atol=1e-10)
@@ -191,9 +183,9 @@ class TestParagraphForward:
     def test_compositional_oracle(self, model):
         rng = data_rng()
         tokens, mask, feats = random_grid(rng, model.cfg)
-        logits, _, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
+        logits, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
         g, regions = model.project_features(Tensor(feats))
-        state = TopicState(capacity=2)
+        state = TopicState()
         ctx = Tensor(np.zeros((1, 8)))
         for j in range(2):
             if j > 0:
@@ -207,12 +199,12 @@ class TestParagraphForward:
     def test_masked_positions_contribute_zero_loss(self, model):
         rng = data_rng()
         tokens, mask, feats = random_grid(rng, model.cfg)
-        logits, _, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
+        logits, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
         loss = cross_entropy(logits, tokens, mask)
         # recompute with garbage tokens under the mask: loss must be unchanged
         tweaked = tokens.copy()
         tweaked[~mask] = 0
-        logits2, _, _ = model.paragraph_forward(tweaked, mask, Tensor(feats))
+        logits2, _ = model.paragraph_forward(tweaked, mask, Tensor(feats))
         loss2 = cross_entropy(logits2, tweaked, mask)
         assert abs(float(loss.data) - float(loss2.data)) < 1e-12
 
@@ -222,7 +214,7 @@ class TestParagraphForward:
         x = Tensor(feats, requires_grad=True)
 
         def f(t):
-            logits, _, _ = model.paragraph_forward(tokens, mask, t)
+            logits, _ = model.paragraph_forward(tokens, mask, t)
             return cross_entropy(logits, tokens, mask)
 
         assert grad_check(f, x) < 1e-4
@@ -233,10 +225,10 @@ class TestParagraphForward:
         tokens = rng.integers(4, 11, (1, M, N)).astype(np.int64)
         mask = np.ones((1, M, N), dtype=bool)
         feats = Tensor(rng.normal((1, 3, 6)))
-        logits, _, _ = model.paragraph_forward(tokens, mask, feats)
+        logits, _ = model.paragraph_forward(tokens, mask, feats)
         bumped = tokens.copy()
         bumped[0, 1, 0] = (bumped[0, 1, 0] - 4 + 1) % 7 + 4  # perturb sentence 2
-        logits2, _, _ = model.paragraph_forward(bumped, mask, feats)
+        logits2, _ = model.paragraph_forward(bumped, mask, feats)
         assert np.array_equal(logits.data[0, 0], logits2.data[0, 0])
         assert np.array_equal(logits.data[0, 1, :1], logits2.data[0, 1, :1])
         assert not np.allclose(logits.data[0, 1, 1:], logits2.data[0, 1, 1:])

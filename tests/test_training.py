@@ -287,7 +287,7 @@ class TestTwinTrainer:
         batch = make_batch(RngState(57))
         tr = small_trainer("l2")
         feats, region_mask = pad_feature_batch(batch.feature_refs)
-        taped, _, _ = batch_ce(tr.model, batch, Tensor(feats), region_mask, tr.start_index)
+        taped, _ = batch_ce(tr.model, batch, Tensor(feats), region_mask, tr.start_index)
         losses = []
 
         def keep(*args, **kwargs):
