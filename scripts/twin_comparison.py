@@ -33,7 +33,7 @@ def run(mode, args, entries, vocab):
         order = RngState(args.seed).child(11).child(epoch).permutation(len(entries))
         batches = make_batches(entries, vocab, cfg.max_sentences, cfg.max_words,
                                args.batch_size, order)
-        stats = twin_train_epoch(trainer, batches, train_predictor=False)
+        stats = twin_train_epoch(trainer, batches)
         history.append(stats)
         print(f"epoch {epoch:3d}  ce_fwd={stats.ce_fwd:8.4f}  ce_bwd={stats.ce_bwd:8.4f}"
               f"  twin_l2={stats.twin_l2:8.4f}  critic={stats.critic_loss:9.5f}")

@@ -2,9 +2,8 @@
 
 A run is configured by one JSON file (sections: model, twin, train, decode,
 plus a top-level seed) with repeatable ``--set section.key=value`` overrides;
-unknown keys are rejected. The PARACNN_SEED environment variable overrides
-the configured seed. Every command that produces outputs writes the fully
-resolved configuration beside them.
+unknown keys are rejected. Every command that produces outputs writes the
+fully resolved configuration beside them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .model import ModelConfig
 from .tensor import RngState, Tensor, grad_check, cross_entropy
 from .training import TrainingDiverged, TwinConfig, TwinTrainer, twin_train_epoch
 
-SEED_ENV = "PARACNN_SEED"
 SHUFFLE_RNG = 11
 
 
@@ -113,10 +111,6 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
         raw.setdefault(section, {})[field] = value
 
     seed = int(raw.get("seed", 0))
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        seed = int(env_seed)
-
     sections = {name: dict(raw.get(name, {})) for name in ("model", "twin", "train", "decode")}
     model_raw = sections["model"]
     if "vocab_size" not in model_raw:
@@ -230,71 +224,95 @@ def cmd_train(args) -> int:
         os.remove(lock_path)
 
 
+def _truncate_log(log_path, epoch) -> float:
+    """Cut a run's ``log.jsonl`` after the record of ``epoch``; returns the
+    lowest ``val_ce`` kept (``inf`` for none).
+
+    Each record is flushed before its epoch's checkpoint is written, so a line
+    cut short by a killed run comes after the newest checkpoint's record.
+    """
+    best_val, size = float("inf"), 0
+    with open(log_path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                rec = json.loads(line)
+                if rec["epoch"] > epoch:
+                    break
+                # min(x, nan) is x, as the epoch loop's strict < never takes a nan
+                best_val = min(best_val, float(rec["val_ce"]))
+            except (ValueError, TypeError, KeyError) as exc:
+                raise CheckpointError(f"{log_path}:{lineno}: not a training log record: "
+                                      f"{exc!r}") from exc
+            size += len(line)
+            if rec["epoch"] == epoch:
+                break
+    os.truncate(log_path, size)
+    return best_val
+
+
 def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args) -> int:
     _write_resolved_config(run, out_dir, "resolved_config.json")
     trainer = build_trainer(run, vocab)
 
+    log_path = os.path.join(out_dir, "log.jsonl")
     start_epoch = 1
+    best_val = float("inf")
     if args.resume:
         meta, arrays = _read_checkpoint_meta(args.resume, ("vocab", "epoch"))
         if meta["vocab"] != vocab.tokens:
             raise CheckpointError("resume checkpoint was trained with a different vocabulary")
         load_trainer_arrays(trainer, arrays)
         start_epoch = meta["epoch"] + 1
+        if os.path.exists(log_path):  # keep the run's log and its best so far
+            best_val = _truncate_log(log_path, meta["epoch"])
 
     val_batches = corpus_mod.make_batches(val_entries, vocab, run.model.max_sentences,
                                           run.model.max_words, run.train.batch_size,
                                           np.arange(len(val_entries)), base_dir=data_dir)
 
-    log_path = os.path.join(out_dir, "log.jsonl")
-    log_fh = open(log_path, "a" if args.resume else "w")
-    best_val = float("inf")
     best_path = os.path.join(out_dir, "best.pckpt")
     meta_base = {"seed": run.seed, "vocab": vocab.tokens, "config": dataclasses.asdict(run),
                  "rng_algorithm": RngState.ALGORITHM}
+    with open(log_path, "a" if args.resume else "w") as log_fh:
+        for epoch in range(start_epoch, run.train.epochs + 1):
+            t0 = time.time()
+            order = RngState(run.seed).child(SHUFFLE_RNG).child(epoch).permutation(
+                len(train_entries))
+            batches = corpus_mod.make_batches(train_entries, vocab, run.model.max_sentences,
+                                              run.model.max_words, run.train.batch_size, order,
+                                              base_dir=data_dir)
+            try:
+                stats = twin_train_epoch(trainer, batches)
+            except TrainingDiverged as exc:
+                # per-epoch checkpoints from completed epochs stay on disk
+                print(f"error: training diverged in epoch {epoch}: {exc}; "
+                      f"last good checkpoint is from epoch {epoch - 1}", file=sys.stderr)
+                return 1
+            val_ce = float(np.mean([trainer.eval_ce(b) for b in val_batches]))
+            record = {
+                "epoch": epoch,
+                "ce_fwd": stats.ce_fwd,
+                "ce_bwd": None if np.isnan(stats.ce_bwd) else stats.ce_bwd,
+                "twin_l2": None if np.isnan(stats.twin_l2) else stats.twin_l2,
+                "critic_loss": None if np.isnan(stats.critic_loss) else stats.critic_loss,
+                "critic_updates": stats.critic_updates,
+                "generator_updates": stats.generator_updates,
+                "val_ce": val_ce,
+                "wallclock": round(time.time() - t0, 3),
+            }
+            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+            log_fh.flush()
 
-    for epoch in range(start_epoch, run.train.epochs + 1):
-        t0 = time.time()
-        order = RngState(run.seed).child(SHUFFLE_RNG).child(epoch).permutation(
-            len(train_entries))
-        batches = corpus_mod.make_batches(train_entries, vocab, run.model.max_sentences,
-                                          run.model.max_words, run.train.batch_size, order,
-                                          base_dir=data_dir)
-        try:
-            stats = twin_train_epoch(trainer, batches)
-        except TrainingDiverged as exc:
-            # per-epoch checkpoints from completed epochs stay on disk
-            print(f"error: training diverged in epoch {epoch}: {exc}; "
-                  f"last good checkpoint is from epoch {epoch - 1}", file=sys.stderr)
-            log_fh.close()
-            return 1
-        val_ce = float(np.mean([trainer.eval_ce(b) for b in val_batches]))
-        record = {
-            "epoch": epoch,
-            "ce_fwd": stats.ce_fwd,
-            "ce_bwd": None if np.isnan(stats.ce_bwd) else stats.ce_bwd,
-            "twin_l2": None if np.isnan(stats.twin_l2) else stats.twin_l2,
-            "critic_loss": None if np.isnan(stats.critic_loss) else stats.critic_loss,
-            "critic_updates": stats.critic_updates,
-            "generator_updates": stats.generator_updates,
-            "val_ce": val_ce,
-            "wallclock": round(time.time() - t0, 3),
-        }
-        log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-        log_fh.flush()
-
-        ckpt_path = os.path.join(out_dir, f"checkpoint_ep{epoch:04d}.pckpt")
-        meta = dict(meta_base, epoch=epoch)
-        arrays = trainer_arrays(trainer)
-        write_checkpoint(ckpt_path, meta, arrays)
-        if val_ce < best_val:
-            best_val = val_ce
-            write_checkpoint(best_path, meta, arrays)
-        del arrays  # a copy of every parameter; the next epoch should not hold it
-        if not args.quiet:
-            print(f"epoch {epoch}: ce_fwd={stats.ce_fwd:.4f} val_ce={val_ce:.4f}")
-
-    log_fh.close()
+            ckpt_path = os.path.join(out_dir, f"checkpoint_ep{epoch:04d}.pckpt")
+            meta = dict(meta_base, epoch=epoch)
+            arrays = trainer_arrays(trainer)
+            write_checkpoint(ckpt_path, meta, arrays)
+            if val_ce < best_val:
+                best_val = val_ce
+                write_checkpoint(best_path, meta, arrays)
+            del arrays  # a copy of every parameter; the next epoch should not hold it
+            if not args.quiet:
+                print(f"epoch {epoch}: ce_fwd={stats.ce_fwd:.4f} val_ce={val_ce:.4f}")
     return 0
 
 
@@ -344,22 +362,19 @@ def cmd_generate(args) -> int:
         dc = dataclasses.replace(dc, block_trigrams=args.block_trigrams)
 
     if args.features.endswith(".jsonl"):
-        entries = corpus_mod.read_manifest(args.features)
         base = os.path.dirname(args.features)
-        feats = [corpus_mod.load_features(os.path.join(base, e["feature_path"])
-                                          if not os.path.isabs(e["feature_path"])
-                                          else e["feature_path"]) for e in entries]
+        paths = [os.path.join(base, e["feature_path"])
+                 for e in corpus_mod.read_manifest(args.features)]
     else:
-        feats = [corpus_mod.load_features(args.features)]
+        paths = [args.features]
 
-    for f in feats:
+    texts = []  # written after the last image; only one image's features are held
+    for path in paths:
+        f = corpus_mod.load_features(path)
         if f.shape[1] != run.model.visual_dim:
             print(f"error: feature dim {f.shape[1]} != checkpoint visual_dim "
                   f"{run.model.visual_dim}", file=sys.stderr)
             return 1
-
-    texts = []
-    for f in feats:
         if dc.adaptive:
             sents = decode_adaptive(trainer.model, trainer.predictor, f, dc, vocab)
         else:
@@ -404,7 +419,10 @@ def cmd_eval(args) -> int:
         ref_tokens = []
         for sent in corpus_mod.split_sentences(entry["paragraph"]):
             ref_tokens.extend(corpus_mod.tokenize(sent))
-        pairs.append(metrics_mod.EvalPair(hyp_tokens, [ref_tokens]))
+        if not ref_tokens:
+            raise corpus_mod.CorpusError(f"{args.manifest}: entry {entry['id']!r} has a "
+                                         f"reference paragraph with no words")
+        pairs.append(metrics_mod.EvalPair(hyp_tokens, ref_tokens))
 
     scores = metrics_mod.evaluate_all(pairs)
     display = {k: (v * 100.0 if k != "CIDEr" else v * 10.0) for k, v in scores.items()}

@@ -9,6 +9,7 @@ per object, and region features that deterministically encode each object's
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -188,17 +189,6 @@ FEATURE_DIM = CELLS * (1 + len(SHAPES) + len(COLORS))
 SENTENCE_TEMPLATE = "the {color} {shape} is in the {position}."
 
 
-@dataclass
-class SyntheticScene:
-    """Objects (shape, color, grid cell) in canonical cell order."""
-
-    objects: list  # list of (shape, color, cell)
-
-    def paragraph(self) -> str:
-        return " ".join(SENTENCE_TEMPLATE.format(color=c, shape=s, position=POSITION_NAMES[cell])
-                        for s, c, cell in self.objects)
-
-
 def encode_object(shape_idx: int, color_idx: int, cell: int) -> np.ndarray:
     """Deterministic region feature: position block plus position-tied
     shape and color blocks, so pooled unions keep attribute pairings."""
@@ -211,11 +201,12 @@ def encode_object(shape_idx: int, color_idx: int, cell: int) -> np.ndarray:
 
 def generate_synthetic_corpus(seed: int, size: int, max_objects: int = 3,
                               noise: float = 0.05):
-    """Seeded dataset of (scene, paragraph, region features).
+    """Seeded dataset of records: id, objects, paragraph and region features.
 
-    Scenes hold 2..max_objects objects on distinct cells (canonical order is
-    row-major cell index); the paragraph is one templated sentence per object
-    and region features carry seeded Gaussian noise of the given amplitude.
+    A scene's ``objects`` are 2..max_objects (shape, color, cell) triples on
+    distinct cells in canonical (row-major cell) order; the paragraph is one
+    templated sentence per object and region features carry seeded Gaussian
+    noise of the given amplitude.
     """
     if size < 1:
         raise CorpusError("corpus size must be >= 1")
@@ -235,9 +226,11 @@ def generate_synthetic_corpus(seed: int, size: int, max_objects: int = 3,
             feats[r] = encode_object(s, c, cell)
         if noise > 0:
             feats = feats + rng.normal(feats.shape, scale=noise)
-        scene = SyntheticScene(objects=objs)
-        records.append({"id": f"scene{i:05d}", "scene": scene,
-                        "paragraph": scene.paragraph(), "features": feats})
+        paragraph = " ".join(SENTENCE_TEMPLATE.format(color=c, shape=s,
+                                                      position=POSITION_NAMES[cell])
+                             for s, c, cell in objs)
+        records.append({"id": f"scene{i:05d}", "objects": objs,
+                        "paragraph": paragraph, "features": feats})
     return records
 
 
@@ -313,10 +306,12 @@ def read_manifest(path) -> list:
 
 
 def batch_from_entries(entries, vocab: Vocab, max_sentences: int, max_words: int,
-                       base_dir=None) -> ParagraphBatch:
-    """Encode manifest entries into one padded batch with loaded features."""
-    import os
+                       base_dir: str = "") -> ParagraphBatch:
+    """Encode manifest entries into one padded batch with loaded features.
 
+    A ``feature_path`` names a PFV1 file relative to ``base_dir``, or holds an
+    in-memory [R, d] feature array.
+    """
     toks, masks, counts, feats = [], [], [], []
     for e in entries:
         t, m, c = encode_paragraph(e["paragraph"], vocab, max_sentences, max_words)
@@ -324,18 +319,13 @@ def batch_from_entries(entries, vocab: Vocab, max_sentences: int, max_words: int
         masks.append(m)
         counts.append(c)
         fp = e["feature_path"]
-        if base_dir is not None and not os.path.isabs(fp):
-            fp = os.path.join(base_dir, fp)
-        feats.append(load_features(fp) if isinstance(fp, str) else fp)
+        feats.append(load_features(os.path.join(base_dir, fp)) if isinstance(fp, str) else fp)
     return ParagraphBatch(np.stack(toks), np.stack(masks), np.asarray(counts), feats)
 
 
 def make_batches(entries, vocab: Vocab, max_sentences: int, max_words: int, batch_size: int,
-                 order, base_dir=None) -> list:
-    """Batches of ``batch_size`` entries taken in ``order``; the last may be short.
-
-    An entry's ``feature_path`` may also hold an in-memory [R, d] feature array.
-    """
+                 order, base_dir: str = "") -> list:
+    """Batches of ``batch_size`` entries taken in ``order``; the last may be short."""
     ordered = [entries[i] for i in order]
     return [batch_from_entries(ordered[lo:lo + batch_size], vocab, max_sentences, max_words,
                                base_dir=base_dir)

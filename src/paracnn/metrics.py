@@ -1,5 +1,6 @@
 """Caption evaluation metrics: corpus BLEU-1..4, ROUGE-L, and CIDEr-D.
 
+Each image has one reference paragraph, as in the Stanford paragraph set.
 Hypotheses and references are flat token sequences (paragraphs are scored as
 one stream; sentence boundaries never produce n-grams because <eos> tokens
 are stripped before scoring). All three metrics are pure functions of the
@@ -16,17 +17,21 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+ROUGE_BETA_SQ = 1.2  # beta^2 of ROUGE-L's F-measure
+CIDER_ORDERS = 4  # CIDEr-D averages n-gram orders 1..4
+CIDER_SIGMA = 6.0  # width of CIDEr-D's Gaussian length penalty
+
 
 @dataclass
 class EvalPair:
-    """One hypothesis with its reference token sequences."""
+    """One hypothesis with its reference token sequence."""
 
     hypothesis: list
-    references: list  # list of token sequences
+    reference: list
 
     def __post_init__(self):
-        if not self.references or any(len(r) == 0 for r in self.references):
-            raise ValueError("every EvalPair needs at least one non-empty reference")
+        if len(self.reference) == 0:
+            raise ValueError("every EvalPair needs a non-empty reference")
 
 
 def _ngrams(tokens, n: int) -> Counter:
@@ -50,17 +55,12 @@ def bleu_n(pairs, n: int) -> float:
         if not hyp:
             log.warning("empty hypothesis scored as 0 matches")
         c_len += len(hyp)
-        # closest reference length (ties toward the shorter)
-        r_len += min((abs(len(r) - len(hyp)), len(r)) for r in pair.references)[1]
+        r_len += len(pair.reference)
         for k in range(1, n + 1):
             hyp_counts = _ngrams(hyp, k)
-            max_ref = Counter()
-            for ref in pair.references:
-                for gram, cnt in _ngrams(ref, k).items():
-                    if cnt > max_ref[gram]:
-                        max_ref[gram] = cnt
+            ref_counts = _ngrams(pair.reference, k)
             total[k - 1] += sum(hyp_counts.values())
-            matched[k - 1] += sum(min(cnt, max_ref[gram]) for gram, cnt in hyp_counts.items())
+            matched[k - 1] += sum(min(cnt, ref_counts[gram]) for gram, cnt in hyp_counts.items())
     if (total == 0).any() or (matched == 0).any():
         return 0.0
     log_prec = np.log(matched / total).mean()
@@ -85,30 +85,25 @@ def _lcs_length(a, b) -> int:
         prev = cur
     return prev[lb]
 
-def rouge_l(pairs, beta_sq: float = 1.2) -> float:
-    """Corpus-averaged LCS F-measure; the best reference counts per pair."""
+def rouge_l(pairs) -> float:
+    """Corpus-averaged LCS F-measure."""
     scores = []
     for pair in pairs:
         hyp = list(pair.hypothesis)
-        best = 0.0
-        for ref in pair.references:
-            if not hyp:
-                continue
-            lcs = _lcs_length(hyp, ref)
-            if lcs == 0:
-                continue
-            prec = lcs / len(hyp)
-            rec = lcs / len(ref)
-            f = (1.0 + beta_sq) * prec * rec / (rec + beta_sq * prec)
-            best = max(best, f)
-        scores.append(best)
+        lcs = _lcs_length(hyp, pair.reference)
+        if lcs == 0:
+            scores.append(0.0)
+            continue
+        prec = lcs / len(hyp)
+        rec = lcs / len(pair.reference)
+        scores.append((1.0 + ROUGE_BETA_SQ) * prec * rec / (rec + ROUGE_BETA_SQ * prec))
     return float(np.mean(scores)) if scores else 0.0
 
 
 # -- CIDEr-D ----------------------------------------------------------------------------
 
 
-def cider(pairs, n_max: int = 4, sigma: float = 6.0) -> float:
+def cider(pairs) -> float:
     """CIDEr-D: clipped tf-idf cosine per n-gram order, Gaussian length
     damping, averaged over orders 1..4, scaled by 10. The reference corpus of
     the pair list itself estimates document frequencies."""
@@ -119,14 +114,10 @@ def cider(pairs, n_max: int = 4, sigma: float = 6.0) -> float:
     if n_docs == 1:
         log.warning("single-document corpus: IDF is degenerate, CIDEr is 0 by construction")
 
-    doc_freq = [Counter() for _ in range(n_max)]
+    doc_freq = [Counter() for _ in range(CIDER_ORDERS)]
     for pair in pairs:
-        for k in range(1, n_max + 1):
-            seen = set()
-            for ref in pair.references:
-                seen.update(_ngrams(ref, k).keys())
-            for gram in seen:
-                doc_freq[k - 1][gram] += 1
+        for k in range(1, CIDER_ORDERS + 1):
+            doc_freq[k - 1].update(_ngrams(pair.reference, k).keys())
 
     log_n = np.log(float(n_docs))
 
@@ -142,21 +133,18 @@ def cider(pairs, n_max: int = 4, sigma: float = 6.0) -> float:
 
     scores = []
     for pair in pairs:
-        hyp = list(pair.hypothesis)
-        per_ref = []
-        for ref in pair.references:
-            order_scores = np.zeros(n_max)
-            for k in range(1, n_max + 1):
-                hvec, hnorm = tfidf(_ngrams(hyp, k), k)
-                rvec, rnorm = tfidf(_ngrams(ref, k), k)
-                if hnorm == 0 or rnorm == 0:
-                    continue
-                dot = sum(min(w, rvec[g]) * rvec[g] for g, w in hvec.items() if g in rvec)
-                delta = len(hyp) - len(ref)
-                order_scores[k - 1] = (dot / (hnorm * rnorm)) * np.exp(
-                    -delta * delta / (2.0 * sigma * sigma))
-            per_ref.append(order_scores.mean())
-        scores.append(float(np.mean(per_ref)))
+        hyp, ref = list(pair.hypothesis), pair.reference
+        order_scores = np.zeros(CIDER_ORDERS)
+        for k in range(1, CIDER_ORDERS + 1):
+            hvec, hnorm = tfidf(_ngrams(hyp, k), k)
+            rvec, rnorm = tfidf(_ngrams(ref, k), k)
+            if hnorm == 0 or rnorm == 0:
+                continue
+            dot = sum(min(w, rvec[g]) * rvec[g] for g, w in hvec.items() if g in rvec)
+            delta = len(hyp) - len(ref)
+            order_scores[k - 1] = (dot / (hnorm * rnorm)) * np.exp(
+                -delta * delta / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
+        scores.append(float(order_scores.mean()))
     return float(10.0 * np.mean(scores))
 
 

@@ -21,6 +21,11 @@ from .tensor import RngState, Tensor, cross_entropy, gather_rows, no_grad
 
 TWIN_MODES = ("none", "l2", "adversarial", "l2_plus_adversarial")
 
+# the fixed W-GAN critic schedule (Arjovsky et al. 2017)
+CRITIC_LR = 2e-4
+CRITIC_STEPS = 5
+WEIGHT_CLIP = 0.01
+
 
 class TrainingDiverged(RuntimeError):
     """A loss became non-finite; the epoch is aborted."""
@@ -31,9 +36,6 @@ class TwinConfig:
     mode: str = "none"
     lambda_l2: float = 1.0
     lambda_adv: float = 0.001
-    critic_lr: float = 2e-4
-    critic_steps: int = 5
-    weight_clip: float = 0.01
     critic_hidden: int = 512
 
     def __post_init__(self):
@@ -41,8 +43,6 @@ class TwinConfig:
             raise ValueError(f"twin mode must be one of {TWIN_MODES}, got {self.mode!r}")
         if self.lambda_l2 < 0 or self.lambda_adv < 0:
             raise ValueError("twin loss weights must be >= 0")
-        if self.critic_steps < 1:
-            raise ValueError("critic_steps must be >= 1")
 
     @property
     def uses_l2(self) -> bool:
@@ -56,11 +56,12 @@ class TwinConfig:
 class RmspropOptimizer:
     """RMSprop: v <- a*v + (1-a)*g^2; p <- p - lr*g/(sqrt(v)+eps)."""
 
-    def __init__(self, params: dict, lr: float, alpha: float = 0.9, eps: float = 1e-8):
+    alpha = 0.9
+    eps = 1e-8
+
+    def __init__(self, params: dict, lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.alpha = alpha
-        self.eps = eps
         # np.zeros leaves the pages to be zeroed on first write (zeros_like fills
         # them now); a trainer loaded for inference never writes them
         self.state = {name: np.zeros(p.data.shape, p.data.dtype)
@@ -238,12 +239,12 @@ class TwinTrainer:
             self.opt_bwd = RmspropOptimizer(self.model_bwd.named_parameters(), lr=lr)
         if twin.uses_adversarial:
             self.critic = Critic(root.child(self.CRITIC_RNG), cfg.channels, twin.critic_hidden)
-            self.opt_critic = RmspropOptimizer(self.critic.named_parameters(), lr=twin.critic_lr)
+            self.opt_critic = RmspropOptimizer(self.critic.named_parameters(), lr=CRITIC_LR)
         self.predictor = SentenceCountPredictor(root.child(self.PRED_RNG), cfg.proj_dim,
                                                 cfg.max_sentences)
         self.opt_pred = RmspropOptimizer(self.predictor.named_parameters(), lr=lr)
 
-    def train_batch(self, batch: ParagraphBatch, train_predictor: bool = True) -> EpochStats:
+    def train_batch(self, batch: ParagraphBatch) -> EpochStats:
         """One generator update (plus 5 critic updates in adversarial modes).
 
         Without a twin there is no backward network or critic and the update
@@ -271,9 +272,9 @@ class TwinTrainer:
             fwd_grid = _masked_grid(h_f, batch.mask)  # also the generator's adversarial input
             fwd_det = Tensor(fwd_grid.data)
             bwd_det = Tensor(_mirror_frames(h_b.data, batch.mask))  # invalid frames zero
-            losses = [critic_step(self.critic, fwd_det, bwd_det, self.opt_critic, twin.weight_clip)
-                      for _ in range(twin.critic_steps)]
-            stats.critic_updates = twin.critic_steps
+            losses = [critic_step(self.critic, fwd_det, bwd_det, self.opt_critic, WEIGHT_CLIP)
+                      for _ in range(CRITIC_STEPS)]
+            stats.critic_updates = CRITIC_STEPS
             stats.critic_loss = float(np.mean(losses))
 
         gen_loss = ce_f
@@ -295,8 +296,7 @@ class TwinTrainer:
             ce_b.backward()
             self.opt_bwd.step()
 
-        if train_predictor:
-            self._predictor_step(batch, features, region_mask)
+        self._predictor_step(batch, features, region_mask)
         return stats
 
     def _predictor_step(self, batch: ParagraphBatch, features: Tensor, region_mask):
@@ -315,11 +315,11 @@ class TwinTrainer:
         return float(loss.data)
 
 
-def twin_train_epoch(trainer: TwinTrainer, batches, train_predictor: bool = True) -> EpochStats:
+def twin_train_epoch(trainer: TwinTrainer, batches) -> EpochStats:
     """Run every batch once; returns mean losses and update counts."""
     agg = []
     for batch in batches:
-        agg.append(trainer.train_batch(batch, train_predictor=train_predictor))
+        agg.append(trainer.train_batch(batch))
     if not agg:
         raise ValueError("twin_train_epoch needs at least one batch")
 

@@ -47,8 +47,7 @@ def toy_entries(records):
     return [{"paragraph": r["paragraph"], "feature_path": r["features"]} for r in records]
 
 
-def train_toy(mode, records, vocab, seed, epochs, batch_size, lr,
-              lambda_l2=0.1, train_predictor=False):
+def train_toy(mode, records, vocab, seed, epochs, batch_size, lr, lambda_l2=0.1):
     cfg = toy_model_config(len(vocab), records[0]["features"].shape[1])
     twin = TwinConfig(mode=mode, lambda_l2=lambda_l2, lambda_adv=0.001,
                       critic_hidden=32)
@@ -59,7 +58,7 @@ def train_toy(mode, records, vocab, seed, epochs, batch_size, lr,
         order = RngState(seed).child(11).child(epoch).permutation(len(records))
         batches = make_batches(entries, vocab, cfg.max_sentences, cfg.max_words, batch_size,
                                order)
-        stats = twin_train_epoch(trainer, batches, train_predictor=train_predictor)
+        stats = twin_train_epoch(trainer, batches)
         history.append(stats)
     return trainer, history
 
@@ -182,7 +181,7 @@ def test_criterion_4_toy_corpus_learning(toy_vocab_mod):
     assert len(vocab) <= 60
 
     trainer, history = train_toy("none", train, vocab, seed=5, epochs=200,
-                                 batch_size=25, lr=1e-3, train_predictor=True)
+                                 batch_size=25, lr=1e-3)
 
     # the predicted sentence count, clamped to [1, 3]
     dc = DecodeConfig(adaptive=True, min_sentences=1, max_sentences=3, rep_penalty=0.0,
@@ -297,19 +296,19 @@ def test_criterion_7_wgan_mechanics(toy_vocab_mod, monkeypatch):
 
 
 def test_criterion_8_metric_oracles():
-    clip_pair = [EvalPair("the the the the".split(), ["the cat".split()])]
+    clip_pair = [EvalPair("the the the the".split(), "the cat".split())]
     bleu_clip = bleu_n(clip_pair, 1)
     clip_ok = abs(bleu_clip - 0.25) < 1e-10
 
-    pairs = [EvalPair(h, [r]) for h, r in CIDER_FIXTURE]
+    pairs = [EvalPair(h, r) for h, r in CIDER_FIXTURE]
     got = cider(pairs)
     cider_ok = (abs(got - CIDER_FIXTURE_SCORE) < 1e-10
                 and abs(got - cider_oracle(CIDER_FIXTURE)) < 1e-10)
 
-    rouge_pair = [EvalPair("a b c".split(), ["a x c".split()])]
+    rouge_pair = [EvalPair("a b c".split(), "a x c".split())]
     rouge_ok = abs(rouge_l(rouge_pair) - 2.0 / 3.0) < 1e-10
 
-    ident = [EvalPair(r, [r]) for _, r in CIDER_FIXTURE]
+    ident = [EvalPair(r, r) for _, r in CIDER_FIXTURE]
     display_ok = bleu_n(ident, 1) * 100.0 == 100.0 and rouge_l(ident) * 100.0 == 100.0
 
     report(8, clip_ok and cider_ok and rouge_ok and display_ok,

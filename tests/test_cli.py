@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ import pytest
 from paracnn import cli
 from paracnn.checkpoint import read_checkpoint, write_checkpoint
 from paracnn.cli import ConfigError, load_run_config, main
-from paracnn.corpus import load_features, read_manifest, tokenize
+from paracnn.corpus import load_features, read_manifest, save_features, tokenize, write_manifest
 from paracnn.metrics import EvalPair, evaluate_all
 from paracnn.tensor import Tensor
+from paracnn.training import CRITIC_LR, CRITIC_STEPS, WEIGHT_CLIP
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TINY_OVERRIDES = [
     "model.proj_dim=16", "model.topic_dim=16", "model.embed_dim=16",
@@ -122,11 +126,6 @@ class TestRunConfig:
         assert run.seed == 7
         assert run.twin.mode == "l2"
 
-    def test_env_seed_wins(self, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV, "123")
-        run = load_run_config(None, ["seed=7"], default_vocab_size=10)
-        assert run.seed == 123
-
     def test_defaults_mirror_reference_setup(self):
         run = load_run_config(None, [], default_vocab_size=10)
         assert run.train.epochs == 40
@@ -139,19 +138,19 @@ class TestRunConfig:
         assert (run.model.topic_kernel, run.model.word_kernel) == (5, 5)
         assert (run.model.topic_depth, run.model.word_depth) == (4, 5)
         assert run.model.attn_layers == (2, 4)
-        assert run.twin.critic_lr == 2e-4
-        assert run.twin.critic_steps == 5
-        assert run.twin.weight_clip == 0.01
+        assert (CRITIC_LR, CRITIC_STEPS, WEIGHT_CLIP) == (2e-4, 5, 0.01)
         assert run.decode.rep_penalty == 2.0
         assert run.decode.block_trigrams is True
 
     def test_removed_twin_alignment_key_rejected(self, corpus_dir, tmp_path, capsys):
-        args = ["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), "--quiet",
-                "--set", "twin.reverse_granularity=sentence"]
-        for ov in TINY_OVERRIDES:
-            args += ["--set", ov]
-        assert run_cli(*args) == 1
-        assert "unknown key" in capsys.readouterr().err
+        # the twin alignment and the critic schedule are no longer configurable
+        for removed in ("twin.reverse_granularity=sentence", "twin.critic_steps=3"):
+            args = ["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"),
+                    "--quiet", "--set", removed]
+            for ov in TINY_OVERRIDES:
+                args += ["--set", ov]
+            assert run_cli(*args) == 1
+            assert "unknown key(s) in [twin]" in capsys.readouterr().err
 
     def test_nan_abort_retains_checkpoints(self, corpus_dir, tmp_path, capsys,
                                            monkeypatch):
@@ -159,11 +158,11 @@ class TestRunConfig:
         from paracnn.training import TrainingDiverged, twin_train_epoch as real_epoch
         calls = {"n": 0}
 
-        def exploding_epoch(trainer, batches, train_predictor=True):
+        def exploding_epoch(trainer, batches):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise TrainingDiverged("probe")
-            return real_epoch(trainer, batches, train_predictor=train_predictor)
+            return real_epoch(trainer, batches)
 
         monkeypatch.setattr(cli_module, "twin_train_epoch", exploding_epoch)
         out = tmp_path / "diverge"
@@ -205,26 +204,70 @@ class TestTrain:
         finally:
             lock.unlink()
 
-    def test_resume_reproduces_trajectory(self, corpus_dir, tmp_path):
-        def train_into(out, epochs, resume=None):
+    def test_resume_reproduces_trajectory(self, corpus_dir, tmp_path, monkeypatch):
+        # val falls to epoch 2 and rises after it, so epoch 2 stays the best;
+        # the corpus has one val batch, so eval_ce runs once per epoch
+        val_ce = {1: 3.0, 2: 2.0, 3: 2.5, 4: 2.8}
+        epoch = {}
+
+        def scripted_eval_ce(trainer, batch):
+            epoch["n"] += 1
+            return val_ce[epoch["n"]]
+
+        def train_into(out, resume=None, stop_after=None):
+            epoch["n"] = 2 if resume else 0
+
+            def epoch_or_stop(trainer, batches):
+                if epoch["n"] == stop_after:
+                    raise TrainingDiverged("run stopped")
+                return real_epoch(trainer, batches)
+
+            monkeypatch.setattr(cli, "twin_train_epoch", epoch_or_stop)
             args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
-            for ov in TINY_OVERRIDES:
-                if ov.startswith("train.epochs"):
-                    ov = f"train.epochs={epochs}"
+            for ov in TINY_OVERRIDES + ["train.epochs=4"]:
                 args += ["--set", ov]
             if resume:
                 args += ["--resume", str(resume)]
-            assert run_cli(*args) == 0
+            return run_cli(*args)
 
-        full, split = tmp_path / "full", tmp_path / "split"
-        train_into(full, 4)
-        train_into(split, 2)
-        train_into(split, 4, resume=split / "checkpoint_ep0002.pckpt")
-        a = read_checkpoint(full / "checkpoint_ep0004.pckpt")[1]
-        b = read_checkpoint(split / "checkpoint_ep0004.pckpt")[1]
-        assert set(a) == set(b)
-        for name in a:
-            assert np.array_equal(a[name], b[name]), name
+        def log_of(out):
+            return [{k: v for k, v in json.loads(line).items() if k != "wallclock"}
+                    for line in (out / "log.jsonl").open()]
+
+        from paracnn.training import TrainingDiverged
+        real_epoch = cli.twin_train_epoch
+        monkeypatch.setattr(cli.TwinTrainer, "eval_ce", scripted_eval_ce)
+        full, split, past = tmp_path / "full", tmp_path / "split", tmp_path / "past"
+        assert train_into(full) == 0
+        # a run that stopped after epoch 2, and one whose log already runs past it
+        assert train_into(split, stop_after=2) == 1
+        assert train_into(past) == 0
+        for out in (split, past):
+            assert train_into(out, resume=out / "checkpoint_ep0002.pckpt") == 0
+            assert log_of(out) == log_of(full)
+            assert [rec["epoch"] for rec in log_of(out)] == [1, 2, 3, 4]
+            assert (out / "best.pckpt").read_bytes() == (full / "best.pckpt").read_bytes()
+            a = read_checkpoint(full / "checkpoint_ep0004.pckpt")[1]
+            b = read_checkpoint(out / "checkpoint_ep0004.pckpt")[1]
+            assert set(a) == set(b)
+            for name in a:
+                assert np.array_equal(a[name], b[name]), name
+
+    def test_resume_log_cut_back_to_checkpoint_epoch(self, tmp_path):
+        from paracnn.checkpoint import CheckpointError
+        log = tmp_path / "log.jsonl"
+        lines = [json.dumps({"epoch": e, "val_ce": v}) + "\n"
+                 for e, v in ((1, 3.0), (2, float("nan")), (3, 2.0), (4, 1.0))]
+        # a line cut short by a killed run follows the newest checkpoint's record
+        log.write_text("".join(lines) + '{"epoch": 5, "val')
+        assert cli._truncate_log(str(log), 4) == 1.0
+        assert log.read_text() == "".join(lines)
+        assert cli._truncate_log(str(log), 2) == 3.0  # a nan val_ce is never the best
+        assert log.read_text() == "".join(lines[:2])
+        log.write_text(lines[0] + "not json\n" + lines[2])
+        with pytest.raises(CheckpointError) as exc:
+            cli._truncate_log(str(log), 3)
+        assert str(exc.value).startswith(f"{log}:2: not a training log record")
 
 
 class TestGenerateAndEval:
@@ -256,6 +299,17 @@ class TestGenerateAndEval:
                            "--sentences", "2", "--out", str(path)) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_generate_decodes_one_image_at_a_time(self, train_dir, corpus_dir, tmp_path,
+                                                  monkeypatch):
+        events = []
+        load, decode = cli.corpus_mod.load_features, cli.greedy_decode
+        monkeypatch.setattr(cli.corpus_mod, "load_features",
+                            lambda path: events.append("load") or load(path))
+        monkeypatch.setattr(cli, "greedy_decode",
+                            lambda *args: events.append("decode") or decode(*args))
+        generate_bytes(train_dir / "best.pckpt", corpus_dir, tmp_path / "hyp.txt")
+        assert events == ["load", "decode"] * 4
 
     def test_generate_single_feature_file_stdout(self, train_dir, corpus_dir, capsys):
         entry = read_manifest(corpus_dir / "test.jsonl")[0]
@@ -317,8 +371,7 @@ class TestGenerateAndEval:
                        "--manifest", str(corpus_dir / "test.jsonl"),
                        "--json", str(scores)) == 0
         # the scores are those of each paragraph's words; empty sentences add none
-        pairs = [EvalPair(tokenize(para.replace("<empty>", "")),
-                          [tokenize(entry["paragraph"])])
+        pairs = [EvalPair(tokenize(para.replace("<empty>", "")), tokenize(entry["paragraph"]))
                  for para, entry in zip(paragraphs, read_manifest(corpus_dir / "test.jsonl"))]
         assert json.loads(scores.read_text())["raw"] == evaluate_all(pairs)
 
@@ -351,6 +404,50 @@ class TestFileBoundaryErrors:
         missing = str(tmp_path / "nowhere")
         self.fails_cleanly(capsys, ["train", "--data", missing, "--out", str(tmp_path / "run")],
                            missing)
+
+    def test_feature_dim_mismatch_in_last_image(self, train_dir, corpus_dir, tmp_path,
+                                                capsys):
+        entries = read_manifest(corpus_dir / "test.jsonl")
+        save_features(tmp_path / "odd.pfv", np.ones((2, 5)))
+        manifest = tmp_path / "odd.jsonl"
+        # absolute feature paths, then one relative to the manifest
+        write_manifest(manifest, [dict(e, feature_path=str(corpus_dir / e["feature_path"]))
+                                  for e in entries[:-1]]
+                       + [dict(entries[-1], feature_path="odd.pfv")])
+        out = tmp_path / "hyp.txt"
+        self.fails_cleanly(capsys, ["generate", "--checkpoint", str(train_dir / "best.pckpt"),
+                                    "--features", str(manifest), "--sentences", "2",
+                                    "--out", str(out)], "error: feature dim 5 != ")
+        assert not out.exists()
+
+    def test_reference_without_words(self, corpus_dir, tmp_path, capsys):
+        entries = read_manifest(corpus_dir / "test.jsonl")
+        entries[1] = dict(entries[1], paragraph="...")
+        manifest = tmp_path / "noword.jsonl"
+        write_manifest(manifest, entries)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("\n\n".join(["the red cube is in the north"] * len(entries)) + "\n")
+        self.fails_cleanly(capsys, ["eval", "--hypotheses", str(hyp), "--manifest",
+                                    str(manifest)], f"{manifest}: entry {entries[1]['id']!r}")
+
+    def test_train_error_closes_log(self, tmp_path):
+        # a training feature file missing after the first is found only inside
+        # an epoch, once log.jsonl is open; -X dev reports an unclosed file
+        data = tmp_path / "corpus"
+        assert run_cli("make-corpus", "--seed", "3", "--size", "10", "--out", str(data)) == 0
+        os.remove(data / read_manifest(data / "train.jsonl")[-1]["feature_path"])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-X", "dev", "-m", "paracnn.cli", "train", "--data", str(data),
+                "--out", str(tmp_path / "run"), "--quiet"]
+        for ov in TINY_OVERRIDES + ["train.epochs=1"]:
+            argv += ["--set", ov]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300,
+                              check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "ResourceWarning" not in proc.stderr
+        assert (tmp_path / "run" / "log.jsonl").exists()
 
     @pytest.mark.parametrize("text", ["{\"model\": ", "[1, 2]"])
     def test_config_not_a_json_object(self, corpus_dir, tmp_path, capsys, text):
@@ -489,12 +586,13 @@ class TestCheckpointFormat:
 
     def test_checkpoint_with_removed_twin_key_generates_identically(self, twin_dir,
                                                                     corpus_dir, tmp_path):
-        # checkpoints written while the twin alignment was configurable carry
-        # config.twin.reverse_granularity
+        # checkpoints written while the twin alignment and the critic schedule
+        # were configurable carry these config.twin keys
+        removed = {"reverse_granularity": "paragraph", "critic_lr": 2e-4, "critic_steps": 5,
+                   "weight_clip": 0.01}
         meta, arrays = read_checkpoint(twin_dir / "best.pckpt")
-        assert "reverse_granularity" not in meta["config"]["twin"]
-        config = dict(meta["config"], twin=dict(meta["config"]["twin"],
-                                                reverse_granularity="paragraph"))
+        assert not set(removed) & set(meta["config"]["twin"])
+        config = dict(meta["config"], twin=dict(meta["config"]["twin"], **removed))
         old = tmp_path / "old" / "best.pckpt"
         old.parent.mkdir()
         write_checkpoint(old, dict(meta, config=config), arrays)

@@ -110,7 +110,7 @@ class TestSyntheticCorpus:
 
     def test_sentence_count_matches_objects(self):
         for rec in generate_synthetic_corpus(11, 10):
-            n = len(rec["scene"].objects)
+            n = len(rec["objects"])
             assert len(corpus.split_sentences(rec["paragraph"])) == n
             assert rec["features"].shape[0] == n
 
@@ -126,7 +126,7 @@ class TestSyntheticCorpus:
         keys = list(dictionary)
         mat = np.stack([dictionary[k] for k in keys])
         for rec in recs:
-            for row, (shape, color, cell) in zip(rec["features"], rec["scene"].objects):
+            for row, (shape, color, cell) in zip(rec["features"], rec["objects"]):
                 nearest = keys[int(np.argmin(((mat - row) ** 2).sum(axis=1)))]
                 assert corpus.SHAPES[nearest[0]] == shape
                 assert corpus.COLORS[nearest[1]] == color
@@ -136,12 +136,12 @@ class TestSyntheticCorpus:
         recs = generate_synthetic_corpus(17, 30)
         for rec in recs:
             tokens, mask, count = encode_paragraph(rec["paragraph"], toy_vocab, 3, 8)
-            assert count == len(rec["scene"].objects)
+            assert count == len(rec["objects"])
             assert not (tokens[mask] == toy_vocab.unk).any()
 
     def test_canonical_order_is_sorted_cells(self):
         for rec in generate_synthetic_corpus(19, 15):
-            cells = [cell for _, _, cell in rec["scene"].objects]
+            cells = [cell for _, _, cell in rec["objects"]]
             assert cells == sorted(cells)
             assert len(set(cells)) == len(cells)
 

@@ -15,7 +15,7 @@ CIDER_FIXTURE_SCORE = 5.819277130081578
 
 
 def pairs_of(items):
-    return [EvalPair(h, [r]) for h, r in items]
+    return [EvalPair(h, r) for h, r in items]
 
 
 def brute_force_ngrams(tokens, n):
@@ -125,7 +125,7 @@ class TestCider:
         for i in range(len(docs)):
             mixed = list(CIDER_FIXTURE)
             mixed[i] = docs[i]
-            one_hot = cider([EvalPair(h, [r]) for h, r in mixed])
+            one_hot = cider([EvalPair(h, r) for h, r in mixed])
             scores.append(one_hot)
         all_wrong = cider(pairs_of(CIDER_FIXTURE))
         assert all(s > all_wrong for s in scores)
@@ -173,11 +173,11 @@ def test_metrics_permutation_invariant(order):
 @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=10),
        st.lists(st.sampled_from("abcde"), min_size=1, max_size=10))
 def test_bleu_bounded_property(hyp, ref):
-    score = bleu_n([EvalPair(hyp, [ref])], 2)
+    score = bleu_n([EvalPair(hyp, ref)], 2)
     assert 0.0 <= score <= 1.0
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=8))
 def test_rouge_identity_property(tokens):
-    assert rouge_l([EvalPair(tokens, [list(tokens)])]) == 1.0
+    assert rouge_l([EvalPair(tokens, list(tokens))]) == 1.0

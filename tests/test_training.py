@@ -7,9 +7,9 @@ from conftest import tiny_config
 from paracnn import training as training_mod
 from paracnn.corpus import ParagraphBatch, pad_feature_batch
 from paracnn.tensor import RngState, Tensor, grad_check
-from paracnn.training import (Critic, RmspropOptimizer, TrainingDiverged, TwinConfig,
-                              TwinTrainer, adversarial_generator_loss, batch_ce, critic_step,
-                              reverse_targets, twin_l2_loss, twin_train_epoch,
+from paracnn.training import (WEIGHT_CLIP, Critic, RmspropOptimizer, TrainingDiverged,
+                              TwinConfig, TwinTrainer, adversarial_generator_loss, batch_ce,
+                              critic_step, reverse_targets, twin_l2_loss, twin_train_epoch,
                               _mirror_frames)
 
 
@@ -73,7 +73,7 @@ class TestRmsprop:
 
     def test_hand_evaluated_update(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = RmspropOptimizer({"p": p}, lr=0.1, alpha=0.9, eps=1e-8)
+        opt = RmspropOptimizer({"p": p}, lr=0.1)
         p.grad = np.array([1.0])
         opt.step()
         assert np.allclose(opt.state["p"], [0.1])
@@ -313,7 +313,7 @@ class TestTwinTrainer:
         tr = small_trainer("adversarial")
         tr.train_batch(batch)
         for p in tr.critic.named_parameters().values():
-            assert np.abs(p.data).max() <= tr.twin.weight_clip
+            assert np.abs(p.data).max() <= WEIGHT_CLIP
 
     def test_twin_l2_logged_in_l2_mode(self):
         rng = RngState(56)
