@@ -1,16 +1,11 @@
 """Self-describing binary checkpoints.
 
-Layout: magic "PCKPT1", a u32-length-prefixed JSON block (configs, vocabulary,
+Layout: magic "PCKPT2", a u32-length-prefixed JSON block (configs, vocabulary,
 RNG seed, epoch), then u32-counted named array entries. Array entries carry
 the parameters of every network (prefixes fwd./bwd./critic./predictor.) plus
 optimizer state (prefix opt.*), each as (u16 name, u8 ndim, u32 dims, f64 LE
-data) so round trips are bit-exact and fixtures are language-neutral.
-
-Causal-conv weights (``*.topic_blocks.N.weight``, ``*.word_blocks.N.weight``)
-and their optimizer state are stored as [2*out, in, kernel]. In memory they
-are held in GEMM layout [kernel*in, 2*out] (see ``layers.CausalConvBlock``);
-``trainer_arrays`` and ``load_trainer_arrays`` convert at this boundary, so
-the file layout and its bytes do not depend on the in-memory layout.
+data) so round trips are bit-exact and fixtures are language-neutral. Every
+array has the shape the trainer holds it in.
 """
 
 from __future__ import annotations
@@ -21,17 +16,15 @@ import struct
 
 import numpy as np
 
-from .layers import conv_weight_from_gemm, conv_weight_to_gemm, conv_weights
-
-MAGIC = b"PCKPT1"
+MAGIC = b"PCKPT2"
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file violates the PCKPT1 format or mismatches the model."""
+    """Checkpoint file violates the PCKPT2 format or mismatches the model."""
 
 
 def write_checkpoint(path, meta: dict, arrays: dict):
-    """Write a PCKPT1 file through ``path + ".tmp"``, synced then renamed over ``path``.
+    """Write a PCKPT2 file through ``path + ".tmp"``, synced then renamed over ``path``.
 
     A write that fails or is killed part-way leaves any previous file at ``path`` whole.
     """
@@ -109,30 +102,23 @@ def _sections(trainer) -> list:
 
 
 def trainer_arrays(trainer) -> dict:
-    """Flatten every network's parameters and optimizer state into one map (file layout)."""
+    """Every network's parameters and optimizer state in one map; the trainer's own arrays."""
     out = {}
     for prefix, module, opt in _sections(trainer):
-        convs = conv_weights(module)
         for name, p in module.named_parameters().items():
-            out[f"{prefix}.{name}"] = _to_file(p.data, convs.get(name))
+            out[f"{prefix}.{name}"] = p.data
         for name, v in opt.state.items():
-            out[f"opt.{prefix}.{name}"] = _to_file(v, convs.get(name))
+            out[f"opt.{prefix}.{name}"] = v
     return out
 
 
-def _to_file(arr: np.ndarray, conv) -> np.ndarray:
-    """``arr`` in file layout: [2*out, in, k] for a conv weight or its optimizer state."""
-    return arr if conv is None else conv_weight_from_gemm(arr, conv.kernel_size)
-
-
-def _from_file(arrays: dict, key: str, p, conv) -> np.ndarray:
-    """Entry ``key`` checked against parameter ``p``'s file shape, in memory layout."""
+def _copy_entry(arrays: dict, key: str, p) -> np.ndarray:
+    """A copy of entry ``key``, checked against parameter ``p``'s shape."""
     arr = arrays[key]
-    shape = p.data.shape if conv is None else conv.conv_shape
-    if arr.shape != shape:
+    if arr.shape != p.data.shape:
         raise CheckpointError(
-            f"shape mismatch for {key!r}: checkpoint {arr.shape} vs model {shape}")
-    return arr.astype(np.float64, copy=True) if conv is None else conv_weight_to_gemm(arr)
+            f"shape mismatch for {key!r}: checkpoint {arr.shape} vs model {p.data.shape}")
+    return arr.astype(np.float64, copy=True)
 
 
 def load_trainer_arrays(trainer, arrays: dict):
@@ -140,15 +126,13 @@ def load_trainer_arrays(trainer, arrays: dict):
 
     Every parameter of every network the trainer holds must be in ``arrays``
     (entries of networks it does not hold are ignored). A loaded entry,
-    optimizer state included, must have its parameter's file shape.
+    optimizer state included, must have its parameter's shape.
     """
     for prefix, module, opt in _sections(trainer):
-        convs = conv_weights(module)
         for name, p in module.named_parameters().items():
             key = f"{prefix}.{name}"
-            conv = convs.get(name)
             if key not in arrays:
                 raise CheckpointError(f"checkpoint missing parameter {key!r}")
-            p.data = _from_file(arrays, key, p, conv)
+            p.data = _copy_entry(arrays, key, p)
             if f"opt.{key}" in arrays:
-                opt.state[name] = _from_file(arrays, f"opt.{key}", p, conv)
+                opt.state[name] = _copy_entry(arrays, f"opt.{key}", p)

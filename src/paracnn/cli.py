@@ -139,12 +139,9 @@ def cmd_make_corpus(args) -> int:
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not args.force:
         print(f"error: {out_dir} is not empty (use --force to overwrite)", file=sys.stderr)
         return 1
-    os.makedirs(out_dir, exist_ok=True)
-    feat_dir = os.path.join(out_dir, "features")
-    os.makedirs(feat_dir, exist_ok=True)
-
     records = corpus_mod.generate_synthetic_corpus(
         args.seed, args.size, max_objects=args.max_objects, noise=args.noise)
+    os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     entries = []
     for rec in records:
         rel = os.path.join("features", rec["id"] + ".pfv")
@@ -191,8 +188,7 @@ def cmd_train(args) -> int:
     train_entries = _load_split(data_dir, "train")
     val_entries = _load_split(data_dir, "val")
 
-    vocab = corpus_mod.build_vocab([e["paragraph"] for e in train_entries],
-                                   min_freq=args.min_freq)
+    vocab = corpus_mod.build_vocab([e["paragraph"] for e in train_entries])
 
     first_feat = corpus_mod.load_features(
         os.path.join(data_dir, train_entries[0]["feature_path"]))
@@ -213,15 +209,42 @@ def cmd_train(args) -> int:
     try:
         lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        print(f"error: {out_dir} is locked by another training run ({lock_path})",
-              file=sys.stderr)
+        pid = _dead_lock_holder(lock_path)
+        if pid is None:
+            print(f"error: {out_dir} is locked by another training run ({lock_path})",
+                  file=sys.stderr)
+        else:
+            print(f"error: stale lock {lock_path}: process {pid} is not running; "
+                  f"delete {lock_path}", file=sys.stderr)
         return 1
 
     try:
+        os.write(lock_fd, f"{os.getpid()}\n".encode())
         return _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
     finally:
         os.close(lock_fd)
         os.remove(lock_path)
+
+
+def _dead_lock_holder(lock_path):
+    """The PID a lock file records when that process is not running, else None.
+
+    A lock without a positive PID, or one that vanished, counts as held, and
+    so does the process of another user (``PermissionError``).
+    """
+    try:
+        with open(lock_path) as fh:
+            pid = int(fh.read())
+    except (OSError, ValueError):
+        return None
+    try:
+        if pid > 0:
+            os.kill(pid, 0)  # signal 0 sends nothing; it checks that the process exists
+    except ProcessLookupError:
+        return pid
+    except (PermissionError, OverflowError):
+        pass
+    return None
 
 
 def _truncate_log(log_path, epoch) -> float:
@@ -310,7 +333,6 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
             if val_ce < best_val:
                 best_val = val_ce
                 write_checkpoint(best_path, meta, arrays)
-            del arrays  # a copy of every parameter; the next epoch should not hold it
             if not args.quiet:
                 print(f"epoch {epoch}: ce_fwd={stats.ce_fwd:.4f} val_ce={val_ce:.4f}")
     return 0
@@ -341,25 +363,22 @@ def load_checkpoint_trainer(path):
     run = _run_config(meta["seed"], dict(config, twin=twin))
     vocab = corpus_mod.Vocab(meta["vocab"])
     trainer = build_trainer(dataclasses.replace(run, twin=TwinConfig()), vocab)
-    load_trainer_arrays(trainer, arrays)
+    # decoding never steps an optimizer, so its state is left as built
+    load_trainer_arrays(trainer, {k: v for k, v in arrays.items() if not k.startswith("opt.")})
     return trainer, run, vocab
 
 
 def cmd_generate(args) -> int:
     trainer, run, vocab = load_checkpoint_trainer(args.checkpoint)
-    dc = run.decode
+    decode = dataclasses.asdict(run.decode)
     if args.sentences is not None:
-        dc = dataclasses.replace(dc, num_sentences=args.sentences, adaptive=False)
+        decode.update(num_sentences=args.sentences, adaptive=False)
     if args.adaptive:
-        dc = dataclasses.replace(dc, adaptive=True)
-    if args.min is not None:
-        dc = dataclasses.replace(dc, min_sentences=args.min)
-    if args.max is not None:
-        dc = dataclasses.replace(dc, max_sentences=args.max)
-    if args.rep_penalty is not None:
-        dc = dataclasses.replace(dc, rep_penalty=args.rep_penalty)
-    if args.block_trigrams is not None:
-        dc = dataclasses.replace(dc, block_trigrams=args.block_trigrams)
+        decode["adaptive"] = True
+    flags = {"min_sentences": args.min, "max_sentences": args.max,
+             "rep_penalty": args.rep_penalty, "block_trigrams": args.block_trigrams}
+    decode.update({k: v for k, v in flags.items() if v is not None})
+    dc = _build_section(DecodeConfig, decode, "decode")
 
     if args.features.endswith(".jsonl"):
         base = os.path.dirname(args.features)
@@ -488,10 +507,11 @@ def gradcheck_report(seed: int = 0):
     # generic random point (small-init attention is nearly uniform, which
     # leaves some gradients too close to finite-difference noise)
     model = ParagraphModel(cfg, root.child(1))
-    # conv weights get the noise of their [2*out, in, k] layout, so the point
-    # checked does not depend on how the weights are held in memory
+    # conv weights get noise drawn in their [2*out, in, k] shape and re-laid
+    # out as the weight itself was
     shake = root.child(92)
-    convs = L.conv_weights(model)
+    convs = {f"{stack}.{i}.weight": block for stack in ("topic_blocks", "word_blocks")
+             for i, block in enumerate(getattr(model, stack))}
     for name, p in model.named_parameters().items():
         conv = convs.get(name)
         if conv is None:
@@ -569,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", default=None)
     tr.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     tr.add_argument("--resume", default=None)
-    tr.add_argument("--min-freq", type=int, default=2, dest="min_freq")
     tr.add_argument("--quiet", action="store_true")
     tr.set_defaults(func=cmd_train)
 

@@ -210,6 +210,8 @@ def generate_synthetic_corpus(seed: int, size: int, max_objects: int = 3,
     """
     if size < 1:
         raise CorpusError("corpus size must be >= 1")
+    if max_objects < 2:
+        raise CorpusError(f"max_objects {max_objects} is below the 2 objects of every scene")
     if max_objects > CELLS:
         raise CorpusError(f"max_objects {max_objects} exceeds {CELLS} grid cells")
     rng = RngState(seed).child(17)

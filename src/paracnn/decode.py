@@ -38,8 +38,10 @@ class DecodeConfig:
     penalty_scope: str = "paragraph"
 
     def __post_init__(self):
-        if self.num_sentences < 1:
-            raise ValueError("num_sentences must be >= 1")
+        if self.num_sentences < 1 or self.min_sentences < 1:
+            raise ValueError("num_sentences and min_sentences must be >= 1")
+        if self.max_words is not None and self.max_words < 1:
+            raise ValueError("max_words must be >= 1, or null for the model's budget")
         if self.min_sentences > self.max_sentences:
             raise ValueError("min_sentences must not exceed max_sentences")
         if self.rep_penalty < 0:

@@ -91,12 +91,6 @@ def conv_weight_to_gemm(w: np.ndarray) -> np.ndarray:
     return _reversed_axes(w).reshape(k * cin, out2)
 
 
-def conv_weight_from_gemm(gemm: np.ndarray, kernel_size: int) -> np.ndarray:
-    """Inverse of ``conv_weight_to_gemm``: a new C-contiguous [2*out, in, k] array."""
-    rows, out2 = gemm.shape
-    return _reversed_axes(gemm.reshape(kernel_size, rows // kernel_size, out2))
-
-
 class CausalConvBlock(Layer):
     """Gated causal 1-D convolution: left zero-padding, A * sigmoid(B) halves.
 
@@ -108,8 +102,8 @@ class CausalConvBlock(Layer):
     row tau*in + c, column o weights channel c of the frame (k-1-tau) steps in
     the past for output o, so the forward pass multiplies the stacked windows
     by it with no per-call copy. It is drawn as a [2*out, in, kernel] array
-    (the layout of PCKPT1 files, see ``conv_weight_from_gemm``) and re-laid
-    out once here.
+    (``conv_shape``, the usual convolution layout, so the seeded values do not
+    depend on the GEMM layout) and re-laid out once here.
     """
 
     def __init__(self, rng: RngState, in_channels: int, out_channels: int, kernel_size: int):
@@ -126,7 +120,7 @@ class CausalConvBlock(Layer):
 
     @property
     def conv_shape(self) -> tuple:
-        """[2*out, in, kernel]: the layout the weight is drawn in and stored in files."""
+        """[2*out, in, kernel]: the layout the weight is drawn in."""
         return (2 * self.out_channels, self.in_channels, self.kernel_size)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -181,17 +175,6 @@ class CausalConvBlock(Layer):
         if self.residual:
             out = out + x
         return out
-
-
-def conv_weights(module: Layer, prefix: str = "") -> dict:
-    """Parameter name -> CausalConvBlock for every conv weight (GEMM layout) under ``module``."""
-    if isinstance(module, CausalConvBlock):
-        return {prefix + "weight": module}
-    out = {}
-    for name, val in module._members():
-        if isinstance(val, Layer):
-            out.update(conv_weights(val, f"{prefix}{name}."))
-    return out
 
 
 class Embedding(Layer):

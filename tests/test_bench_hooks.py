@@ -78,3 +78,15 @@ def test_tracer_wrappers_record_calls(bench_module, tmp_path):
                  "decode.greedy_decode.calls", "checkpoint.write_checkpoint.calls",
                  "checkpoint.bytes_written"):
         assert rows[name][0] > 0, name
+
+
+def test_benchmark_settings_resolve(bench_module):
+    # the overrides and flags the workloads pass must stay valid keys and options
+    workloads = bench_module("workloads")
+    for overrides in (workloads.TOY_MODEL + workloads.TWIN,
+                      workloads.GENERATE_MODEL + workloads.PLAIN):
+        cli.load_run_config(None, overrides, default_vocab_size=20, default_visual_dim=6)
+    args = cli.build_parser().parse_args(["generate", "--checkpoint", "best.pckpt",
+                                          "--features", "manifest.jsonl"]
+                                         + workloads.TOY_GENERATE)
+    assert args.func is cli.cmd_generate

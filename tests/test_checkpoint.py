@@ -1,4 +1,4 @@
-"""PCKPT1 layout of causal-conv weights: [2*out, in, kernel] on disk, GEMM layout in memory."""
+"""PCKPT2 entries: every parameter and optimizer-state array in the shape the trainer holds it."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from paracnn.corpus import ParagraphBatch
 from paracnn.tensor import RngState
 from paracnn.training import TwinConfig, TwinTrainer
 
-CONV_SHAPE = (16, 8, 3)  # [2*channels, channels, kernel] of tiny_config
+GEMM_SHAPE = (24, 16)  # [kernel*channels, 2*channels] of tiny_config
 
 
 def conv_names(arrays):
@@ -42,7 +42,7 @@ def test_conv_entries_are_the_seeded_draws(monkeypatch):
     def recording(rng, shape, fan_in):
         p = param(rng, shape, fan_in)
         if len(shape) == 3:
-            draws.append(p.data.copy())  # before the re-layout to GEMM order
+            draws.append(p.data.copy())  # [2*out, in, k], before the re-layout
         return p
 
     monkeypatch.setattr(layers, "_param", recording)
@@ -53,21 +53,23 @@ def test_conv_entries_are_the_seeded_draws(monkeypatch):
     assert sorted(names) == conv_names(arrays)
     assert len(draws) == len(names)
     for name, draw in zip(names, draws):
-        assert arrays[name].shape == CONV_SHAPE
-        assert np.array_equal(arrays[name], draw), name
+        assert arrays[name].shape == GEMM_SHAPE
+        for o, c, tau in np.ndindex(draw.shape):
+            assert arrays[name][tau * 8 + c, o] == draw[o, c, tau], name
 
 
-def test_conv_optimizer_state_keeps_file_layout():
+def test_entries_are_the_trainers_arrays():
     tr = trained()
     arrays = trainer_arrays(tr)
-    for name in conv_names(arrays):
-        prefix, param = name.split(".", 1)
-        opt = tr.opt if prefix == "fwd" else tr.opt_bwd
-        state = opt.state[param]  # [k*in, 2*out]
-        disk = arrays[f"opt.{name}"]
-        assert disk.shape == CONV_SHAPE and np.any(disk)
-        for o, c, tau in np.ndindex(CONV_SHAPE):
-            assert disk[o, c, tau] == state[tau * 8 + c, o]
+    sections = [("fwd", tr.model, tr.opt), ("predictor", tr.predictor, tr.opt_pred),
+                ("bwd", tr.model_bwd, tr.opt_bwd), ("critic", tr.critic, tr.opt_critic)]
+    expect = {}
+    for prefix, net, opt in sections:
+        expect.update({f"{prefix}.{k}": p.data for k, p in net.named_parameters().items()})
+        expect.update({f"opt.{prefix}.{k}": v for k, v in opt.state.items()})
+    assert arrays.keys() == expect.keys()
+    assert all(arrays[k] is v for k, v in expect.items())
+    assert all(np.any(arrays[f"opt.{name}"]) for name in conv_names(arrays))
 
 
 def test_write_load_write_byte_identical(tmp_path):
@@ -81,12 +83,24 @@ def test_write_load_write_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_load_copies_every_entry():
+    source = trained()
+    arrays = trainer_arrays(source)
+    target = trainer(seed=4)
+    load_trainer_arrays(target, arrays)
+    loaded = trainer_arrays(target)
+    assert loaded.keys() == arrays.keys()
+    for key, arr in arrays.items():
+        assert np.array_equal(loaded[key], arr) and not np.shares_memory(loaded[key], arr), key
+
+
 @pytest.mark.parametrize("key", ["fwd.word_blocks.1.weight", "opt.fwd.word_blocks.1.weight",
                                  "bwd.topic_blocks.0.weight"])
-@pytest.mark.parametrize("shape", [(9, 16), (16, 8, 2), (16, 24)])
+@pytest.mark.parametrize("shape", [(16, 8, 3), (24, 8), (16, 24)])
 def test_wrong_conv_shape_raises_checkpoint_error(key, shape):
-    # (9, 16) has the GEMM layout's shape, (16, 24) its size
+    # (16, 8, 3) is the [2*out, in, kernel] draw, (16, 24) the transposed weight
     arrays = trainer_arrays(trainer())
     arrays[key] = np.zeros(shape)
     with pytest.raises(CheckpointError, match="shape mismatch"):
         load_trainer_arrays(trainer(), arrays)
+

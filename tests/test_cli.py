@@ -194,15 +194,42 @@ class TestTrain:
 
     def test_lockfile_blocks_second_writer(self, corpus_dir, train_dir, capsys):
         lock = train_dir / ".lock"
-        lock.write_text("")
-        try:
-            args = ["train", "--data", str(corpus_dir), "--out", str(train_dir), "--quiet"]
-            for ov in TINY_OVERRIDES:
-                args += ["--set", ov]
-            assert run_cli(*args) == 1
-            assert "locked" in capsys.readouterr().err
-        finally:
-            lock.unlink()
+        # no PID, not a PID, and a running process (this one)
+        for text in ("", "not a pid\n", f"{os.getpid()}\n"):
+            lock.write_text(text)
+            try:
+                args = ["train", "--data", str(corpus_dir), "--out", str(train_dir), "--quiet"]
+                for ov in TINY_OVERRIDES:
+                    args += ["--set", ov]
+                assert run_cli(*args) == 1
+                assert "locked" in capsys.readouterr().err
+            finally:
+                lock.unlink()
+
+    def test_lock_records_pid_while_training(self, corpus_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        seen = []
+        monkeypatch.setattr(cli, "_train_loop",
+                            lambda *a: seen.append((out / ".lock").read_text()) or 0)
+        assert run_cli("train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                       "--set", "model.visual_dim=0") == 0
+        assert seen == [f"{os.getpid()}\n"]
+        assert not (out / ".lock").exists()
+
+    def test_stale_lock_reported_and_kept(self, corpus_dir, tmp_path, capsys):
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert proc.wait() == 0  # reaped, so its PID names no process
+        out = tmp_path / "run"
+        out.mkdir()
+        lock = out / ".lock"
+        lock.write_text(f"{proc.pid}\n")
+        assert run_cli("train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                       "--set", "model.visual_dim=0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stale lock {lock}: ")
+        assert f"process {proc.pid} is not running; delete {lock}" in err
+        assert lock.read_text() == f"{proc.pid}\n"
+        assert not (out / "log.jsonl").exists()
 
     def test_resume_reproduces_trajectory(self, corpus_dir, tmp_path, monkeypatch):
         # val falls to epoch 2 and rises after it, so epoch 2 stays the best;
@@ -376,6 +403,42 @@ class TestGenerateAndEval:
         assert json.loads(scores.read_text())["raw"] == evaluate_all(pairs)
 
 
+class TestBadSettings:
+    """A decode setting or corpus flag out of range ends the command with ``error: ...`` and 1."""
+
+    @pytest.mark.parametrize("flags", [["--max", "0"], ["--sentences", "0"],
+                                       ["--min", "5", "--max", "4"], ["--rep-penalty", "-1"],
+                                       ["--adaptive", "--min", "0"]])
+    def test_generate(self, train_dir, corpus_dir, tmp_path, capsys, flags):
+        out = tmp_path / "hyp.txt"
+        assert run_cli("generate", "--checkpoint", str(train_dir / "best.pckpt"),
+                       "--features", str(corpus_dir / "test.jsonl"), "--out", str(out),
+                       *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid [decode] config: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_train_decode_word_budget(self, corpus_dir, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
+        for ov in TINY_OVERRIDES + ["train.epochs=1", f"decode.max_words={value}"]:
+            args += ["--set", ov]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid [decode] config: max_words") and \
+            "Traceback" not in err
+        assert not out.exists()
+
+    def test_make_corpus_max_objects(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert run_cli("make-corpus", "--size", "4", "--max-objects", "1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_objects 1 ") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestFileBoundaryErrors:
     """A missing path or a malformed input file ends the command with ``error: ...`` and 1."""
 
@@ -493,10 +556,11 @@ class TestCheckpointFormat:
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.pckpt"
-        path.write_bytes(b"NOTCKP" + b"\x00" * 10)
         from paracnn.checkpoint import CheckpointError
-        with pytest.raises(CheckpointError):
-            read_checkpoint(path)
+        for magic in (b"NOTCKP", b"PCKPT1"):
+            path.write_bytes(magic + b"\x00" * 10)
+            with pytest.raises(CheckpointError, match="bad magic, expected b'PCKPT2'"):
+                read_checkpoint(path)
 
     def test_truncated_or_padded_checkpoint_raises(self, train_dir, tmp_path):
         from paracnn.checkpoint import CheckpointError
@@ -577,6 +641,23 @@ class TestCheckpointFormat:
         write_checkpoint(path, meta, stripped)
         assert generate_bytes(twin_dir / "best.pckpt", corpus_dir, tmp_path / "full.txt") == \
             generate_bytes(path, corpus_dir, tmp_path / "stripped.txt")
+
+    def test_generate_from_pckpt1_file_exits_1(self, train_dir, corpus_dir, tmp_path,
+                                               capsys):
+        path = tmp_path / "old.pckpt"
+        path.write_bytes(b"PCKPT1" + (train_dir / "best.pckpt").read_bytes()[6:])
+        assert run_cli("generate", "--checkpoint", str(path),
+                       "--features", str(corpus_dir / "test.jsonl")) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: bad magic, expected b'PCKPT2'\n"
+
+    def test_loading_copies_no_optimizer_state(self, train_dir):
+        _, arrays = read_checkpoint(train_dir / "best.pckpt")
+        assert np.any(arrays["opt.fwd.word_blocks.0.weight"])
+        assert np.any(arrays["opt.predictor.fc1.W"])
+        trainer, _, _ = cli.load_checkpoint_trainer(str(train_dir / "best.pckpt"))
+        for opt in (trainer.opt, trainer.opt_pred):
+            assert opt.state and not any(np.any(v) for v in opt.state.values())
 
     def test_loading_builds_forward_network_only(self, twin_dir):
         trainer, run, _ = cli.load_checkpoint_trainer(str(twin_dir / "best.pckpt"))
