@@ -1,9 +1,9 @@
 """Command-line surface: make-corpus, train, generate, eval, gradcheck.
 
-A run is configured by one JSON file (sections: model, twin, train, decode,
-plus a top-level seed) with repeatable ``--set section.key=value`` overrides;
-unknown keys are rejected. Every command that produces outputs writes the
-fully resolved configuration beside them.
+A run is configured by one JSON file (sections: model, twin, train, plus a
+top-level seed) with repeatable ``--set section.key=value`` overrides; unknown
+keys are rejected. Decode settings are ``generate`` flags. Every command that
+produces outputs writes the fully resolved configuration beside them.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -42,8 +43,11 @@ class TrainConfig:
     lr: float = 4e-4
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        # type(), not isinstance: a bool is not a number here, nor a float a count
+        if not all(type(n) is int and n >= 1 for n in (self.epochs, self.batch_size)):
+            raise ConfigError("epochs and batch_size must be integers >= 1")
+        if not (type(self.lr) in (int, float) and 0 < self.lr < math.inf):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
 @dataclass
@@ -52,7 +56,6 @@ class RunConfig:
     model: ModelConfig
     twin: TwinConfig
     train: TrainConfig
-    decode: DecodeConfig
 
 
 def _build_section(cls, data: dict, section: str):
@@ -67,14 +70,20 @@ def _build_section(cls, data: dict, section: str):
 
 
 def _run_config(seed: int, sections: dict) -> RunConfig:
-    """RunConfig from one raw dict per section (model, twin, train, decode)."""
+    """RunConfig from one raw dict per section (model, twin, train); others are ignored."""
     return RunConfig(
         seed=seed,
         model=_build_section(ModelConfig, sections["model"], "model"),
         twin=_build_section(TwinConfig, sections["twin"], "twin"),
         train=_build_section(TrainConfig, sections["train"], "train"),
-        decode=_build_section(DecodeConfig, sections["decode"], "decode"),
     )
+
+
+def _check_seed(seed):
+    """``seed``, or a ConfigError unless it is an integer >= 0 (bools are not)."""
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
@@ -88,7 +97,7 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
                 raise ConfigError(f"{path}: not a JSON config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-    known = {"seed", "model", "twin", "train", "decode"}
+    known = {"seed", "model", "twin", "train"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
@@ -110,8 +119,8 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
             raise ConfigError(f"unknown config section {section!r}")
         raw.setdefault(section, {})[field] = value
 
-    seed = int(raw.get("seed", 0))
-    sections = {name: dict(raw.get(name, {})) for name in ("model", "twin", "train", "decode")}
+    seed = _check_seed(raw.get("seed", 0))
+    sections = {name: dict(raw.get(name, {})) for name in ("model", "twin", "train")}
     model_raw = sections["model"]
     if "vocab_size" not in model_raw:
         if default_vocab_size is None:
@@ -125,9 +134,9 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
     return _run_config(seed, sections)
 
 
-def _write_resolved_config(run: RunConfig, out_dir: str, name: str):
+def _write_resolved_config(config: dict, out_dir: str, name: str):
     with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(dataclasses.asdict(run), fh, indent=2, sort_keys=True)
+        json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -140,7 +149,7 @@ def cmd_make_corpus(args) -> int:
         print(f"error: {out_dir} is not empty (use --force to overwrite)", file=sys.stderr)
         return 1
     records = corpus_mod.generate_synthetic_corpus(
-        args.seed, args.size, max_objects=args.max_objects, noise=args.noise)
+        _check_seed(args.seed), args.size, max_objects=args.max_objects, noise=args.noise)
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     entries = []
     for rec in records:
@@ -274,7 +283,7 @@ def _truncate_log(log_path, epoch) -> float:
 
 
 def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args) -> int:
-    _write_resolved_config(run, out_dir, "resolved_config.json")
+    _write_resolved_config(dataclasses.asdict(run), out_dir, "resolved_config.json")
     trainer = build_trainer(run, vocab)
 
     log_path = os.path.join(out_dir, "log.jsonl")
@@ -354,13 +363,11 @@ def load_checkpoint_trainer(path):
     """(trainer, run, vocab) for decoding; the trainer holds no backward network or critic."""
     meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"))
     config = meta["config"] if isinstance(meta["config"], dict) else {}
-    for name in ("model", "twin", "train", "decode"):
+    for name in ("model", "twin", "train"):
         if not isinstance(config.get(name), dict):
             raise CheckpointError(f"{path}: checkpoint config lacks a {name!r} section")
-    # decoding ignores the twin section; older checkpoints carry keys since removed
-    known = {f.name for f in dataclasses.fields(TwinConfig)}
-    twin = {k: v for k, v in config["twin"].items() if k in known}
-    run = _run_config(meta["seed"], dict(config, twin=twin))
+    # the decode section that older checkpoints carry is ignored
+    run = _run_config(meta["seed"], config)
     vocab = corpus_mod.Vocab(meta["vocab"])
     trainer = build_trainer(dataclasses.replace(run, twin=TwinConfig()), vocab)
     # decoding never steps an optimizer, so its state is left as built
@@ -370,15 +377,11 @@ def load_checkpoint_trainer(path):
 
 def cmd_generate(args) -> int:
     trainer, run, vocab = load_checkpoint_trainer(args.checkpoint)
-    decode = dataclasses.asdict(run.decode)
-    if args.sentences is not None:
-        decode.update(num_sentences=args.sentences, adaptive=False)
-    if args.adaptive:
-        decode["adaptive"] = True
-    flags = {"min_sentences": args.min, "max_sentences": args.max,
+    flags = {"num_sentences": args.sentences, "adaptive": args.adaptive,
+             "min_sentences": args.min, "max_sentences": args.max,
              "rep_penalty": args.rep_penalty, "block_trigrams": args.block_trigrams}
-    decode.update({k: v for k, v in flags.items() if v is not None})
-    dc = _build_section(DecodeConfig, decode, "decode")
+    dc = _build_section(DecodeConfig, {k: v for k, v in flags.items() if v is not None},
+                        "decode")
 
     if args.features.endswith(".jsonl"):
         base = os.path.dirname(args.features)
@@ -403,7 +406,7 @@ def cmd_generate(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             write_paragraphs(texts, fh)
-        _write_resolved_config(dataclasses.replace(run, decode=dc),
+        _write_resolved_config(dict(dataclasses.asdict(run), decode=dataclasses.asdict(dc)),
                                os.path.dirname(os.path.abspath(args.out)),
                                "resolved_generate_config.json")
     else:
@@ -555,7 +558,7 @@ def gradcheck_report(seed: int = 0):
 
 
 def cmd_gradcheck(args) -> int:
-    report = gradcheck_report(seed=args.seed)
+    report = gradcheck_report(seed=_check_seed(args.seed))
     worst = 0.0
     width = max(len(name) for name, _ in report)
     for name, err in report:

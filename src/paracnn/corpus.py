@@ -214,6 +214,8 @@ def generate_synthetic_corpus(seed: int, size: int, max_objects: int = 3,
         raise CorpusError(f"max_objects {max_objects} is below the 2 objects of every scene")
     if max_objects > CELLS:
         raise CorpusError(f"max_objects {max_objects} exceeds {CELLS} grid cells")
+    if not 0 <= noise < np.inf:
+        raise CorpusError(f"noise {noise} must be finite and >= 0")
     rng = RngState(seed).child(17)
     records = []
     for i in range(size):

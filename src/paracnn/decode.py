@@ -35,19 +35,16 @@ class DecodeConfig:
     max_words: int = None
     rep_penalty: float = 2.0
     block_trigrams: bool = True
-    penalty_scope: str = "paragraph"
 
     def __post_init__(self):
         if self.num_sentences < 1 or self.min_sentences < 1:
             raise ValueError("num_sentences and min_sentences must be >= 1")
         if self.max_words is not None and self.max_words < 1:
-            raise ValueError("max_words must be >= 1, or null for the model's budget")
+            raise ValueError("max_words must be >= 1, or None for the model's budget")
         if self.min_sentences > self.max_sentences:
             raise ValueError("min_sentences must not exceed max_sentences")
         if self.rep_penalty < 0:
             raise ValueError("rep_penalty must be >= 0")
-        if self.penalty_scope not in ("paragraph", "sentence"):
-            raise ValueError("penalty_scope must be 'paragraph' or 'sentence'")
 
 
 def apply_repetition_penalty(logits: np.ndarray, history, gamma: float,
@@ -95,7 +92,7 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
 
     state = TopicState()
     sentences = []
-    paragraph_history = []
+    history = []  # every token of the paragraph so far
     for j in range(n_sent):
         if j == 0 or not sentences[-1]:
             context = Tensor(np.zeros((1, cfg.context_dim)))
@@ -104,7 +101,6 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
             context = model.pool_context(model.embed(prev), np.ones(prev.shape))
         topic = model.topic_forward(state, global_feat, context)
 
-        history = paragraph_history if dc.penalty_scope == "paragraph" else []
         caches = [[] for _ in model.word_blocks]
         tok = vocab.start
         words = []

@@ -118,16 +118,10 @@ class Tensor:
 
     # -- autodiff --------------------------------------------------------------
 
-    def backward(self, grad=None):
-        """Backpropagate from this node; defaults to d(self)/d(self) = 1 for scalars."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ShapeError("backward() without an explicit gradient needs a scalar output")
-            grad = np.ones_like(self.data)
-        else:
-            grad = _as_array(grad)
-            if grad.shape != self.data.shape:
-                raise ShapeError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
+    def backward(self):
+        """Backpropagate d(self)/d(self) = 1 from this scalar node."""
+        if self.data.size != 1:
+            raise ShapeError("backward() needs a scalar output")
 
         # Iterative topological sort; graph depth can exceed the recursion limit.
         topo, visited, stack = [], set(), [(self, False)]
@@ -144,7 +138,7 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        self._accumulate(grad)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -265,33 +259,28 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         a = self
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+        data = self.data.sum(axis=axis)
 
         def bw(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.shape).copy())
 
         return Tensor._from_op(data, (a,), bw)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
+    def max(self, axis: int) -> "Tensor":
         """Maximum along one axis; gradient routes to the first argmax on ties."""
         a = self
-        data = self.data.max(axis=axis, keepdims=keepdims)
+        data = self.data.max(axis=axis)
         amax = self.data.argmax(axis=axis)
 
         def bw(g):
-            if not keepdims:
-                g = np.expand_dims(g, axis)
+            g = np.expand_dims(g, axis)
             full = np.zeros_like(a.data)
             np.put_along_axis(full, np.expand_dims(amax, axis), g, axis=axis)
             a._accumulate(full)

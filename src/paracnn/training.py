@@ -43,6 +43,8 @@ class TwinConfig:
             raise ValueError(f"twin mode must be one of {TWIN_MODES}, got {self.mode!r}")
         if self.lambda_l2 < 0 or self.lambda_adv < 0:
             raise ValueError("twin loss weights must be >= 0")
+        if type(self.critic_hidden) is not int or self.critic_hidden < 1:
+            raise ValueError(f"critic_hidden must be an integer >= 1, got {self.critic_hidden!r}")
 
     @property
     def uses_l2(self) -> bool:

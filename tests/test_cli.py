@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from paracnn import cli
 from paracnn.checkpoint import read_checkpoint, write_checkpoint
 from paracnn.cli import ConfigError, load_run_config, main
 from paracnn.corpus import load_features, read_manifest, save_features, tokenize, write_manifest
+from paracnn.decode import DecodeConfig
 from paracnn.metrics import EvalPair, evaluate_all
 from paracnn.tensor import Tensor
 from paracnn.training import CRITIC_LR, CRITIC_STEPS, WEIGHT_CLIP
@@ -139,8 +141,9 @@ class TestRunConfig:
         assert (run.model.topic_depth, run.model.word_depth) == (4, 5)
         assert run.model.attn_layers == (2, 4)
         assert (CRITIC_LR, CRITIC_STEPS, WEIGHT_CLIP) == (2e-4, 5, 0.01)
-        assert run.decode.rep_penalty == 2.0
-        assert run.decode.block_trigrams is True
+        assert dataclasses.asdict(DecodeConfig()) == {
+            "num_sentences": 6, "adaptive": False, "min_sentences": 1, "max_sentences": 6,
+            "max_words": None, "rep_penalty": 2.0, "block_trigrams": True}
 
     def test_removed_twin_alignment_key_rejected(self, corpus_dir, tmp_path, capsys):
         # the twin alignment and the critic schedule are no longer configurable
@@ -151,6 +154,21 @@ class TestRunConfig:
                 args += ["--set", ov]
             assert run_cli(*args) == 1
             assert "unknown key(s) in [twin]" in capsys.readouterr().err
+
+    def test_decode_section_rejected(self, corpus_dir, tmp_path, capsys):
+        # decode settings are generate flags, not part of a run's config
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"decode": {"rep_penalty": 0}}))
+        for extra, message in ((["--set", "decode.rep_penalty=0"], "section 'decode'"),
+                               (["--config", str(cfg)], "top-level config key(s): ['decode']")):
+            args = ["train", "--data", str(corpus_dir), "--out", str(tmp_path / "run"),
+                    "--quiet", *extra]
+            for ov in TINY_OVERRIDES:
+                args += ["--set", ov]
+            assert run_cli(*args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert not (tmp_path / "run").exists()
 
     def test_nan_abort_retains_checkpoints(self, corpus_dir, tmp_path, capsys,
                                            monkeypatch):
@@ -327,6 +345,20 @@ class TestGenerateAndEval:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_generate_flags_resolve(self, train_dir, corpus_dir, tmp_path):
+        # --adaptive wins over --sentences, which is still recorded
+        out = tmp_path / "hyp.txt"
+        assert run_cli("generate", "--checkpoint", str(train_dir / "best.pckpt"),
+                       "--features", str(corpus_dir / "test.jsonl"), "--sentences", "2",
+                       "--adaptive", "--max", "3", "--rep-penalty", "0.5",
+                       "--no-block-trigrams", "--out", str(out)) == 0
+        resolved = json.loads((tmp_path / "resolved_generate_config.json").read_text())
+        assert resolved["decode"] == dataclasses.asdict(DecodeConfig(
+            num_sentences=2, adaptive=True, max_sentences=3, rep_penalty=0.5,
+            block_trigrams=False))
+        for paragraph in out.read_text().strip().split("\n\n"):
+            assert 1 <= len(paragraph.split("\n")) <= 3
+
     def test_generate_decodes_one_image_at_a_time(self, train_dir, corpus_dir, tmp_path,
                                                   monkeypatch):
         events = []
@@ -404,7 +436,7 @@ class TestGenerateAndEval:
 
 
 class TestBadSettings:
-    """A decode setting or corpus flag out of range ends the command with ``error: ...`` and 1."""
+    """A setting of the wrong type or out of range ends the command with ``error: ...`` and 1."""
 
     @pytest.mark.parametrize("flags", [["--max", "0"], ["--sentences", "0"],
                                        ["--min", "5", "--max", "4"], ["--rep-penalty", "-1"],
@@ -418,17 +450,47 @@ class TestBadSettings:
         assert err.startswith("error: invalid [decode] config: ") and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["-1", "0"])
-    def test_train_decode_word_budget(self, corpus_dir, tmp_path, capsys, value):
+    TRAIN = {
+        "seed=abc": "seed must be an integer >= 0, got 'abc'",
+        "seed=-3": "seed must be an integer >= 0, got -3",
+        "seed=true": "seed must be an integer >= 0, got True",
+        "train.epochs=1.5": "[train] config: epochs and batch_size must be integers >= 1",
+        "train.batch_size=2.5": "[train] config: epochs and batch_size must be integers",
+        "train.lr=-1": "[train] config: lr must be finite and > 0, got -1",
+        "train.lr=NaN": "[train] config: lr must be finite and > 0, got nan",
+        "train.lr=true": "[train] config: lr must be finite and > 0, got True",
+        "twin.mode=adversarial twin.critic_hidden=0":
+            "[twin] config: critic_hidden must be an integer >= 1, got 0",
+    }
+
+    @pytest.mark.parametrize("overrides", sorted(TRAIN))
+    def test_train(self, corpus_dir, tmp_path, capsys, overrides):
         out = tmp_path / "run"
         args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
-        for ov in TINY_OVERRIDES + ["train.epochs=1", f"decode.max_words={value}"]:
+        for ov in TINY_OVERRIDES + ["train.epochs=1"] + overrides.split():
             args += ["--set", ov]
         assert run_cli(*args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid [decode] config: max_words") and \
-            "Traceback" not in err
+        assert err.startswith("error: ") and self.TRAIN[overrides] in err
+        assert "Traceback" not in err
         assert not out.exists()
+
+    MAKE_CORPUS = {
+        "--seed -1": "seed must be an integer >= 0, got -1",
+        "--noise -1": "noise -1.0 must be finite and >= 0",
+        "--noise nan": "noise nan must be finite and >= 0",
+    }
+
+    @pytest.mark.parametrize("flags", sorted(MAKE_CORPUS))
+    def test_make_corpus(self, tmp_path, capsys, flags):
+        out = tmp_path / "corpus"
+        assert run_cli("make-corpus", "--size", "4", "--out", str(out), *flags.split()) == 1
+        assert capsys.readouterr().err == f"error: {self.MAKE_CORPUS[flags]}\n"
+        assert not out.exists()
+
+    def test_gradcheck_seed(self, capsys):
+        assert run_cli("gradcheck", "--seed", "-1") == 1
+        assert capsys.readouterr() == ("", "error: seed must be an integer >= 0, got -1\n")
 
     def test_make_corpus_max_objects(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -614,7 +676,7 @@ class TestCheckpointFormat:
                            "--features", str(corpus_dir / "test.jsonl")) == 1
             assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section", ["model", "twin", "train", "decode"])
+    @pytest.mark.parametrize("section", ["model", "twin", "train"])
     def test_generate_without_config_section_exits_1(self, train_dir, corpus_dir, tmp_path,
                                                      capsys, section):
         meta, arrays = read_checkpoint(train_dir / "best.pckpt")
@@ -665,23 +727,35 @@ class TestCheckpointFormat:
         assert trainer.critic is None and trainer.opt_critic is None
         assert run.twin.mode == "l2_plus_adversarial" and run.twin.critic_hidden == 4
 
-    def test_checkpoint_with_removed_twin_key_generates_identically(self, twin_dir,
-                                                                    corpus_dir, tmp_path):
-        # checkpoints written while the twin alignment and the critic schedule
-        # were configurable carry these config.twin keys
-        removed = {"reverse_granularity": "paragraph", "critic_lr": 2e-4, "critic_steps": 5,
-                   "weight_clip": 0.01}
+    def test_checkpoint_with_unknown_twin_key_exits_1(self, twin_dir, corpus_dir, tmp_path,
+                                                       capsys):
         meta, arrays = read_checkpoint(twin_dir / "best.pckpt")
-        assert not set(removed) & set(meta["config"]["twin"])
-        config = dict(meta["config"], twin=dict(meta["config"]["twin"], **removed))
+        config = dict(meta["config"], twin=dict(meta["config"]["twin"], critic_steps=5))
+        path = tmp_path / "unknown.pckpt"
+        write_checkpoint(path, dict(meta, config=config), arrays)
+        assert run_cli("generate", "--checkpoint", str(path),
+                       "--features", str(corpus_dir / "test.jsonl")) == 1
+        assert "error: unknown key(s) in [twin]: ['critic_steps']" in capsys.readouterr().err
+
+    def test_checkpoint_decode_section_ignored(self, train_dir, corpus_dir, tmp_path):
+        # checkpoints written while decode settings were part of the run config
+        # carry this section, here with the defaults of that time
+        old_decode = {"num_sentences": 6, "adaptive": False, "min_sentences": 1,
+                      "max_sentences": 6, "max_words": None, "rep_penalty": 2.0,
+                      "block_trigrams": True, "penalty_scope": "paragraph"}
+        meta, arrays = read_checkpoint(train_dir / "best.pckpt")
+        assert set(meta["config"]) == {"seed", "model", "twin", "train"}
         old = tmp_path / "old" / "best.pckpt"
         old.parent.mkdir()
-        write_checkpoint(old, dict(meta, config=config), arrays)
+        write_checkpoint(old, dict(meta, config=dict(meta["config"], decode=old_decode)),
+                         arrays)
         new_out, old_out = tmp_path / "new.txt", tmp_path / "old" / "gen.txt"
-        assert generate_bytes(twin_dir / "best.pckpt", corpus_dir, new_out) == \
+        assert generate_bytes(train_dir / "best.pckpt", corpus_dir, new_out) == \
             generate_bytes(old, corpus_dir, old_out)
-        assert (tmp_path / "resolved_generate_config.json").read_bytes() == \
-            (old.parent / "resolved_generate_config.json").read_bytes()
+        resolved = (tmp_path / "resolved_generate_config.json").read_bytes()
+        assert (old.parent / "resolved_generate_config.json").read_bytes() == resolved
+        assert json.loads(resolved) == dict(meta["config"],
+                                            decode=dataclasses.asdict(DecodeConfig(num_sentences=3)))
 
     def test_checkpoint_logits_bit_identical_after_reload(self, train_dir, corpus_dir):
         trainer, run, vocab = cli.load_checkpoint_trainer(str(train_dir / "best.pckpt"))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from paracnn import decode as decode_mod
 from paracnn.corpus import build_vocab, synthetic_vocab_paragraphs
 from paracnn.decode import (DecodeConfig, apply_repetition_penalty, decode_adaptive,
                             greedy_decode, read_paragraphs, sentences_to_text,
@@ -29,6 +28,13 @@ def plain_decode_config(**over):
     kw = dict(num_sentences=2, rep_penalty=0.0, block_trigrams=False)
     kw.update(over)
     return DecodeConfig(**kw)
+
+
+class TestDecodeConfig:
+    @pytest.mark.parametrize("max_words", [-1, 0])
+    def test_word_budget_must_be_positive(self, max_words):
+        with pytest.raises(ValueError, match="max_words must be >= 1"):
+            DecodeConfig(max_words=max_words)
 
 
 class TestApplyRepetitionPenalty:
@@ -190,14 +196,13 @@ def prefix_oracle(model, feats, dc, vocab):
     n_words = min(dc.max_words or model.cfg.max_words, model.cfg.max_words)
     g, regions = model.project_features(Tensor(feats[None]))
     state = TopicState()
-    sentences, paragraph_history = [], []
+    sentences, history = [], []
     for j in range(dc.num_sentences):
         ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
         if j > 0 and sentences[-1]:
             prev = np.asarray([sentences[-1]])
             ctx = model.pool_context(model.embed(prev), np.ones(prev.shape))
         topic = model.topic_forward(state, g, ctx)
-        history = paragraph_history if dc.penalty_scope == "paragraph" else []
         prefix, words = [vocab.start], []
         for _ in range(n_words):
             _, logits = model.sentence_forward(topic, [prefix], regions)
@@ -279,42 +284,6 @@ class TestPenaltyBehavior:
             top = max(np.bincount(stream, minlength=len(vocab)).max(), 0) if stream else 0
             counts.append(int(top))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
-class TestPenaltyScope:
-    """penalty_scope="sentence" restarts the penalty history at every sentence."""
-
-    def decode(self, vocab, scope):
-        # constant logits red > blue > star, everything else far below
-        model = fresh_model(vocab)
-        for p in model.named_parameters().values():
-            p.data[:] = 0.0
-        model.vocab_head.b.data[:] = -10.0
-        for word, logit in (("red", 3.0), ("blue", 2.0), ("star", 1.0)):
-            model.vocab_head.b.data[vocab.index[word]] = logit
-        dc = DecodeConfig(num_sentences=2, rep_penalty=2.5, block_trigrams=False,
-                          penalty_scope=scope)
-        return greedy_decode(model, np.zeros((2, 6)), dc, vocab)
-
-    def test_history_restarts_at_each_sentence(self, vocab, monkeypatch):
-        seen = []
-        penalty = decode_mod.apply_repetition_penalty
-
-        def record(logits, history, gamma, block_trigrams):
-            seen.append(list(history))
-            return penalty(logits, history, gamma, block_trigrams)
-
-        monkeypatch.setattr(decode_mod, "apply_repetition_penalty", record)
-        sents = self.decode(vocab, "sentence")
-        assert seen == [words[:t] for words in sents for t in range(len(words))]
-
-    def test_differs_from_paragraph_scope_when_tokens_repeat(self, vocab):
-        red, blue, star = (vocab.index[w] for w in ("red", "blue", "star"))
-        # each sentence decodes as if it were the first
-        assert self.decode(vocab, "sentence") == [[red, blue, star, red]] * 2
-        # the first sentence's counts carry over and push red down
-        assert self.decode(vocab, "paragraph") == [[red, blue, star, red],
-                                                   [blue, star, red, blue]]
 
 
 @settings(max_examples=40, deadline=None)

@@ -100,7 +100,7 @@ class TestBackward:
         "tanh": lambda t: t.tanh().sum(),
         "relu": lambda t: t.relu().sum(),
         "softmax": lambda t: (t.softmax(axis=-1) * t.softmax(axis=-1)).sum(),
-        "mean": lambda t: sum_sq(t.mean(axis=0)),
+        "mean": lambda t: sum_sq(t.mean()),
         "max": lambda t: t.max(axis=1).sum(),
         "broadcast": lambda t: sum_sq(t.reshape(4, 1, 3).broadcast_to((4, 2, 3))),
         "concat": lambda t: sum_sq(concat([t, t * 2.0], axis=0)),
