@@ -60,7 +60,10 @@ def _read_exact(fh, n: int, end: int, what: str) -> bytes:
 
 
 def read_checkpoint(path):
-    """Returns (meta dict, name -> float64 array); CheckpointError on any malformed input."""
+    """Returns (meta dict, name -> read-only float64 array); CheckpointError on any malformed input.
+
+    Each array is a view of the bytes read for it; ``load_trainer_arrays`` makes the one copy.
+    """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         if fh.read(6) != MAGIC:
@@ -85,7 +88,7 @@ def read_checkpoint(path):
                                   _read_exact(fh, 4 * ndim, end, f"entry {name!r} shape"))
             size = int(np.prod(shape)) if ndim else 1
             raw = _read_exact(fh, 8 * size, end, f"entry {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.tell() != end:
             raise CheckpointError(
                 f"{path}: {end - fh.tell()} trailing bytes after {count} entries")

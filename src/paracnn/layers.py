@@ -52,15 +52,8 @@ class Linear(Layer):
             self.b = _param(rng, (out_dim,), in_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        squeeze = x.ndim > 2
-        lead = x.shape[:-1]
-        if squeeze:
-            # flatten leading dims so the weight gradient is one 2-D GEMM
-            x = x.reshape(-1, x.shape[-1])
         out = x @ self.W
-        if hasattr(self, "b"):
-            out = out + self.b
-        return out.reshape(lead + (self.W.shape[1],)) if squeeze else out
+        return out + self.b if hasattr(self, "b") else out
 
 
 # Tile (outer axes, input channels) of a conv weight re-layout. A plain
@@ -166,9 +159,7 @@ class CausalConvBlock(Layer):
 
     def _gated(self, windows: Tensor, x: Tensor) -> Tensor:
         """Tap-major windows [..., k*in] of the frames x: [..., in] -> gated output [..., out]."""
-        lead = windows.shape[:-1]
-        pre = windows.reshape(-1, self.kernel_size * self.in_channels) @ self.weight
-        pre = pre.reshape(lead + (2 * self.out_channels,)) + self.bias
+        pre = windows @ self.weight + self.bias
         a = pre[..., : self.out_channels]
         b = pre[..., self.out_channels:]
         out = a * b.sigmoid()
@@ -182,7 +173,6 @@ class Embedding(Layer):
 
     def __init__(self, rng: RngState, vocab_size: int, dim: int):
         self.vocab_size = vocab_size
-        self.dim = dim
         self.table = _param(rng, (vocab_size, dim), dim)
         self.l1 = Linear(rng, dim, dim)
         self.l2 = Linear(rng, dim, dim)
@@ -191,9 +181,7 @@ class Embedding(Layer):
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.vocab_size):
             raise IndexError(f"token index out of range [0, {self.vocab_size})")
-        looked = gather_rows(self.table, idx.reshape(-1))
-        out = self.l2(self.l1(looked))
-        return out.reshape(idx.shape + (self.dim,))
+        return self.l2(self.l1(gather_rows(self.table, idx)))
 
 
 class VisualAttention(Layer):
@@ -284,11 +272,10 @@ class GruDirection(Layer):
         Input projections are hoisted out of the recurrence (one GEMM per
         gate over the whole sequence) so the loop only carries the h terms.
         """
-        B, T, d = seq.shape
-        flat = seq.reshape(B * T, d)
-        xz = (flat @ self.Wz + self.bz).reshape(B, T, self.hidden)
-        xr = (flat @ self.Wr + self.br).reshape(B, T, self.hidden)
-        xh = (flat @ self.Wh + self.bh).reshape(B, T, self.hidden)
+        B, T, _ = seq.shape
+        xz = seq @ self.Wz + self.bz
+        xr = seq @ self.Wr + self.br
+        xh = seq @ self.Wh + self.bh
         h = Tensor(np.zeros((B, self.hidden)))
         for t in range(T):
             z = (xz[:, t, :] + h @ self.Uz).sigmoid()

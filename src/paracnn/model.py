@@ -14,6 +14,8 @@ each topic block once against its last k-1 inputs. ``sentence_forward`` runs
 the word stack over S sentences: all positions in parallel in training
 (S = B*M teacher-forced sentences), or, given per-block caches, one new
 position per call in decoding. Only the sequential topic loop remains.
+Regions stay per image ([B, R, proj]), and the S = B*M sentences are grouped
+by image, so an attention tap projects each image's regions once.
 """
 
 from __future__ import annotations
@@ -58,13 +60,15 @@ class ModelConfig:
         for name in ("vocab_size", "max_sentences", "max_words", "visual_dim", "proj_dim",
                      "topic_dim", "embed_dim", "context_dim", "channels", "topic_kernel",
                      "word_kernel", "topic_depth", "word_depth", "attn_heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be positive")
+            # type(), not isinstance: a bool is an int, but not a count
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"ModelConfig.{name} must be an integer >= 1, got {value!r}")
         if self.pooling not in POOL_MODES:
             raise ValueError(f"pooling must be one of {POOL_MODES}, got {self.pooling!r}")
-        if any(i < 1 or i >= self.word_depth for i in self.attn_layers):
-            raise ValueError(f"attention layer indices {self.attn_layers} must lie in "
-                             f"[1, word_depth={self.word_depth})")
+        if any(type(i) is not int or not 1 <= i < self.word_depth for i in self.attn_layers):
+            raise ValueError(f"attention layer indices {self.attn_layers} must be integers "
+                             f"in [1, word_depth={self.word_depth})")
         if self.topic_dim != self.channels:
             raise ValueError("topic_dim must equal channels: the topic is the stack's output frame")
         if self.context_dim != self.embed_dim:
@@ -171,9 +175,11 @@ class ParagraphModel(Layer):
         """Word stack over S sentences: returns (hidden [S, T, channels], logits [S, T, V]).
 
         ``topics`` is [S, topic], ``inputs`` the [S, T] input tokens (each row
-        starting with <start>), ``regions`` [S, R, proj] with an optional [S, R]
-        mask. The logit row at position t scores the token following
-        inputs[:, t]; the hidden frames are the pre-logit features.
+        starting with <start>), ``regions`` the [B, R, proj] regions of B images
+        with an optional [B, R] mask. S must be a multiple of B: sentence s
+        belongs to image s // (S // B), and each attention tap sees an image's
+        sentences as one query sequence. The logit row at position t scores the
+        token following inputs[:, t]; the hidden frames are the pre-logit features.
         With ``caches`` (one history list per word block, empty at a sentence's
         start), ``inputs`` holds the [S, 1] newest tokens and only their row is computed.
         """
@@ -181,6 +187,9 @@ class ParagraphModel(Layer):
         if inputs.ndim != 2:
             raise ShapeError("sentence_forward expects [S, T] input tokens")
         S, T = inputs.shape
+        B = regions.shape[0]
+        if S % B:
+            raise ShapeError(f"{S} sentences do not split evenly over {B} images")
         if T > self.cfg.max_words:
             raise ShapeError(f"prefix length {T} exceeds max_words {self.cfg.max_words}")
         if caches is not None and T != 1:
@@ -191,7 +200,7 @@ class ParagraphModel(Layer):
             h = block(h) if caches is None else block.step(h, caches[i - 1])
             tap = self.word_attn.get(str(i))
             if tap is not None:
-                h = tap(h, regions, region_mask)
+                h = tap(h.reshape(B, -1, h.shape[-1]), regions, region_mask).reshape(h.shape)
         return h, self.vocab_head(h)
 
     # -- teacher-forced paragraph pass --------------------------------------------------
@@ -227,17 +236,9 @@ class ParagraphModel(Layer):
         inputs[:, :, 0] = start_index
         inputs[:, :, 1:] = tokens[:, :, :-1]
 
-        R = regions.shape[-2]
-        reg_rep = regions.reshape(B, 1, R, c.proj_dim).broadcast_to(
-            (B, M, R, c.proj_dim)).reshape(B * M, R, c.proj_dim)
-        rm_rep = None
-        if region_mask is not None:
-            rm = np.asarray(region_mask, dtype=np.float64)
-            rm_rep = np.broadcast_to(rm.reshape(B, 1, R), (B, M, R)).reshape(B * M, R)
-
         hidden, logits = self.sentence_forward(
             stack(state.topics, axis=1).reshape(B * M, c.topic_dim),
-            inputs.reshape(B * M, N), reg_rep, rm_rep)
+            inputs.reshape(B * M, N), regions, region_mask)
         return logits.reshape(B, M, N, c.vocab_size), hidden.reshape(B, M, N, c.channels)
 
 

@@ -207,6 +207,19 @@ class Tensor:
             raise ShapeError("matmul requires operands with ndim >= 2")
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+        if b.ndim == 2:
+            # a 2-D right operand is one GEMM over every leading row, forward and backward
+            a2 = a.data.reshape(-1, a.shape[-1])
+            data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+
+            def bw2(g):
+                g2 = g.reshape(-1, b.shape[1])
+                if a.requires_grad:
+                    a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                if b.requires_grad:
+                    b._accumulate(a2.T @ g2)
+
+            return Tensor._from_op(data, (a, b), bw2)
         _check_broadcast(a.shape[:-2], b.shape[:-2])
         data = a.data @ b.data
 
@@ -416,12 +429,15 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     return Tensor._from_op(np.asarray(loss), (a,), bw)
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
+def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:
     """Max relative error between backprop and central finite differences.
 
     ``f`` must map ``x`` to a scalar Tensor and be re-invocable (it is called
-    once per perturbed coordinate). Relative error uses the denominator
-    max(|analytic|, |numeric|, 1e-8).
+    four times per coordinate). The numeric derivative is the 4-point central
+    stencil (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h with h = eps: its
+    truncation error is O(h^4), so h can be large enough that the round-off of
+    f, divided by h, stays far below a small gradient. Relative error uses the
+    denominator max(|analytic|, |numeric|, 1e-8).
     """
     x.zero_grad()
     out = f(x)
@@ -435,12 +451,12 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     nflat = numeric.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f(x).data)
-        flat[i] = orig - eps
-        lo = float(f(x).data)
+        at = []
+        for step in (eps, -eps, 2.0 * eps, -2.0 * eps):
+            flat[i] = orig + step
+            at.append(float(f(x).data))
         flat[i] = orig
-        nflat[i] = (hi - lo) / (2.0 * eps)
+        nflat[i] = (8.0 * (at[0] - at[1]) - (at[2] - at[3])) / (12.0 * eps)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -10,6 +10,7 @@ step), or both. Only the forward network is ever consulted at inference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,8 +42,10 @@ class TwinConfig:
     def __post_init__(self):
         if self.mode not in TWIN_MODES:
             raise ValueError(f"twin mode must be one of {TWIN_MODES}, got {self.mode!r}")
-        if self.lambda_l2 < 0 or self.lambda_adv < 0:
-            raise ValueError("twin loss weights must be >= 0")
+        for name in ("lambda_l2", "lambda_adv"):
+            value = getattr(self, name)
+            if not (type(value) in (int, float) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if type(self.critic_hidden) is not int or self.critic_hidden < 1:
             raise ValueError(f"critic_hidden must be an integer >= 1, got {self.critic_hidden!r}")
 

@@ -83,6 +83,16 @@ def test_write_load_write_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_read_entries_are_read_only_until_loaded(tmp_path):
+    path = tmp_path / "a.pckpt"
+    write_checkpoint(path, {}, trainer_arrays(trained()))
+    _, arrays = read_checkpoint(path)
+    assert arrays and not any(a.flags.writeable for a in arrays.values())
+    fresh = trainer(seed=4)
+    load_trainer_arrays(fresh, arrays)
+    assert all(a.flags.writeable for a in trainer_arrays(fresh).values())
+
+
 def test_load_copies_every_entry():
     source = trained()
     arrays = trainer_arrays(source)

@@ -461,6 +461,17 @@ class TestBadSettings:
         "train.lr=true": "[train] config: lr must be finite and > 0, got True",
         "twin.mode=adversarial twin.critic_hidden=0":
             "[twin] config: critic_hidden must be an integer >= 1, got 0",
+        "twin.lambda_l2=NaN": "[twin] config: lambda_l2 must be finite and >= 0, got nan",
+        "twin.lambda_adv=Infinity": "[twin] config: lambda_adv must be finite and >= 0, got inf",
+        "twin.lambda_l2=true": "[twin] config: lambda_l2 must be finite and >= 0, got True",
+        "model.max_words=2.5": "[model] config: ModelConfig.max_words must be an integer >= 1, "
+                               "got 2.5",
+        "model.proj_dim=true": "[model] config: ModelConfig.proj_dim must be an integer >= 1, "
+                               "got True",
+        "model.attn_heads=2.0": "[model] config: ModelConfig.attn_heads must be an integer >= 1, "
+                                "got 2.0",
+        "model.attn_layers=[1.5]": "[model] config: attention layer indices (1.5,) must be "
+                                   "integers in [1, word_depth=3)",
     }
 
     @pytest.mark.parametrize("overrides", sorted(TRAIN))

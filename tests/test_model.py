@@ -149,6 +149,11 @@ class TestSentenceForward:
         with pytest.raises(ShapeError):
             sentence_logits(model, topic, [1] * 5, regions)
 
+    def test_sentences_must_split_evenly_over_images(self, model):
+        regions = Tensor(np.zeros((2, 3, 8)))
+        with pytest.raises(ShapeError, match="3 sentences"):
+            model.sentence_forward(Tensor(np.zeros((3, 8))), np.ones((3, 1)), regions)
+
     def test_token_out_of_range(self, model):
         with pytest.raises(IndexError):
             sentence_logits(model, Tensor(np.zeros(8)), [11], Tensor(np.zeros((2, 8))))
@@ -195,6 +200,34 @@ class TestParagraphForward:
             prefix = np.concatenate([[1], tokens[0, j, :-1]])
             _, direct = model.sentence_forward(topic, [prefix], regions)
             assert np.allclose(logits.data[0, j], direct.data[0], atol=1e-10)
+
+    def test_images_match_per_sentence_region_copies(self, model):
+        # oracle: every sentence gets its own copy of its image's regions and mask
+        rng = data_rng()
+        tokens, mask, feats = random_grid(rng, model.cfg, batch=2)
+        B, M, N = tokens.shape
+        region_mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])  # 3 and 2 regions
+        feats = Tensor(feats)
+        logits, hidden = model.paragraph_forward(tokens, mask, feats, region_mask)
+
+        g, regions = model.project_features(feats, region_mask)
+        state = TopicState()
+        ctx = Tensor(np.zeros((B, 8)))
+        for j in range(M):
+            if j > 0:
+                ctx = model.pool_context(model.embed(tokens[:, j - 1]), mask[:, j - 1])
+            model.topic_forward(state, g, ctx)
+        topics = np.stack([t.data for t in state.topics], axis=1).reshape(B * M, 8)
+        inputs = np.concatenate([np.ones((B, M, 1), dtype=np.int64), tokens[:, :, :-1]], axis=2)
+        copied = Tensor(np.repeat(regions.data, M, axis=0))
+        direct_hidden, direct = model.sentence_forward(
+            Tensor(topics), inputs.reshape(B * M, N), copied, np.repeat(region_mask, M, axis=0))
+        assert np.allclose(logits.data.reshape(direct.shape), direct.data, rtol=0, atol=1e-12)
+        assert np.allclose(hidden.data.reshape(direct_hidden.shape), direct_hidden.data,
+                           rtol=0, atol=1e-12)
+        # the padded region of image 1 is masked out: alone, it has 2 regions
+        alone, _ = model.paragraph_forward(tokens[1:], mask[1:], Tensor(feats.data[1:, :2]))
+        assert np.allclose(logits.data[1], alone.data[0], rtol=0, atol=1e-12)
 
     def test_masked_positions_contribute_zero_loss(self, model):
         rng = data_rng()

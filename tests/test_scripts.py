@@ -1,4 +1,6 @@
+import itertools
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -22,25 +24,54 @@ def test_twin_comparison_script_runs_at_tiny_size():
     assert "final ce: baseline=" in proc.stdout
 
 
-def pipeline_commands():
-    """argv of each ``paracnn.cli`` command in ``scripts/toy_pipeline.sh``, by subcommand."""
-    with open(os.path.join(ROOT, "scripts", "toy_pipeline.sh")) as fh:
+def cli_commands(script):
+    """argv of each ``paracnn.cli`` command in a shipped script, in order.
+
+    A command inside ``for NAME in VALUES; do`` loops appears once per value of
+    each loop variable it uses.
+    """
+    with open(os.path.join(ROOT, "scripts", script)) as fh:
         text = fh.read().replace("\\\n", " ")
-    commands = {}
+    loops = {name: values.split()
+             for name, values in re.findall(r"^\s*for (\w+) in ([^;]+); do", text, re.M)}
+    commands = []
     for line in text.splitlines():
-        argv = shlex.split(line, comments=True)
-        if argv[:3] == ["python3", "-m", "paracnn.cli"]:
-            commands[argv[3]] = argv[3:]
+        if line.split()[:3] != ["python3", "-m", "paracnn.cli"]:
+            continue
+        # the command ends where an output redirection or an `||` fallback starts
+        argv = list(itertools.takewhile(lambda a: a not in (">", "||"),
+                                        shlex.split(line, comments=True)[3:]))
+        used = [name for name in loops if any(f"${name}" in arg for arg in argv)]
+        for values in itertools.product(*(loops[name] for name in used)):
+            sub = dict(zip(used, values))
+            commands.append([re.sub(r"\$(\w+)", lambda m: sub.get(m.group(1), m.group(0)), arg)
+                             for arg in argv])
     return commands
+
+
+def check_commands(commands):
+    """Every command's flags parse, and every ``train --set`` override resolves."""
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+        if argv[0] == "train":
+            overrides = [value for flag, value in zip(argv, argv[1:]) if flag == "--set"]
+            assert len(overrides) == argv.count("--set") > 0
+            cli.load_run_config(None, overrides, default_vocab_size=20, default_visual_dim=6)
 
 
 def test_toy_pipeline_settings_resolve():
     # the overrides and flags the shipped script passes must stay valid keys and options
-    commands = pipeline_commands()
-    assert sorted(commands) == ["eval", "generate", "make-corpus", "train"]
-    for name, argv in commands.items():
-        assert cli.build_parser().parse_args(argv).command == name
-    train = commands["train"]
-    overrides = [value for flag, value in zip(train, train[1:]) if flag == "--set"]
-    assert len(overrides) == train.count("--set") > 0
-    cli.load_run_config(None, overrides, default_vocab_size=20, default_visual_dim=6)
+    commands = cli_commands("toy_pipeline.sh")
+    assert [argv[0] for argv in commands] == ["make-corpus", "train", "generate", "eval"]
+    check_commands(commands)
+
+
+def test_digest_settings_resolve():
+    commands = cli_commands("digest.sh")
+    assert sorted({argv[0] for argv in commands}) == ["eval", "generate", "gradcheck",
+                                                      "make-corpus", "train"]
+    # one train per twin mode and pooling
+    settings = [tuple(a for a in argv if a.startswith(("twin.mode=", "model.pooling=")))
+                for argv in commands if argv[0] == "train"]
+    assert len(set(settings)) == len(settings) == 4
+    check_commands(commands)

@@ -79,6 +79,21 @@ class TestBackward:
         x = Tensor(randn(rng, 4, 3), requires_grad=True)
         assert grad_check(lambda t: (t * t).sum(), x) < 1e-6
 
+    def test_grad_check_reads_small_gradients_of_an_order_four_loss(self):
+        # f is about 4 and its gradients about 3e-7: one rounding of f, divided by
+        # a 2-point stencil's 2e-5, read 2.0e-4 here; the 4-point stencil reads 2e-5
+        vals = np.random.default_rng(2).uniform(0.5, 1.5, 10)
+        x = Tensor(vals, requires_grad=True)
+        assert grad_check(lambda t: (t * t * 1.5e-7 + 0.4).sum(), x) < 1e-4
+
+    def test_grad_check_reads_a_planted_backward_error(self):
+        def off_square(t):  # d(t^2)/dt, off by a relative 1e-3
+            return Tensor._from_op(t.data * t.data, (t,),
+                                   lambda g: t._accumulate(g * 2.0 * t.data * (1.0 + 1e-3)))
+
+        x = Tensor(randn(RngState(5), 4, 3), requires_grad=True)
+        assert grad_check(lambda t: off_square(t).sum(), x) == pytest.approx(1e-3, rel=1e-2)
+
     def test_grad_check_rejects_nonscalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
@@ -93,6 +108,8 @@ class TestBackward:
         "add": lambda t: (t + t * 0.5).sum(),
         "mul": lambda t: (t * t).sum(),
         "matmul": lambda t: (t @ t.swapaxes(-1, -2)).sum(),
+        # t is the 2-D weight of a 3-D input: the flattened product's weight gradient
+        "matmul_weight": lambda t: sum_sq(Tensor(np.linspace(-1.0, 1.0, 40).reshape(2, 5, 4)) @ t),
         "reshape": lambda t: sum_sq(t.reshape(-1)),
         "transpose": lambda t: sum_sq(t.transpose((1, 0)) * 2.0),
         "slice": lambda t: sum_sq(t[1:, :2]),
@@ -128,6 +145,23 @@ class TestBackward:
         b = Tensor(np.zeros(3), requires_grad=True)
         ((x + b) * 2.0).sum().backward()
         assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
+
+
+class TestMatmulTwoDimWeight:
+    """A product with a 2-D right operand is the 2-D GEMM of its flattened rows."""
+
+    @pytest.mark.parametrize("lead", [(2, 3), (2, 3, 2)])
+    def test_equals_flattened_product(self, lead):
+        rng = RngState(7)
+        a = Tensor(randn(rng, *lead, 4), requires_grad=True)
+        w = Tensor(randn(rng, 4, 5), requires_grad=True)
+        g = randn(rng, *lead, 5)
+        out = a @ w
+        (out * Tensor(g)).sum().backward()
+        a2, g2 = a.data.reshape(-1, 4), g.reshape(-1, 5)
+        assert np.array_equal(out.data, (a2 @ w.data).reshape(lead + (5,)))
+        assert np.array_equal(a.grad, (g2 @ w.data.T).reshape(a.shape))
+        assert np.array_equal(w.grad, a2.T @ g2)
 
 
 class TestStack:
