@@ -220,7 +220,6 @@ class MultiHeadSelfAttention(Layer):
     def __init__(self, rng: RngState, dim: int, heads: int):
         if dim % heads != 0:
             raise ShapeError(f"model dim {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.heads = heads
         self.wq = Linear(rng, dim, dim)
         # a key bias shifts every score in a row equally, which softmax
@@ -267,22 +266,62 @@ class GruDirection(Layer):
         self.bh = _param(rng, (hidden,), hidden)
 
     def run(self, seq: Tensor) -> Tensor:
-        """seq: [B, T, d] -> the final hidden state [B, hidden].
+        """seq: [B, T, d] -> the final hidden state [B, hidden], as one tape node.
 
         Input projections are hoisted out of the recurrence (one GEMM per
-        gate over the whole sequence) so the loop only carries the h terms.
+        gate over the whole sequence, Appleyard et al. 2016) so the loop only
+        carries the h terms. The recurrence runs in numpy and keeps every
+        step's h, z, r and candidate for the hand-written BPTT backward.
+
+        The backward sums each gradient in the order the per-step tape of
+        tensor ops did, so its result is the same bit for bit: dh_prev adds
+        dh*(1-z), dz @ Uz.T, d(r*h)*r and dr @ Ur.T left to right; each U
+        weight gets one h.T @ d term per step, latest step first, the zero
+        term of step 0 included; the input gradient, computed only when
+        ``seq`` requires one, adds the z, h, r gate terms in that order.
         """
-        B, T, _ = seq.shape
-        xz = seq @ self.Wz + self.bz
-        xr = seq @ self.Wr + self.br
-        xh = seq @ self.Wh + self.bh
-        h = Tensor(np.zeros((B, self.hidden)))
+        B, T, d = seq.shape
+        H = self.hidden
+        s2 = seq.data.reshape(-1, d)
+        xz = (s2 @ self.Wz.data).reshape(B, T, H) + self.bz.data
+        xr = (s2 @ self.Wr.data).reshape(B, T, H) + self.br.data
+        xh = (s2 @ self.Wh.data).reshape(B, T, H) + self.bh.data
+        Uz, Ur, Uh = self.Uz.data, self.Ur.data, self.Uh.data
+        h = np.zeros((B, H))
+        steps = []  # (h_prev, z, r, r*h_prev, candidate) per step
         for t in range(T):
-            z = (xz[:, t, :] + h @ self.Uz).sigmoid()
-            r = (xr[:, t, :] + h @ self.Ur).sigmoid()
-            cand = (xh[:, t, :] + (r * h) @ self.Uh).tanh()
+            z = 1.0 / (1.0 + np.exp(-(xz[:, t, :] + h @ Uz)))
+            r = 1.0 / (1.0 + np.exp(-(xr[:, t, :] + h @ Ur)))
+            rh = r * h
+            cand = np.tanh(xh[:, t, :] + rh @ Uh)
+            steps.append((h, z, r, rh, cand))
             h = (1.0 - z) * h + z * cand
-        return h
+
+        def bw(g):
+            dxz, dxr, dxh = (np.empty((B, T, H)) for _ in range(3))
+            dh = g
+            for t in reversed(range(T)):
+                h, z, r, rh, cand = steps[t]
+                dz = dh * cand + -(dh * h)
+                dah = dh * z * (1.0 - cand * cand)
+                drh = dah @ Uh.T
+                dar = drh * h * r * (1.0 - r)
+                daz = dz * z * (1.0 - z)
+                dxz[:, t], dxr[:, t], dxh[:, t] = daz, dar, dah
+                self.Uz._accumulate(h.T @ daz)
+                self.Ur._accumulate(h.T @ dar)
+                self.Uh._accumulate(rh.T @ dah)
+                dh = dh * (1.0 - z) + daz @ Uz.T + drh * r + dar @ Ur.T
+            for W, b, dx in ((self.Wz, self.bz, dxz), (self.Wh, self.bh, dxh),
+                             (self.Wr, self.br, dxr)):
+                d2 = dx.reshape(-1, H)
+                if seq.requires_grad:
+                    seq._accumulate((d2 @ W.data.T).reshape(seq.shape))
+                W._accumulate(s2.T @ d2)
+                b._accumulate(dx.sum(axis=(0, 1)))
+
+        params = (self.Wz, self.Uz, self.bz, self.Wr, self.Ur, self.br, self.Wh, self.Uh, self.bh)
+        return Tensor._from_op(h, (seq,) + params, bw)
 
 
 class BiGruCell(Layer):

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sum_sq
-from paracnn.layers import (BiGruCell, CausalConvBlock, Embedding, Linear,
+from paracnn.layers import (BiGruCell, CausalConvBlock, Embedding, GruDirection, Linear,
                             MultiHeadSelfAttention, VisualAttention)
 from paracnn.tensor import RngState, ShapeError, Tensor, concat, grad_check
+from paracnn.training import Critic
 
 
 def rng_for(tag):
@@ -347,6 +348,64 @@ class TestBiGruCell:
         gru = BiGruCell(rng_for(78), 3, 2)
         x = Tensor(rng_for(79).normal((1, 4, 3)), requires_grad=True)
         assert grad_check(lambda t: sum_sq(gru(t)), x) < 1e-4
+
+
+def taped_gru_run(d, seq):
+    """``GruDirection.run`` composed of per-step tape ops: the oracle of the fused node."""
+    B, T, _ = seq.shape
+    xz = seq @ d.Wz + d.bz
+    xr = seq @ d.Wr + d.br
+    xh = seq @ d.Wh + d.bh
+    h = Tensor(np.zeros((B, d.hidden)))
+    for t in range(T):
+        z = (xz[:, t, :] + h @ d.Uz).sigmoid()
+        r = (xr[:, t, :] + h @ d.Ur).sigmoid()
+        cand = (xh[:, t, :] + (r * h) @ d.Uh).tanh()
+        h = (1.0 - z) * h + z * cand
+    return h
+
+
+class TestFusedGruDirection:
+    """``GruDirection.run`` is one tape node with a hand-written backward."""
+
+    @pytest.mark.parametrize("fake_needs_grad", [False, True])
+    def test_critic_gradients_equal_taped_oracle(self, monkeypatch, fake_needs_grad):
+        # the critic loss: the fake frames are detached in a critic step and
+        # carry the generator's gradient in its adversarial term
+        critic = Critic(rng_for(80), 5, 4)
+        fake_data = rng_for(81).normal((3, 6, 5))
+        real = Tensor(rng_for(82).normal((3, 6, 5)))
+
+        def gradients():
+            for p in critic.named_parameters().values():
+                p.zero_grad()
+            fake = Tensor(fake_data, requires_grad=fake_needs_grad)
+            loss = critic.score(fake).mean() - critic.score(real).mean()
+            loss.backward()
+            grads = {n: p.grad for n, p in critic.named_parameters().items()}
+            return loss.data, grads, fake.grad
+
+        fused = gradients()
+        monkeypatch.setattr(GruDirection, "run", taped_gru_run)
+        taped = gradients()
+        assert np.array_equal(fused[0], taped[0])
+        assert fused[1].keys() == taped[1].keys()
+        for name in taped[1]:
+            assert np.array_equal(fused[1][name], taped[1][name]), name
+        if fake_needs_grad:
+            assert np.array_equal(fused[2], taped[2])
+        else:
+            assert fused[2] is None and taped[2] is None
+
+    def test_gradcheck_input_and_every_weight(self):
+        d = GruDirection(rng_for(83), 3, 2)
+        x = Tensor(rng_for(84).normal((3, 5, 3)), requires_grad=True)
+        assert grad_check(lambda t: sum_sq(d.run(t)), x) < 1e-4
+        fixed = Tensor(x.data.copy())
+        weights = d.named_parameters()
+        assert len(weights) == 9
+        for name, p in weights.items():
+            assert grad_check(lambda _: sum_sq(d.run(fixed)), p) < 1e-4, name
 
 
 @settings(max_examples=25, deadline=None)
