@@ -10,9 +10,8 @@ visible. Takes several minutes at the default settings.
 import argparse
 
 from paracnn.corpus import (build_vocab, generate_synthetic_corpus, make_batches,
-                            synthetic_vocab_paragraphs)
+                            shuffle_order, synthetic_vocab_paragraphs)
 from paracnn.model import ModelConfig
-from paracnn.tensor import RngState
 from paracnn.training import TwinConfig, TwinTrainer, twin_train_epoch
 
 
@@ -30,9 +29,8 @@ def run(mode, args, entries, vocab):
     print(f"== mode={mode}")
     history = []
     for epoch in range(1, args.epochs + 1):
-        order = RngState(args.seed).child(11).child(epoch).permutation(len(entries))
         batches = make_batches(entries, vocab, cfg.max_sentences, cfg.max_words,
-                               args.batch_size, order)
+                               args.batch_size, shuffle_order(args.seed, len(entries), epoch))
         stats = twin_train_epoch(trainer, batches)
         history.append(stats)
         print(f"epoch {epoch:3d}  ce_fwd={stats.ce_fwd:8.4f}  ce_bwd={stats.ce_bwd:8.4f}"

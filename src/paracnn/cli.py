@@ -29,8 +29,6 @@ from .model import ModelConfig
 from .tensor import RngState, Tensor, grad_check, cross_entropy
 from .training import TrainingDiverged, TwinConfig, TwinTrainer, twin_train_epoch
 
-SHUFFLE_RNG = 11
-
 
 class ConfigError(ValueError):
     pass
@@ -157,8 +155,7 @@ def cmd_make_corpus(args) -> int:
         corpus_mod.save_features(os.path.join(out_dir, rel), rec["features"])
         entries.append({"id": rec["id"], "feature_path": rel, "paragraph": rec["paragraph"]})
 
-    perm = RngState(args.seed).child(SHUFFLE_RNG).permutation(len(entries))
-    shuffled = [entries[i] for i in perm]
+    shuffled = [entries[i] for i in corpus_mod.shuffle_order(args.seed, len(entries))]
     n_val = args.size // 10
     n_test = args.size // 10
     n_train = args.size - n_val - n_test
@@ -199,17 +196,17 @@ def cmd_train(args) -> int:
 
     vocab = corpus_mod.build_vocab([e["paragraph"] for e in train_entries])
 
-    first_feat = corpus_mod.load_features(
-        os.path.join(data_dir, train_entries[0]["feature_path"]))
+    feat_dim = corpus_mod.load_features(
+        os.path.join(data_dir, train_entries[0]["feature_path"])).shape[1]
     run = load_run_config(args.config, args.set or [], default_vocab_size=len(vocab),
-                          default_visual_dim=first_feat.shape[1])
+                          default_visual_dim=feat_dim)
     if run.model.vocab_size != len(vocab):
         print(f"error: config vocab_size {run.model.vocab_size} != corpus vocabulary "
               f"{len(vocab)}", file=sys.stderr)
         return 1
-    if run.model.visual_dim != first_feat.shape[1]:
+    if run.model.visual_dim != feat_dim:
         print(f"error: config visual_dim {run.model.visual_dim} != feature dim "
-              f"{first_feat.shape[1]}", file=sys.stderr)
+              f"{feat_dim}", file=sys.stderr)
         return 1
 
     out_dir = args.out
@@ -298,9 +295,11 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
         if os.path.exists(log_path):  # keep the run's log and its best so far
             best_val = _truncate_log(log_path, meta["epoch"])
 
-    val_batches = corpus_mod.make_batches(val_entries, vocab, run.model.max_sentences,
-                                          run.model.max_words, run.train.batch_size,
-                                          np.arange(len(val_entries)), base_dir=data_dir)
+    def batches(entries, order):
+        # built as they are consumed, so one batch's features are held at a time
+        return corpus_mod.make_batches(entries, vocab, run.model.max_sentences,
+                                       run.model.max_words, run.train.batch_size, order,
+                                       base_dir=data_dir)
 
     best_path = os.path.join(out_dir, "best.pckpt")
     meta_base = {"seed": run.seed, "vocab": vocab.tokens, "config": dataclasses.asdict(run),
@@ -308,19 +307,16 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
     with open(log_path, "a" if args.resume else "w") as log_fh:
         for epoch in range(start_epoch, run.train.epochs + 1):
             t0 = time.time()
-            order = RngState(run.seed).child(SHUFFLE_RNG).child(epoch).permutation(
-                len(train_entries))
-            batches = corpus_mod.make_batches(train_entries, vocab, run.model.max_sentences,
-                                              run.model.max_words, run.train.batch_size, order,
-                                              base_dir=data_dir)
+            order = corpus_mod.shuffle_order(run.seed, len(train_entries), epoch)
             try:
-                stats = twin_train_epoch(trainer, batches)
+                stats = twin_train_epoch(trainer, batches(train_entries, order))
             except TrainingDiverged as exc:
                 # per-epoch checkpoints from completed epochs stay on disk
                 print(f"error: training diverged in epoch {epoch}: {exc}; "
                       f"last good checkpoint is from epoch {epoch - 1}", file=sys.stderr)
                 return 1
-            val_ce = float(np.mean([trainer.eval_ce(b) for b in val_batches]))
+            val_ce = float(np.mean([trainer.eval_ce(b) for b in batches(
+                val_entries, np.arange(len(val_entries)))]))
             record = {
                 "epoch": epoch,
                 "ce_fwd": stats.ce_fwd,

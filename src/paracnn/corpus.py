@@ -23,6 +23,8 @@ SPECIALS = (PAD, START, EOS, UNK)
 
 FEATURE_MAGIC = b"PFV1"
 
+SHUFFLE_RNG = 11  # the RngState tag of every seeded data order (see shuffle_order)
+
 _SENT_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
@@ -327,13 +329,23 @@ def batch_from_entries(entries, vocab: Vocab, max_sentences: int, max_words: int
     return ParagraphBatch(np.stack(toks), np.stack(masks), np.asarray(counts), feats)
 
 
+def shuffle_order(seed: int, n: int, epoch: int = None) -> np.ndarray:
+    """The seeded permutation of ``n`` entries: the corpus split's order, or
+    with an ``epoch`` (1, 2, ...) that training epoch's batch order."""
+    rng = RngState(seed).child(SHUFFLE_RNG)
+    return (rng if epoch is None else rng.child(epoch)).permutation(n)
+
+
 def make_batches(entries, vocab: Vocab, max_sentences: int, max_words: int, batch_size: int,
-                 order, base_dir: str = "") -> list:
-    """Batches of ``batch_size`` entries taken in ``order``; the last may be short."""
-    ordered = [entries[i] for i in order]
-    return [batch_from_entries(ordered[lo:lo + batch_size], vocab, max_sentences, max_words,
-                               base_dir=base_dir)
-            for lo in range(0, len(ordered), batch_size)]
+                 order, base_dir: str = ""):
+    """Yield batches of ``batch_size`` entries taken in ``order``; the last may be short.
+
+    A batch is built, and its features read, only when the caller asks for
+    it: a loop over the batches holds one batch, and the next while it is built.
+    """
+    for lo in range(0, len(order), batch_size):
+        yield batch_from_entries([entries[i] for i in order[lo:lo + batch_size]], vocab,
+                                 max_sentences, max_words, base_dir=base_dir)
 
 
 def pad_feature_batch(features: list):

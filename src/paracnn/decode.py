@@ -13,6 +13,7 @@ completing any already-emitted trigram; both apply at inference only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class DecodeConfig:
             raise ValueError("max_words must be >= 1, or None for the model's budget")
         if self.min_sentences > self.max_sentences:
             raise ValueError("min_sentences must not exceed max_sentences")
-        if self.rep_penalty < 0:
-            raise ValueError("rep_penalty must be >= 0")
+        if not (type(self.rep_penalty) in (int, float) and 0 <= self.rep_penalty < math.inf):
+            raise ValueError(f"rep_penalty must be finite and >= 0, got {self.rep_penalty!r}")
 
 
 def apply_repetition_penalty(logits: np.ndarray, history, gamma: float,
@@ -72,8 +73,9 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
                   predictor: SentenceCountPredictor = None) -> list:
     """Decode one paragraph as a list of sentences (lists of word indices).
 
-    <eos> terminates a sentence early and is not included in the returned
-    words; a sentence that never emits <eos> stops at the word budget.
+    <eos> ends a sentence early and is kept as its last word; a sentence that
+    never emits <eos> stops at the word budget, so every sentence holds at
+    least one word.
     ``dc.num_sentences`` sentences are decoded; with a ``predictor``, the count
     is predicted from the projected image instead and clamped to
     [dc.min_sentences, dc.max_sentences].
@@ -94,7 +96,7 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     sentences = []
     history = []  # every token of the paragraph so far
     for j in range(n_sent):
-        if j == 0 or not sentences[-1]:
+        if j == 0:
             context = Tensor(np.zeros((1, cfg.context_dim)))
         else:
             prev = np.asarray(sentences[-1:], dtype=np.int64)

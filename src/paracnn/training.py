@@ -153,24 +153,25 @@ def _mirror_frames(frames: np.ndarray, mask) -> np.ndarray:
     return out
 
 
-def twin_l2_loss(h_fwd: Tensor, h_bwd: Tensor, mask) -> Tensor:
+def twin_l2_loss(h_fwd: Tensor, aligned_bwd: np.ndarray, mask) -> Tensor:
     """Mean squared coordinate difference between aligned hidden frames.
 
-    ``h_fwd`` and ``h_bwd`` are [B, M, N, C] grids sharing one [B, M, N]
-    mask; each item's backward sequence is re-reversed to forward order before
-    comparison. The backward frames act as targets (no gradient flows into
-    them).
+    ``h_fwd`` is a [B, M, N, C] grid with a [B, M, N] mask; ``aligned_bwd``
+    holds the backward network's frames already in forward order, [B, M*N, C]
+    as ``_mirror_frames`` returns them. The backward frames act as targets (no
+    gradient flows into them).
     """
     mask = np.asarray(mask, dtype=bool)
-    if h_fwd.shape != h_bwd.shape:
-        raise ValueError(f"hidden shapes differ: {h_fwd.shape} vs {h_bwd.shape}")
     if h_fwd.ndim != 4 or mask.shape != h_fwd.shape[:-1]:
         raise ValueError(f"expected [B, M, N, C] frames and a [B, M, N] mask, got "
                          f"{h_fwd.shape} and {mask.shape}")
-    C = h_fwd.shape[-1]
+    B, M, N, C = h_fwd.shape
+    if aligned_bwd.shape != (B, M * N, C):
+        raise ValueError(f"aligned backward frames must be [B, M*N, C] = {(B, M * N, C)}, "
+                         f"got {aligned_bwd.shape}")
     rows = np.flatnonzero(mask.reshape(-1))
     picked_f = gather_rows(h_fwd.reshape(-1, C), rows)
-    target_b = Tensor(_mirror_frames(h_bwd.data, mask).reshape(-1, C)[rows])
+    target_b = Tensor(aligned_bwd.reshape(-1, C)[rows])
     diff = picked_f - target_b
     return (diff * diff).mean()
 
@@ -269,6 +270,8 @@ class TwinTrainer:
             ce_b, h_b = batch_ce(self.model_bwd, reverse_targets(batch), features,
                                  region_mask, self.start_index)
             stats.ce_bwd = float(ce_b.data)
+            # forward-ordered backward frames: the L2 target and the critic's real input
+            aligned_b = _mirror_frames(h_b.data, batch.mask)
 
         if not (np.isfinite(stats.ce_fwd) and (ce_b is None or np.isfinite(stats.ce_bwd))):
             raise TrainingDiverged(f"non-finite CE (fwd={stats.ce_fwd}, bwd={stats.ce_bwd})")
@@ -276,7 +279,7 @@ class TwinTrainer:
         if twin.uses_adversarial:
             fwd_grid = _masked_grid(h_f, batch.mask)  # also the generator's adversarial input
             fwd_det = Tensor(fwd_grid.data)
-            bwd_det = Tensor(_mirror_frames(h_b.data, batch.mask))  # invalid frames zero
+            bwd_det = Tensor(aligned_b)
             losses = [critic_step(self.critic, fwd_det, bwd_det, self.opt_critic, WEIGHT_CLIP)
                       for _ in range(CRITIC_STEPS)]
             stats.critic_updates = CRITIC_STEPS
@@ -284,7 +287,7 @@ class TwinTrainer:
 
         gen_loss = ce_f
         if twin.uses_l2:
-            l2 = twin_l2_loss(h_f, h_b.detach(), batch.mask)
+            l2 = twin_l2_loss(h_f, aligned_b, batch.mask)
             stats.twin_l2 = float(l2.data)
             if twin.lambda_l2 > 0:
                 gen_loss = gen_loss + twin.lambda_l2 * l2

@@ -17,7 +17,7 @@ from paracnn import training as training_mod
 from paracnn.checkpoint import read_checkpoint
 from paracnn.cli import gradcheck_report, main as cli_main
 from paracnn.corpus import (build_vocab, encode_paragraph, generate_synthetic_corpus,
-                            make_batches, synthetic_vocab_paragraphs)
+                            make_batches, shuffle_order, synthetic_vocab_paragraphs)
 from paracnn.decode import DecodeConfig, decode_adaptive, greedy_decode
 from paracnn.metrics import EvalPair, bleu_n, cider, rouge_l
 from paracnn.model import ModelConfig, ParagraphModel, TopicState
@@ -55,9 +55,8 @@ def train_toy(mode, records, vocab, seed, epochs, batch_size, lr, lambda_l2=0.1)
     entries = toy_entries(records)
     history = []
     for epoch in range(1, epochs + 1):
-        order = RngState(seed).child(11).child(epoch).permutation(len(records))
         batches = make_batches(entries, vocab, cfg.max_sentences, cfg.max_words, batch_size,
-                               order)
+                               shuffle_order(seed, len(records), epoch))
         stats = twin_train_epoch(trainer, batches)
         history.append(stats)
     return trainer, history
@@ -244,7 +243,7 @@ def test_criterion_6_twin_off_equivalence(toy_vocab_mod):
                                               critic_hidden=8), seed=13, lr=1e-3)
         trace = []
         for epoch in range(1, 4):
-            order = RngState(13).child(11).child(epoch).permutation(len(records))
+            order = shuffle_order(13, len(records), epoch)
             stats = twin_train_epoch(trainer, make_batches(entries, vocab, 3, 8, 10, order))
             trace.append(stats.ce_fwd)
         return trainer, trace
@@ -360,7 +359,7 @@ def test_criterion_10_length_flexibility(toy_vocab_mod):
                       topic_kernel=3, word_kernel=3, topic_depth=2, word_depth=3,
                       pooling="mean", attn_layers=(2,), attn_heads=2)
     trainer = TwinTrainer(cfg, TwinConfig(mode="none"), seed=29, lr=1e-3)
-    order = RngState(29).child(11).child(1).permutation(len(records))
+    order = shuffle_order(29, len(records), 1)
     twin_train_epoch(trainer, make_batches(toy_entries(records), vocab, 6, 10, 10, order))
 
     feats = records[0]["features"]

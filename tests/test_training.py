@@ -127,16 +127,16 @@ class TestTwinL2:
         mask = np.ones((1, 1, 4), dtype=bool)
         h = Tensor(rng.normal((1, 1, 4, 3)))
         # backward frames that re-reverse onto h exactly
-        aligned = h.data.reshape(4, 3)[::-1].reshape(1, 1, 4, 3)
-        assert float(twin_l2_loss(h, Tensor(aligned), mask).data) == 0.0
+        hb = h.data.reshape(4, 3)[::-1].reshape(1, 1, 4, 3)
+        assert float(twin_l2_loss(h, _mirror_frames(hb, mask), mask).data) == 0.0
 
     def test_constant_offset_gives_delta_squared(self):
         rng = RngState(32)
         mask = np.ones((1, 1, 4), dtype=bool)
         h = rng.normal((1, 1, 4, 3))
         delta = 0.37
-        aligned = h.reshape(4, 3)[::-1].reshape(1, 1, 4, 3) + delta
-        loss = twin_l2_loss(Tensor(h), Tensor(aligned), mask)
+        hb = h.reshape(4, 3)[::-1].reshape(1, 1, 4, 3) + delta
+        loss = twin_l2_loss(Tensor(h), _mirror_frames(hb, mask), mask)
         assert abs(float(loss.data) - delta * delta) < 1e-12
 
     def test_direct_summation_oracle(self):
@@ -146,7 +146,7 @@ class TestTwinL2:
         mask[0, 1, :2] = True
         hf = rng.normal((1, 2, 3, 4))
         hb = rng.normal((1, 2, 3, 4))
-        loss = float(twin_l2_loss(Tensor(hf), Tensor(hb), mask).data)
+        loss = float(twin_l2_loss(Tensor(hf), _mirror_frames(hb, mask), mask).data)
         idx = np.flatnonzero(mask.reshape(-1))
         f = hf.reshape(-1, 4)
         b = hb.reshape(-1, 4)
@@ -155,30 +155,33 @@ class TestTwinL2:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            twin_l2_loss(Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 2, 4))),
+            twin_l2_loss(Tensor(np.zeros((1, 1, 2, 3))), np.zeros((1, 2, 4)),
                          np.ones((1, 1, 2), dtype=bool))
         with pytest.raises(ValueError):  # mask of another layout
-            twin_l2_loss(Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 2, 3))),
+            twin_l2_loss(Tensor(np.zeros((1, 1, 2, 3))), np.zeros((1, 2, 3)),
                          np.ones((1, 2), dtype=bool))
         with pytest.raises(ValueError):  # an unbatched [T, C] sequence
-            twin_l2_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+            twin_l2_loss(Tensor(np.zeros((2, 3))), np.zeros((2, 3)),
                          np.ones(2, dtype=bool))
+        with pytest.raises(ValueError):  # frames still in the [B, M, N, C] grid
+            twin_l2_loss(Tensor(np.zeros((1, 1, 2, 3))), np.zeros((1, 1, 2, 3)),
+                         np.ones((1, 1, 2), dtype=bool))
 
     def test_gradient_flows_to_forward_only(self):
         rng = RngState(34)
         mask = np.ones((1, 1, 3), dtype=bool)
         hf = Tensor(rng.normal((1, 1, 3, 2)), requires_grad=True)
         hb = Tensor(rng.normal((1, 1, 3, 2)), requires_grad=True)
-        twin_l2_loss(hf, hb.detach(), mask).backward()
+        twin_l2_loss(hf, _mirror_frames(hb.data, mask), mask).backward()
         assert hf.grad is not None
         assert hb.grad is None
 
     def test_finite_difference(self):
         rng = RngState(35)
         mask = np.ones((1, 1, 3), dtype=bool)
-        hb = Tensor(rng.normal((1, 1, 3, 2)))
+        hb = rng.normal((1, 1, 3, 2))
         x = Tensor(rng.normal((1, 1, 3, 2)), requires_grad=True)
-        assert grad_check(lambda t: twin_l2_loss(t, hb, mask), x) < 1e-6
+        assert grad_check(lambda t: twin_l2_loss(t, _mirror_frames(hb, mask), mask), x) < 1e-6
 
 
 class TestCritic:
