@@ -2,17 +2,17 @@
 """Paired baseline-vs-twin training comparison on the synthetic corpus.
 
 Trains mode=none and mode=l2_plus_adversarial from the same seed and prints
-the per-epoch forward CE, backward CE, twin L2, and critic loss so the twin
-dynamics (transient mismatch, alignment once both networks converge) are
-visible. Takes several minutes at the default settings.
+the per-epoch forward CE and, where the mode computes them, the backward CE,
+twin L2 and critic loss, so the twin dynamics (transient mismatch, alignment
+once both networks converge) are visible. Takes several minutes at the
+default settings.
 """
 
 import argparse
 
-from paracnn.corpus import (build_vocab, generate_synthetic_corpus, make_batches,
-                            shuffle_order, synthetic_vocab_paragraphs)
+from paracnn.corpus import build_vocab, generate_synthetic_corpus, synthetic_vocab_paragraphs
 from paracnn.model import ModelConfig
-from paracnn.training import TwinConfig, TwinTrainer, twin_train_epoch
+from paracnn.training import TwinConfig, TwinTrainer, train_epoch
 
 
 def run(mode, args, entries, vocab):
@@ -29,12 +29,12 @@ def run(mode, args, entries, vocab):
     print(f"== mode={mode}")
     history = []
     for epoch in range(1, args.epochs + 1):
-        batches = make_batches(entries, vocab, cfg.max_sentences, cfg.max_words,
-                               args.batch_size, shuffle_order(args.seed, len(entries), epoch))
-        stats = twin_train_epoch(trainer, batches)
+        stats = train_epoch(trainer, entries, vocab, args.batch_size, epoch)
         history.append(stats)
-        print(f"epoch {epoch:3d}  ce_fwd={stats.ce_fwd:8.4f}  ce_bwd={stats.ce_bwd:8.4f}"
-              f"  twin_l2={stats.twin_l2:8.4f}  critic={stats.critic_loss:9.5f}")
+        losses = (("ce_fwd", stats.ce_fwd, "8.4f"), ("ce_bwd", stats.ce_bwd, "8.4f"),
+                  ("twin_l2", stats.twin_l2, "8.4f"), ("critic", stats.critic_loss, "9.5f"))
+        print(f"epoch {epoch:3d}" + "".join(f"  {name}={value:{fmt}}"
+                                            for name, value, fmt in losses if value is not None))
     return history
 
 

@@ -27,7 +27,8 @@ from .decode import (DecodeConfig, decode_adaptive, greedy_decode, read_paragrap
                      sentences_to_text, write_paragraphs)
 from .model import ModelConfig
 from .tensor import RngState, Tensor, grad_check, cross_entropy
-from .training import TrainingDiverged, TwinConfig, TwinTrainer, twin_train_epoch
+from .training import (TrainingDiverged, TwinConfig, TwinTrainer, train_epoch,
+                       validation_ce)
 
 
 class ConfigError(ValueError):
@@ -142,6 +143,10 @@ def _write_resolved_config(config: dict, out_dir: str, name: str):
 
 
 def cmd_make_corpus(args) -> int:
+    if args.size < 3:
+        print(f"error: --size {args.size} is below 3: the train, val and test splits "
+              f"need a scene each", file=sys.stderr)
+        return 1
     out_dir = args.out
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not args.force:
         print(f"error: {out_dir} is not empty (use --force to overwrite)", file=sys.stderr)
@@ -156,8 +161,7 @@ def cmd_make_corpus(args) -> int:
         entries.append({"id": rec["id"], "feature_path": rel, "paragraph": rec["paragraph"]})
 
     shuffled = [entries[i] for i in corpus_mod.shuffle_order(args.seed, len(entries))]
-    n_val = args.size // 10
-    n_test = args.size // 10
+    n_val = n_test = max(1, args.size // 10)
     n_train = args.size - n_val - n_test
     splits = {"train": shuffled[:n_train],
               "val": shuffled[n_train:n_train + n_val],
@@ -295,39 +299,24 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
         if os.path.exists(log_path):  # keep the run's log and its best so far
             best_val = _truncate_log(log_path, meta["epoch"])
 
-    def batches(entries, order):
-        # built as they are consumed, so one batch's features are held at a time
-        return corpus_mod.make_batches(entries, vocab, run.model.max_sentences,
-                                       run.model.max_words, run.train.batch_size, order,
-                                       base_dir=data_dir)
-
     best_path = os.path.join(out_dir, "best.pckpt")
     meta_base = {"seed": run.seed, "vocab": vocab.tokens, "config": dataclasses.asdict(run),
                  "rng_algorithm": RngState.ALGORITHM}
     with open(log_path, "a" if args.resume else "w") as log_fh:
         for epoch in range(start_epoch, run.train.epochs + 1):
             t0 = time.time()
-            order = corpus_mod.shuffle_order(run.seed, len(train_entries), epoch)
             try:
-                stats = twin_train_epoch(trainer, batches(train_entries, order))
+                stats = train_epoch(trainer, train_entries, vocab, run.train.batch_size, epoch,
+                                    base_dir=data_dir)
             except TrainingDiverged as exc:
                 # per-epoch checkpoints from completed epochs stay on disk
                 print(f"error: training diverged in epoch {epoch}: {exc}; "
                       f"last good checkpoint is from epoch {epoch - 1}", file=sys.stderr)
                 return 1
-            val_ce = float(np.mean([trainer.eval_ce(b) for b in batches(
-                val_entries, np.arange(len(val_entries)))]))
-            record = {
-                "epoch": epoch,
-                "ce_fwd": stats.ce_fwd,
-                "ce_bwd": None if np.isnan(stats.ce_bwd) else stats.ce_bwd,
-                "twin_l2": None if np.isnan(stats.twin_l2) else stats.twin_l2,
-                "critic_loss": None if np.isnan(stats.critic_loss) else stats.critic_loss,
-                "critic_updates": stats.critic_updates,
-                "generator_updates": stats.generator_updates,
-                "val_ce": val_ce,
-                "wallclock": round(time.time() - t0, 3),
-            }
+            val_ce = validation_ce(trainer, val_entries, vocab, run.train.batch_size,
+                                   base_dir=data_dir)
+            record = dict(dataclasses.asdict(stats), epoch=epoch, val_ce=val_ce,
+                          wallclock=round(time.time() - t0, 3))
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
             log_fh.flush()
 
@@ -506,17 +495,9 @@ def gradcheck_report(seed: int = 0):
     # generic random point (small-init attention is nearly uniform, which
     # leaves some gradients too close to finite-difference noise)
     model = ParagraphModel(cfg, root.child(1))
-    # conv weights get noise drawn in their [2*out, in, k] shape and re-laid
-    # out as the weight itself was
     shake = root.child(92)
-    convs = {f"{stack}.{i}.weight": block for stack in ("topic_blocks", "word_blocks")
-             for i, block in enumerate(getattr(model, stack))}
-    for name, p in model.named_parameters().items():
-        conv = convs.get(name)
-        if conv is None:
-            p.data += shake.normal(p.data.shape, scale=0.3)
-        else:
-            p.data += L.conv_weight_to_gemm(shake.normal(conv.conv_shape, scale=0.3))
+    for p in model.named_parameters().values():
+        p.data += shake.normal(p.data.shape, scale=0.3)
     data_rng = root.child(91)
     tokens = data_rng.integers(4, cfg.vocab_size, (1, 2, 4)).astype(np.int64)
     mask = np.ones((1, 2, 4), dtype=bool)

@@ -261,7 +261,7 @@ def save_features(path, features: np.ndarray):
 
 
 def load_features(path) -> np.ndarray:
-    """Read a PFV1 file into a float64 [R, d] matrix."""
+    """Read a PFV1 file into a float64 [R, d] matrix; every value must be finite."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
@@ -277,7 +277,10 @@ def load_features(path) -> np.ndarray:
         if len(payload) != expected:
             raise FeatureFileError(
                 f"{path}: truncated data, expected {expected} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dim)
+    features = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dim)
+    if not np.isfinite(features).all():
+        raise FeatureFileError(f"{path}: non-finite feature value (NaN or inf)")
+    return features
 
 
 # -- manifests ------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def _reversed_axes(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv_weight_to_gemm(w: np.ndarray) -> np.ndarray:
+def _conv_weight_to_gemm(w: np.ndarray) -> np.ndarray:
     """[2*out, in, k] -> a new C-contiguous [k*in, 2*out] array.
 
     Row tau*in + c, column o holds w[o, c, tau]: the weight as the right-hand
@@ -95,8 +95,8 @@ class CausalConvBlock(Layer):
     row tau*in + c, column o weights channel c of the frame (k-1-tau) steps in
     the past for output o, so the forward pass multiplies the stacked windows
     by it with no per-call copy. It is drawn as a [2*out, in, kernel] array
-    (``conv_shape``, the usual convolution layout, so the seeded values do not
-    depend on the GEMM layout) and re-laid out once here.
+    (the usual convolution layout, so the seeded values do not depend on the
+    GEMM layout) and re-laid out once here.
     """
 
     def __init__(self, rng: RngState, in_channels: int, out_channels: int, kernel_size: int):
@@ -107,14 +107,9 @@ class CausalConvBlock(Layer):
         self.kernel_size = kernel_size
         self.residual = in_channels == out_channels
         fan_in = in_channels * kernel_size
-        self.weight = _param(rng, self.conv_shape, fan_in)
-        self.weight.data = conv_weight_to_gemm(self.weight.data)
+        self.weight = _param(rng, (2 * out_channels, in_channels, kernel_size), fan_in)
+        self.weight.data = _conv_weight_to_gemm(self.weight.data)
         self.bias = _param(rng, (2 * out_channels,), fan_in)
-
-    @property
-    def conv_shape(self) -> tuple:
-        """[2*out, in, kernel]: the layout the weight is drawn in."""
-        return (2 * self.out_channels, self.in_channels, self.kernel_size)
 
     def __call__(self, x: Tensor) -> Tensor:
         """x: [..., T, in_channels] -> [..., T, out_channels]."""
@@ -236,7 +231,7 @@ class MultiHeadSelfAttention(Layer):
         """Softmax attention rows [B, H, T, T] of x: [B, T, d]."""
         B, T, d = x.shape
         q, k = self._split(self.wq(x)), self._split(self.wk(x))
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d // self.heads))
+        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(d // self.heads))
         if key_mask is not None:
             m = np.asarray(key_mask, dtype=np.float64).reshape(B, 1, 1, T)
             scores = scores + Tensor((m - 1.0) * MASK_NEG)

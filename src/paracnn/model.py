@@ -27,7 +27,7 @@ import numpy as np
 
 from .layers import (MASK_NEG, CausalConvBlock, Embedding, Layer, Linear,
                      MultiHeadSelfAttention, VisualAttention)
-from .tensor import RngState, ShapeError, Tensor, concat, stack
+from .tensor import RngState, ShapeError, Tensor, concat
 
 log = logging.getLogger(__name__)
 
@@ -237,7 +237,7 @@ class ParagraphModel(Layer):
         inputs[:, :, 1:] = tokens[:, :, :-1]
 
         hidden, logits = self.sentence_forward(
-            stack(state.topics, axis=1).reshape(B * M, c.topic_dim),
+            concat(state.topics, axis=-1).reshape(B * M, c.topic_dim),
             inputs.reshape(B * M, N), regions, region_mask)
         return logits.reshape(B, M, N, c.vocab_size), hidden.reshape(B, M, N, c.channels)
 

@@ -178,9 +178,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Tensor):
             _check_broadcast(self.shape, other.shape)
@@ -249,11 +246,6 @@ class Tensor:
         inv = tuple(np.argsort(axes))
         data = self.data.transpose(axes)
         return Tensor._from_op(data, (a,), lambda g: a._accumulate(g.transpose(inv)))
-
-    def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[ax1], axes[ax2] = axes[ax2], axes[ax1]
-        return self.transpose(axes)
 
     def __getitem__(self, key) -> "Tensor":
         a = self
@@ -360,19 +352,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(idx)])
 
     return Tensor._from_op(data, tuple(tensors), bw)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Join same-shape tensors along a new axis, like ``np.stack`` (negative axes too)."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("stack of zero tensors")
-    ndim = tensors[0].ndim
-    if not -ndim - 1 <= axis <= ndim:
-        raise ShapeError(f"stack axis {axis} out of range for {ndim}-D tensors")
-    axis %= ndim + 1
-    expanded = [t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:

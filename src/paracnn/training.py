@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import ParagraphBatch, pad_feature_batch
+from .corpus import ParagraphBatch, make_batches, pad_feature_batch, shuffle_order
 from .layers import BiGruCell, Layer, Linear
 from .model import ModelConfig, ParagraphModel, SentenceCountPredictor
 from .tensor import RngState, Tensor, cross_entropy, gather_rows, no_grad
@@ -214,10 +214,13 @@ def batch_ce(model: ParagraphModel, batch: ParagraphBatch, features: Tensor,
 
 @dataclass
 class EpochStats:
+    """A batch's losses and updates, or an epoch's means and sums: the training
+    fields of a ``log.jsonl`` record. A loss the twin mode does not compute is None."""
+
     ce_fwd: float
-    ce_bwd: float = float("nan")
-    twin_l2: float = float("nan")
-    critic_loss: float = float("nan")
+    ce_bwd: float | None = None
+    twin_l2: float | None = None
+    critic_loss: float | None = None
     critic_updates: int = 0
     generator_updates: int = 0
 
@@ -323,23 +326,39 @@ class TwinTrainer:
         return float(loss.data)
 
 
-def twin_train_epoch(trainer: TwinTrainer, batches) -> EpochStats:
-    """Run every batch once; returns mean losses and update counts."""
-    agg = []
-    for batch in batches:
-        agg.append(trainer.train_batch(batch))
-    if not agg:
-        raise ValueError("twin_train_epoch needs at least one batch")
+def _batches(trainer: TwinTrainer, entries, vocab, batch_size: int, order, base_dir: str):
+    """``make_batches`` on the trainer's [M, N] grid; built as they are consumed."""
+    cfg = trainer.cfg
+    return make_batches(entries, vocab, cfg.max_sentences, cfg.max_words, batch_size, order,
+                        base_dir=base_dir)
 
-    def mean_of(vals):
-        vals = [v for v in vals if not np.isnan(v)]
-        return float(np.mean(vals)) if vals else float("nan")
+
+def train_epoch(trainer: TwinTrainer, entries, vocab, batch_size: int, epoch: int,
+                base_dir: str = "") -> EpochStats:
+    """Train once on every entry, in epoch ``epoch``'s seeded order (``shuffle_order``),
+    ``batch_size`` entries a batch; returns the mean losses and summed update counts."""
+    order = shuffle_order(trainer.seed, len(entries), epoch)
+    agg = [trainer.train_batch(b)
+           for b in _batches(trainer, entries, vocab, batch_size, order, base_dir)]
+    if not agg:
+        raise ValueError("train_epoch needs at least one entry")
+
+    def mean_of(name):
+        vals = [getattr(s, name) for s in agg]
+        return None if vals[0] is None else float(np.mean(vals))
 
     return EpochStats(
-        ce_fwd=mean_of([s.ce_fwd for s in agg]),
-        ce_bwd=mean_of([s.ce_bwd for s in agg]),
-        twin_l2=mean_of([s.twin_l2 for s in agg]),
-        critic_loss=mean_of([s.critic_loss for s in agg]),
+        ce_fwd=mean_of("ce_fwd"),
+        ce_bwd=mean_of("ce_bwd"),
+        twin_l2=mean_of("twin_l2"),
+        critic_loss=mean_of("critic_loss"),
         critic_updates=sum(s.critic_updates for s in agg),
         generator_updates=sum(s.generator_updates for s in agg),
     )
+
+
+def validation_ce(trainer: TwinTrainer, entries, vocab, batch_size: int,
+                  base_dir: str = "") -> float:
+    """The forward network's mean per-batch CE over ``entries`` in file order."""
+    batches = _batches(trainer, entries, vocab, batch_size, np.arange(len(entries)), base_dir)
+    return float(np.mean([trainer.eval_ce(b) for b in batches]))

@@ -17,12 +17,12 @@ from paracnn import training as training_mod
 from paracnn.checkpoint import read_checkpoint
 from paracnn.cli import gradcheck_report, main as cli_main
 from paracnn.corpus import (build_vocab, encode_paragraph, generate_synthetic_corpus,
-                            make_batches, shuffle_order, synthetic_vocab_paragraphs)
+                            synthetic_vocab_paragraphs)
 from paracnn.decode import DecodeConfig, decode_adaptive, greedy_decode
 from paracnn.metrics import EvalPair, bleu_n, cider, rouge_l
 from paracnn.model import ModelConfig, ParagraphModel, TopicState
 from paracnn.tensor import RngState, Tensor
-from paracnn.training import TwinConfig, TwinTrainer, twin_train_epoch
+from paracnn.training import TwinConfig, TwinTrainer, train_epoch
 from test_metrics import CIDER_FIXTURE, CIDER_FIXTURE_SCORE, cider_oracle
 
 
@@ -55,10 +55,7 @@ def train_toy(mode, records, vocab, seed, epochs, batch_size, lr, lambda_l2=0.1)
     entries = toy_entries(records)
     history = []
     for epoch in range(1, epochs + 1):
-        batches = make_batches(entries, vocab, cfg.max_sentences, cfg.max_words, batch_size,
-                               shuffle_order(seed, len(records), epoch))
-        stats = twin_train_epoch(trainer, batches)
-        history.append(stats)
+        history.append(train_epoch(trainer, entries, vocab, batch_size, epoch))
     return trainer, history
 
 
@@ -243,9 +240,7 @@ def test_criterion_6_twin_off_equivalence(toy_vocab_mod):
                                               critic_hidden=8), seed=13, lr=1e-3)
         trace = []
         for epoch in range(1, 4):
-            order = shuffle_order(13, len(records), epoch)
-            stats = twin_train_epoch(trainer, make_batches(entries, vocab, 3, 8, 10, order))
-            trace.append(stats.ce_fwd)
+            trace.append(train_epoch(trainer, entries, vocab, 10, epoch).ce_fwd)
         return trainer, trace
 
     t_none, trace_none = run("none", 0.0)
@@ -282,8 +277,7 @@ def test_criterion_7_wgan_mechanics(toy_vocab_mod, monkeypatch):
         return loss
 
     monkeypatch.setattr(training_mod, "critic_step", checked_step)
-    batches = make_batches(toy_entries(records), vocab, 3, 8, 5, np.arange(20))
-    stats = twin_train_epoch(trainer, batches)
+    stats = train_epoch(trainer, toy_entries(records), vocab, 5, 1)
     schedule_ok = stats.critic_updates == 5 * stats.generator_updates
     clip_ok = len(clip_checks) == stats.critic_updates and all(clip_checks)
     report(7, schedule_ok and clip_ok,
@@ -359,8 +353,7 @@ def test_criterion_10_length_flexibility(toy_vocab_mod):
                       topic_kernel=3, word_kernel=3, topic_depth=2, word_depth=3,
                       pooling="mean", attn_layers=(2,), attn_heads=2)
     trainer = TwinTrainer(cfg, TwinConfig(mode="none"), seed=29, lr=1e-3)
-    order = shuffle_order(29, len(records), 1)
-    twin_train_epoch(trainer, make_batches(toy_entries(records), vocab, 6, 10, 10, order))
+    train_epoch(trainer, toy_entries(records), vocab, 10, 1)
 
     feats = records[0]["features"]
     lengths_ok = True

@@ -102,6 +102,24 @@ class TestMakeCorpus:
         for f in sorted(os.listdir(a / "features")):
             assert (a / "features" / f).read_bytes() == (b / "features" / f).read_bytes()
 
+    def test_small_corpus_gives_every_split_a_scene(self, tmp_path):
+        data, out = tmp_path / "five", tmp_path / "run"
+        assert run_cli("make-corpus", "--seed", "1", "--size", "5", "--out", str(data)) == 0
+        assert [len(read_manifest(data / f"{name}.jsonl"))
+                for name in ("train", "val", "test")] == [3, 1, 1]
+        args = ["train", "--data", str(data), "--out", str(out), "--quiet"]
+        for ov in TINY_OVERRIDES + ["train.epochs=1"]:
+            args += ["--set", ov]
+        assert run_cli(*args) == 0
+        assert [json.loads(line)["epoch"] for line in (out / "log.jsonl").open()] == [1]
+
+    def test_too_small_corpus_rejected(self, tmp_path, capsys):
+        out = tmp_path / "two"
+        assert run_cli("make-corpus", "--size", "2", "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", "error: --size 2 is below 3: the train, val and "
+                                           "test splits need a scene each\n")
+        assert not out.exists()
+
     def test_feature_files_load(self, corpus_dir):
         entry = read_manifest(corpus_dir / "train.jsonl")[0]
         feats = load_features(corpus_dir / entry["feature_path"])
@@ -174,16 +192,16 @@ class TestRunConfig:
     def test_nan_abort_retains_checkpoints(self, corpus_dir, tmp_path, capsys,
                                            monkeypatch):
         from paracnn import cli as cli_module
-        from paracnn.training import TrainingDiverged, twin_train_epoch as real_epoch
+        from paracnn.training import TrainingDiverged, train_epoch as real_epoch
         calls = {"n": 0}
 
-        def exploding_epoch(trainer, batches):
+        def exploding_epoch(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise TrainingDiverged("probe")
-            return real_epoch(trainer, batches)
+            return real_epoch(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "twin_train_epoch", exploding_epoch)
+        monkeypatch.setattr(cli_module, "train_epoch", exploding_epoch)
         out = tmp_path / "diverge"
         args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
         for ov in TINY_OVERRIDES:
@@ -210,6 +228,29 @@ class TestTrain:
         for key in ("epoch", "ce_fwd", "ce_bwd", "twin_l2", "critic_loss", "wallclock",
                     "critic_updates", "generator_updates", "val_ce"):
             assert key in rec
+
+    @pytest.mark.parametrize("mode, computed", [
+        ("none", ()),
+        ("l2", ("ce_bwd", "twin_l2")),
+        ("adversarial", ("ce_bwd", "critic_loss")),
+        ("l2_plus_adversarial", ("ce_bwd", "twin_l2", "critic_loss")),
+    ])
+    def test_log_nulls_the_losses_a_mode_skips(self, corpus_dir, tmp_path, mode, computed):
+        out = tmp_path / mode
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
+        for ov in TINY_OVERRIDES + ["train.epochs=1", f"twin.mode={mode}",
+                                    "twin.critic_hidden=4"]:
+            args += ["--set", ov]
+        assert run_cli(*args) == 0
+        (rec,) = [json.loads(line) for line in (out / "log.jsonl").open()]
+        assert sorted(rec) == sorted(["epoch", "ce_fwd", "ce_bwd", "twin_l2", "critic_loss",
+                                      "critic_updates", "generator_updates", "val_ce",
+                                      "wallclock"])
+        for key in ("ce_fwd", "ce_bwd", "twin_l2", "critic_loss"):
+            if key == "ce_fwd" or key in computed:
+                assert type(rec[key]) is float and np.isfinite(rec[key]), key
+            else:
+                assert rec[key] is None, key
 
     def test_feature_memory_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
         # feature arrays alive at once, at any split size: one batch of 4, and the
@@ -293,12 +334,12 @@ class TestTrain:
         def train_into(out, resume=None, stop_after=None):
             epoch["n"] = 2 if resume else 0
 
-            def epoch_or_stop(trainer, batches):
+            def epoch_or_stop(*args, **kwargs):
                 if epoch["n"] == stop_after:
                     raise TrainingDiverged("run stopped")
-                return real_epoch(trainer, batches)
+                return real_epoch(*args, **kwargs)
 
-            monkeypatch.setattr(cli, "twin_train_epoch", epoch_or_stop)
+            monkeypatch.setattr(cli, "train_epoch", epoch_or_stop)
             args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
             for ov in TINY_OVERRIDES + ["train.epochs=4"]:
                 args += ["--set", ov]
@@ -311,7 +352,7 @@ class TestTrain:
                     for line in (out / "log.jsonl").open()]
 
         from paracnn.training import TrainingDiverged
-        real_epoch = cli.twin_train_epoch
+        real_epoch = cli.train_epoch
         monkeypatch.setattr(cli.TwinTrainer, "eval_ce", scripted_eval_ce)
         full, split, past = tmp_path / "full", tmp_path / "split", tmp_path / "past"
         assert train_into(full) == 0
@@ -589,6 +630,23 @@ class TestFileBoundaryErrors:
                                     "--features", str(manifest), "--sentences", "2",
                                     "--out", str(out)], "error: feature dim 5 != ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["one_nan", "all_inf"])
+    def test_non_finite_features(self, train_dir, corpus_dir, tmp_path, capsys, bad):
+        entry = read_manifest(corpus_dir / "test.jsonl")[0]
+        feats = load_features(corpus_dir / entry["feature_path"])
+        if bad == "one_nan":
+            feats[-1, 1] = np.nan
+        else:
+            feats[:] = np.inf
+        path, out = tmp_path / "bad.pfv", tmp_path / "hyp.txt"
+        save_features(path, feats)
+        assert run_cli("generate", "--checkpoint", str(train_dir / "best.pckpt"),
+                       "--features", str(path), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: non-finite")
+        assert os.listdir(tmp_path) == ["bad.pfv"]
 
     def test_reference_without_words(self, corpus_dir, tmp_path, capsys):
         entries = read_manifest(corpus_dir / "test.jsonl")

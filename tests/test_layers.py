@@ -361,7 +361,7 @@ def taped_gru_run(d, seq):
         z = (xz[:, t, :] + h @ d.Uz).sigmoid()
         r = (xr[:, t, :] + h @ d.Ur).sigmoid()
         cand = (xh[:, t, :] + (r * h) @ d.Uh).tanh()
-        h = (1.0 - z) * h + z * cand
+        h = (-z + 1.0) * h + z * cand
     return h
 
 

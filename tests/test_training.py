@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config
 from paracnn import training as training_mod
-from paracnn.corpus import ParagraphBatch, pad_feature_batch
+from paracnn.corpus import (SPECIALS, ParagraphBatch, Vocab, make_batches, pad_feature_batch,
+                            shuffle_order)
 from paracnn.tensor import RngState, Tensor, grad_check
 from paracnn.training import (WEIGHT_CLIP, Critic, RmspropOptimizer, TrainingDiverged,
                               TwinConfig, TwinTrainer, adversarial_generator_loss, batch_ce,
-                              critic_step, reverse_targets, twin_l2_loss, twin_train_epoch,
-                              _mirror_frames)
+                              critic_step, reverse_targets, train_epoch, twin_l2_loss,
+                              validation_ce, _mirror_frames)
 
 
 def make_batch(rng: RngState, B=2, M=2, N=4, vocab=11, d_feat=6, ragged=True):
@@ -254,6 +255,67 @@ def small_trainer(mode, seed=9, **twin_kw):
     return TwinTrainer(cfg, twin, seed=seed, lr=1e-3)
 
 
+TINY_VOCAB = Vocab(list(SPECIALS) + [f"w{i}" for i in range(7)])  # tiny_config's 11 tokens
+
+
+def make_entries(rng: RngState, n):
+    """Manifest-style entries in ``TINY_VOCAB`` whose feature_path holds the features."""
+    entries = []
+    for _ in range(n):
+        sentences = [" ".join(f"w{int(w)}" for w in rng.integers(0, 7, int(rng.integers(1, 4))))
+                     + "." for _ in range(int(rng.integers(1, 3)))]
+        entries.append({"paragraph": " ".join(sentences),
+                        "feature_path": rng.normal((int(rng.integers(1, 4)), 6))})
+    return entries
+
+
+def same_batches(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(g.tokens, w.tokens) and np.array_equal(g.mask, w.mask)
+        and np.array_equal(g.sentence_counts, w.sentence_counts)
+        and all(a is b for a, b in zip(g.feature_refs, w.feature_refs))
+        for g, w in zip(got, want))
+
+
+class TestEpoch:
+    def test_train_epoch_trains_the_shuffled_batches(self, monkeypatch):
+        entries = make_entries(RngState(60), 5)
+        tr = small_trainer("l2", seed=12)
+        seen, per_batch = [], []
+        real_step = TwinTrainer.train_batch
+
+        def recorded_step(trainer, batch):
+            seen.append(batch)
+            per_batch.append(real_step(trainer, batch))
+            return per_batch[-1]
+
+        monkeypatch.setattr(TwinTrainer, "train_batch", recorded_step)
+        stats = train_epoch(tr, entries, TINY_VOCAB, 2, 3)
+        order = shuffle_order(12, 5, 3)
+        assert list(order) != list(range(5))
+        assert same_batches(seen, list(make_batches(entries, TINY_VOCAB, 2, 4, 2, order)))
+        for name in ("ce_fwd", "ce_bwd", "twin_l2"):
+            assert getattr(stats, name) == float(np.mean([getattr(s, name) for s in per_batch]))
+        assert stats.critic_loss is None and per_batch[0].critic_loss is None
+        assert (stats.generator_updates, stats.critic_updates) == (3, 0)
+
+    def test_validation_ce_in_file_order(self, monkeypatch):
+        entries = make_entries(RngState(61), 5)
+        tr = small_trainer("none")
+        seen = []
+        real_eval = TwinTrainer.eval_ce
+        monkeypatch.setattr(TwinTrainer, "eval_ce",
+                            lambda trainer, batch: seen.append(batch) or real_eval(trainer, batch))
+        ce = validation_ce(tr, entries, TINY_VOCAB, 2)
+        want = list(make_batches(entries, TINY_VOCAB, 2, 4, 2, np.arange(5)))
+        assert same_batches(seen, want)
+        assert ce == float(np.mean([real_eval(tr, b) for b in want]))
+
+    def test_train_epoch_needs_an_entry(self):
+        with pytest.raises(ValueError):
+            train_epoch(small_trainer("none"), [], TINY_VOCAB, 2, 1)
+
+
 class TestTwinTrainer:
     def test_mode_none_matches_mle(self):
         rng = RngState(51)
@@ -303,10 +365,8 @@ class TestTwinTrainer:
         assert taped._parents and losses[0]._parents == () and not losses[0].requires_grad
 
     def test_adversarial_schedule_counts(self):
-        rng = RngState(54)
-        batch = make_batch(rng)
         tr = small_trainer("l2_plus_adversarial")
-        stats = twin_train_epoch(tr, [batch, batch])
+        stats = train_epoch(tr, make_entries(RngState(54), 4), TINY_VOCAB, 2, 1)
         assert stats.generator_updates == 2
         assert stats.critic_updates == 10
 
