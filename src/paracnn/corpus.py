@@ -250,10 +250,17 @@ def synthetic_vocab_paragraphs() -> list:
 # -- feature files -----------------------------------------------------------------
 
 def save_features(path, features: np.ndarray):
-    """Write a PFV1 file: magic, u32 region count, u32 dim, f32 row-major data."""
-    arr = np.asarray(features, dtype=np.float32)
+    """Write a PFV1 file: magic, u32 region count, u32 dim, f32 row-major data.
+
+    Every value must be finite as float32 (``load_features`` rejects the rest),
+    so a value beyond the float32 range is refused too; nothing is written then.
+    """
+    with np.errstate(over="ignore"):  # an out-of-range value becomes inf, refused below
+        arr = np.asarray(features, dtype=np.float32)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise FeatureFileError(f"features must be a non-empty [R, d] matrix, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise FeatureFileError("non-finite feature value (NaN, inf, or beyond the float32 range)")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))

@@ -108,11 +108,21 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
+        """Add ``g`` into ``self.grad``.
+
+        A first gradient is copied, since a backward rule may hand one array to
+        two parents (``__add__``) or pass on a view of an array another node
+        holds (``reshape``, ``concat``). A rule that has just built ``g`` and
+        gives it to this node alone says ``owned=True``, and a first ``g`` of
+        the data's dtype is then kept as it is: later gradients add into it.
+        """
         if self.grad is None:
-            # a copy, never g itself: one backward may hand the same array to two parents
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.empty_like(self.data)
+                self.grad[...] = g
         else:
             self.grad += g
 
@@ -215,9 +225,9 @@ class Tensor:
             def bw2(g):
                 g2 = g.reshape(-1, b.shape[1])
                 if a.requires_grad:
-                    a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                    a._accumulate((g2 @ b.data.T).reshape(a.shape), owned=True)
                 if b.requires_grad:
-                    b._accumulate(a2.T @ g2)
+                    b._accumulate(a2.T @ g2, owned=True)
 
             return Tensor._from_op(data, (a, b), bw2)
         _check_broadcast(a.shape[:-2], b.shape[:-2])
@@ -365,7 +375,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     def bw(g):
         full = np.zeros_like(a.data)
         np.add.at(full, idx.reshape(-1), g.reshape(-1, a.shape[1]))
-        a._accumulate(full)
+        a._accumulate(full, owned=True)
 
     return Tensor._from_op(data, (a,), bw)
 

@@ -59,10 +59,20 @@ class TwinConfig:
 
 
 class RmspropOptimizer:
-    """RMSprop: v <- a*v + (1-a)*g^2; p <- p - lr*g/(sqrt(v)+eps)."""
+    """RMSprop: v <- a*v + (1-a)*g^2; p <- p - lr*g/(sqrt(v)+eps).
+
+    ``step`` walks each parameter in blocks of ``BLOCK`` elements: a block's
+    slices of g, v and p and two block-sized scratch rows stay in cache while
+    the whole update runs over them, instead of every operation streaming the
+    full parameter through memory. Each element sees the same operations in
+    the same order either way, so the result is the same to the bit. The
+    parameters and their state must be C-contiguous, since the update writes
+    through flat views of them.
+    """
 
     alpha = 0.9
     eps = 1e-8
+    BLOCK = 16384
 
     def __init__(self, params: dict, lr: float):
         self.params = dict(params)
@@ -73,11 +83,9 @@ class RmspropOptimizer:
                       for name, p in self.params.items()}
 
     def step(self):
-        # two scratch buffers of the largest parameter's size, viewed per
-        # parameter; the out= writes keep the rounding of
-        # v = a*v + (1-a)*g*g; p -= lr*g / (sqrt(v) + eps)
-        size = max((p.data.size for p in self.params.values()), default=0)
-        scratch_b, scratch_c = np.empty(size), np.empty(size)
+        # every gradient is checked before anything moves, so a diverged step
+        # leaves the parameters and their state as they were
+        work = []
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -85,17 +93,27 @@ class RmspropOptimizer:
             if not np.isfinite(g).all():
                 raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
             v = self.state[name]
-            b = scratch_b[:g.size].reshape(g.shape)
-            c = scratch_c[:g.size].reshape(g.shape)
-            v *= self.alpha
-            np.multiply(g, 1.0 - self.alpha, out=b)
-            b *= g
-            v += b
-            np.sqrt(v, out=c)
-            c += self.eps
-            np.multiply(g, self.lr, out=b)
-            b /= c
-            p.data -= b
+            if not (p.data.flags.c_contiguous and v.flags.c_contiguous):
+                raise ValueError(f"parameter {name!r} or its RMSprop state is not C-contiguous")
+            work.append((g.reshape(-1), v.reshape(-1), p.data.reshape(-1)))
+        # the out= writes keep the rounding of
+        # v = a*v + (1-a)*g*g; p -= lr*g / (sqrt(v) + eps)
+        scratch_b, scratch_c = np.empty(self.BLOCK), np.empty(self.BLOCK)
+        for g_all, v_all, p_all in work:
+            for lo in range(0, g_all.size, self.BLOCK):
+                g = g_all[lo:lo + self.BLOCK]
+                v = v_all[lo:lo + self.BLOCK]
+                b = scratch_b[:g.size]
+                c = scratch_c[:g.size]
+                v *= self.alpha
+                np.multiply(g, 1.0 - self.alpha, out=b)
+                b *= g
+                v += b
+                np.sqrt(v, out=c)
+                c += self.eps
+                np.multiply(g, self.lr, out=b)
+                b /= c
+                p_all[lo:lo + self.BLOCK] -= b
 
     def zero_grad(self):
         for p in self.params.values():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 import weakref
@@ -640,7 +641,9 @@ class TestFileBoundaryErrors:
         else:
             feats[:] = np.inf
         path, out = tmp_path / "bad.pfv", tmp_path / "hyp.txt"
-        save_features(path, feats)
+        # raw PFV1 bytes: save_features refuses non-finite values
+        path.write_bytes(b"PFV1" + struct.pack("<II", *feats.shape)
+                         + feats.astype("<f4").tobytes())
         assert run_cli("generate", "--checkpoint", str(train_dir / "best.pckpt"),
                        "--features", str(path), "--out", str(out)) == 1
         captured = capsys.readouterr()

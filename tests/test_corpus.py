@@ -178,6 +178,16 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFileError, match="magic"):
             load_features(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39])
+    def test_non_finite_values_refused_before_writing(self, tmp_path, bad):
+        # 1e39 is finite as float64 but inf once cast to float32
+        feats = np.ones((2, 3))
+        feats[1, 2] = bad
+        path = tmp_path / "bad.pfv"
+        with pytest.raises(FeatureFileError, match="non-finite"):
+            save_features(path, feats)
+        assert not path.exists()
+
     def test_dimension_mismatch_across_batch(self):
         with pytest.raises(FeatureFileError, match="dimension mismatch"):
             pad_feature_batch([np.ones((2, 4)), np.ones((2, 5))])
@@ -227,8 +237,8 @@ def test_vocab_order_independent_property(docs):
 @given(st.integers(1, 3), st.integers(1, 4), st.data())
 def test_pfv1_truncations_and_byte_flips_property(tmp_path_factory, rows, dim, data):
     """A damaged PFV1 file loads as a float64 [R, d] matrix or raises FeatureFileError."""
-    values = data.draw(st.lists(st.floats(width=32), min_size=rows * dim,
-                                max_size=rows * dim))
+    values = data.draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                min_size=rows * dim, max_size=rows * dim))
     path = tmp_path_factory.mktemp("pfv1") / "f.pfv"
     save_features(path, np.array(values, dtype=np.float32).reshape(rows, dim))
     good = path.read_bytes()

@@ -143,6 +143,29 @@ class TestBackward:
         assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
 
 
+class TestKeptGradients:
+    """A GEMM's weight and input gradients are kept uncopied on first touch;
+    an array handed to two parents is still copied, so no two grads alias."""
+
+    def test_sums_equal_hand_sums_and_no_grads_share_memory(self):
+        rng = RngState(8)
+        x1, x2 = (Tensor(randn(rng, 3, 4), requires_grad=True) for _ in range(2))
+        w = Tensor(randn(rng, 4, 5), requires_grad=True)  # feeds two products
+        u, v = (Tensor(randn(rng, 3, 5), requires_grad=True) for _ in range(2))
+        G = randn(rng, 3, 5)
+        # each __add__ hands its one gradient array to both of its parents
+        out = (x1 @ w + x2 @ w) + (u + v)
+        (out * Tensor(G)).sum().backward()
+        assert np.array_equal(x1.grad, G @ w.data.T)
+        assert np.array_equal(x2.grad, G @ w.data.T)
+        assert np.array_equal(w.grad, x1.data.T @ G + x2.data.T @ G)
+        assert np.array_equal(u.grad, G) and np.array_equal(v.grad, G)
+        leaves = [x1, x2, w, u, v]
+        for i, a in enumerate(leaves):
+            for b in leaves[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad)
+
+
 class TestMatmulTwoDimWeight:
     """A product with a 2-D right operand is the 2-D GEMM of its flattened rows."""
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config
 from paracnn import training as training_mod
+from paracnn.checkpoint import trainer_arrays
 from paracnn.corpus import (SPECIALS, ParagraphBatch, Vocab, make_batches, pad_feature_batch,
                             shuffle_order)
 from paracnn.tensor import RngState, Tensor, grad_check
@@ -101,12 +102,38 @@ class TestRmsprop:
 
         assert np.array_equal(run(), run())
 
+    def test_nan_in_a_later_parameter_changes_nothing(self):
+        rng = RngState(5)
+        params = {name: Tensor(rng.normal((3, 2)), requires_grad=True) for name in "ab"}
+        opt = RmspropOptimizer(params, lr=0.1)
+        for name, p in params.items():
+            opt.state[name][:] = 0.25
+            p.grad = np.ones((3, 2))
+        params["b"].grad[2, 1] = np.nan
+        before = {name: (p.data.copy(), opt.state[name].copy()) for name, p in params.items()}
+        with pytest.raises(TrainingDiverged, match="parameter 'b'"):
+            opt.step()
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name][0])
+            assert np.array_equal(opt.state[name], before[name][1])
+
+    def test_non_contiguous_parameter_refused(self):
+        p = Tensor(np.zeros((4, 3)), requires_grad=True)
+        opt = RmspropOptimizer({"w": p}, lr=0.1)
+        p.data = np.zeros((3, 4)).T  # a flat view of it would be a copy
+        p.grad = np.ones((4, 3))
+        with pytest.raises(ValueError, match="'w'"):
+            opt.step()
+
     def test_matches_textbook_expression_bitwise(self):
-        # parameters of several sizes share the scratch buffers; gradients
-        # span ten orders of magnitude
+        # parameters of several sizes share the scratch rows, two of them over
+        # several blocks (one ending in a partial block); gradients span ten
+        # orders of magnitude
         rng = RngState(4)
+        block = RmspropOptimizer.BLOCK
+        shapes = [(3, 4), (7,), (50, 13), (1,), (2 * block + 5,), (130, 300)]
         params = {f"p{i}": Tensor(rng.child(i).normal(shape), requires_grad=True)
-                  for i, shape in enumerate([(3, 4), (7,), (50, 13), (1,)])}
+                  for i, shape in enumerate(shapes)}
         ref = {name: p.data.copy() for name, p in params.items()}
         ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
         opt = RmspropOptimizer(params, lr=4e-4)
@@ -402,6 +429,49 @@ class TestTwinTrainer:
             return [tr.train_batch(batch).ce_fwd for _ in range(2)]
 
         assert run() == run()
+
+    def test_blocked_step_matches_one_pass_step_bitwise(self, monkeypatch):
+        # 64 channels make each conv weight 320 x 128 = 40,960 elements, three
+        # optimizer blocks; every network and optimizer of the trainer is compared
+        def one_pass_step(opt):
+            size = max((p.data.size for p in opt.params.values()), default=0)
+            scratch_b, scratch_c = np.empty(size), np.empty(size)
+            for name, p in opt.params.items():
+                g = p.grad
+                if g is None:
+                    g = np.zeros_like(p.data)
+                if not np.isfinite(g).all():
+                    raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
+                v = opt.state[name]
+                b = scratch_b[:g.size].reshape(g.shape)
+                c = scratch_c[:g.size].reshape(g.shape)
+                v *= opt.alpha
+                np.multiply(g, 1.0 - opt.alpha, out=b)
+                b *= g
+                v += b
+                np.sqrt(v, out=c)
+                c += opt.eps
+                np.multiply(g, opt.lr, out=b)
+                b /= c
+                p.data -= b
+
+        cfg = tiny_config(channels=64, topic_dim=64, topic_kernel=5, word_kernel=5)
+        batch = make_batch(RngState(62))
+
+        def run():
+            tr = TwinTrainer(cfg, TwinConfig(mode="l2_plus_adversarial", critic_hidden=8),
+                             seed=9, lr=1e-3)
+            for _ in range(3):
+                tr.train_batch(batch)
+            return trainer_arrays(tr)
+
+        blocked = run()
+        assert any(v.size > 2 * RmspropOptimizer.BLOCK for v in blocked.values())
+        monkeypatch.setattr(RmspropOptimizer, "step", one_pass_step)
+        one_pass = run()
+        assert blocked.keys() == one_pass.keys()
+        for key in blocked:
+            assert np.array_equal(blocked[key], one_pass[key]), key
 
     def test_backward_frames_alignment_helper(self):
         rng = RngState(59)
