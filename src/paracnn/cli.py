@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import json
 import math
 import os
@@ -213,48 +214,33 @@ def cmd_train(args) -> int:
               f"{feat_dim}", file=sys.stderr)
         return 1
 
+    resume = None
+    if args.resume:  # read before the run directory is touched
+        resume = _read_checkpoint_meta(args.resume, ("vocab", "epoch"))
+        if resume[0]["vocab"] != vocab.tokens:
+            raise CheckpointError(f"{args.resume}: trained with a different vocabulary")
+
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
+    # The kernel releases a flock when its holder exits, killed or not. A run
+    # that ends removes .lock before it closes it, so a lock taken on a file no
+    # longer at the path is refused like a held one.
     lock_path = os.path.join(out_dir, ".lock")
-    try:
-        lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        pid = _dead_lock_holder(lock_path)
-        if pid is None:
+    with open(lock_path, "a") as lock_fh:
+        try:
+            fcntl.flock(lock_fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            ours = os.path.samestat(os.fstat(lock_fh.fileno()), os.stat(lock_path))
+        except (BlockingIOError, FileNotFoundError):
+            ours = False
+        if not ours:
             print(f"error: {out_dir} is locked by another training run ({lock_path})",
                   file=sys.stderr)
-        else:
-            print(f"error: stale lock {lock_path}: process {pid} is not running; "
-                  f"delete {lock_path}", file=sys.stderr)
-        return 1
-
-    try:
-        os.write(lock_fd, f"{os.getpid()}\n".encode())
-        return _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
-    finally:
-        os.close(lock_fd)
-        os.remove(lock_path)
-
-
-def _dead_lock_holder(lock_path):
-    """The PID a lock file records when that process is not running, else None.
-
-    A lock without a positive PID, or one that vanished, counts as held, and
-    so does the process of another user (``PermissionError``).
-    """
-    try:
-        with open(lock_path) as fh:
-            pid = int(fh.read())
-    except (OSError, ValueError):
-        return None
-    try:
-        if pid > 0:
-            os.kill(pid, 0)  # signal 0 sends nothing; it checks that the process exists
-    except ProcessLookupError:
-        return pid
-    except (PermissionError, OverflowError):
-        pass
-    return None
+            return 1
+        try:
+            return _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir,
+                               resume, args.quiet)
+        finally:
+            os.remove(lock_path)
 
 
 def _truncate_log(log_path, epoch) -> float:
@@ -283,17 +269,17 @@ def _truncate_log(log_path, epoch) -> float:
     return best_val
 
 
-def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args) -> int:
+def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, resume,
+                quiet) -> int:
+    """Train into ``out_dir``; ``resume`` is the (meta, arrays) of a checkpoint to go on from."""
     _write_resolved_config(dataclasses.asdict(run), out_dir, "resolved_config.json")
     trainer = build_trainer(run, vocab)
 
     log_path = os.path.join(out_dir, "log.jsonl")
     start_epoch = 1
     best_val = float("inf")
-    if args.resume:
-        meta, arrays = _read_checkpoint_meta(args.resume, ("vocab", "epoch"))
-        if meta["vocab"] != vocab.tokens:
-            raise CheckpointError("resume checkpoint was trained with a different vocabulary")
+    if resume:
+        meta, arrays = resume
         load_trainer_arrays(trainer, arrays)
         start_epoch = meta["epoch"] + 1
         if os.path.exists(log_path):  # keep the run's log and its best so far
@@ -302,7 +288,7 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
     best_path = os.path.join(out_dir, "best.pckpt")
     meta_base = {"seed": run.seed, "vocab": vocab.tokens, "config": dataclasses.asdict(run),
                  "rng_algorithm": RngState.ALGORITHM}
-    with open(log_path, "a" if args.resume else "w") as log_fh:
+    with open(log_path, "a" if resume else "w") as log_fh:
         for epoch in range(start_epoch, run.train.epochs + 1):
             t0 = time.time()
             try:
@@ -327,7 +313,7 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
             if val_ce < best_val:
                 best_val = val_ce
                 write_checkpoint(best_path, meta, arrays)
-            if not args.quiet:
+            if not quiet:
                 print(f"epoch {epoch}: ce_fwd={stats.ce_fwd:.4f} val_ce={val_ce:.4f}")
     return 0
 
@@ -335,25 +321,43 @@ def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, args)
 # -- generate -----------------------------------------------------------------------
 
 
+# what each metadata key a command reads must hold; type(), as a bool is no count
+_META_TYPES = {
+    "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "epoch": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "vocab": ("a list of strings", lambda v: type(v) is list and all(type(t) is str for t in v)),
+    "config": ("an object", lambda v: type(v) is dict),
+}
+
+
 def _read_checkpoint_meta(path, keys):
-    """read_checkpoint, plus CheckpointError when the metadata lacks one of ``keys``."""
+    """read_checkpoint, plus CheckpointError when the metadata lacks or mistypes one of ``keys``."""
     meta, arrays = read_checkpoint(path)
     for key in keys:
         if key not in meta:
             raise CheckpointError(f"{path}: checkpoint metadata lacks {key!r}")
+        what, ok = _META_TYPES[key]
+        if not ok(meta[key]):
+            raise CheckpointError(f"{path}: checkpoint metadata {key!r} must be {what}")
     return meta, arrays
 
 
 def load_checkpoint_trainer(path):
     """(trainer, run, vocab) for decoding; the trainer holds no backward network or critic."""
     meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"))
-    config = meta["config"] if isinstance(meta["config"], dict) else {}
+    config = meta["config"]
     for name in ("model", "twin", "train"):
         if not isinstance(config.get(name), dict):
             raise CheckpointError(f"{path}: checkpoint config lacks a {name!r} section")
     # the decode section that older checkpoints carry is ignored
     run = _run_config(meta["seed"], config)
-    vocab = corpus_mod.Vocab(meta["vocab"])
+    if len(meta["vocab"]) != run.model.vocab_size:
+        raise CheckpointError(f"{path}: checkpoint metadata 'vocab' has {len(meta['vocab'])} "
+                              f"tokens, not model.vocab_size={run.model.vocab_size}")
+    try:
+        vocab = corpus_mod.Vocab(meta["vocab"])
+    except corpus_mod.CorpusError as exc:
+        raise CheckpointError(f"{path}: checkpoint metadata 'vocab': {exc}") from exc
     trainer = build_trainer(dataclasses.replace(run, twin=TwinConfig()), vocab)
     # decoding never steps an optimizer, so its state is left as built
     load_trainer_arrays(trainer, {k: v for k, v in arrays.items() if not k.startswith("opt.")})

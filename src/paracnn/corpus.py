@@ -315,6 +315,9 @@ def read_manifest(path) -> list:
             for key in ("id", "feature_path", "paragraph"):
                 if key not in rec:
                     raise CorpusError(f"{path}:{lineno}: manifest record missing {key!r}")
+                if not isinstance(rec[key], str):
+                    raise CorpusError(f"{path}:{lineno}: manifest field {key!r} must be a "
+                                      f"string, got {json.dumps(rec[key])}")
             entries.append(rec)
     if not entries:
         raise CorpusError(f"{path}: empty manifest")

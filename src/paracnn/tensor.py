@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
 Every quantity in the generator, the critic and the losses is a ``Tensor``
-holding float64 data by default, so finite-difference gradient checks are
+holding float64 data, so finite-difference gradient checks are
 meaningful. Each operation records a backward closure; ``Tensor.backward``
 walks the tape in reverse topological order and accumulates gradients into
 every ``requires_grad`` ancestor.
@@ -44,14 +44,6 @@ class EmptyLossError(ValueError):
     """A masked reduction was requested with zero unmasked positions."""
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, np.ndarray):
-        if x.dtype != np.float64 and x.dtype != np.float32:
-            return x.astype(np.float64)
-        return x
-    return np.asarray(x, dtype=np.float64)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` by summing over broadcast axes."""
     if grad.shape == shape:
@@ -80,7 +72,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)  # a float64 array is not copied
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -159,25 +151,19 @@ class Tensor:
     # -- elementwise arithmetic -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            _check_broadcast(self.shape, other.shape)
-            data = self.data + other.data
-            a, b = self, other
+        if not isinstance(other, Tensor):
+            other = Tensor(other)
+        _check_broadcast(self.shape, other.shape)
+        data = self.data + other.data
+        a, b = self, other
 
-            def bw(g):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g, a.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(g, b.shape))
+        def bw(g):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.shape))
 
-            return Tensor._from_op(data, (a, b), bw)
-        data = self.data + other
-        a = self
-
-        def bw_s(g):
-            a._accumulate(g)
-
-        return Tensor._from_op(data, (a,), bw_s)
+        return Tensor._from_op(data, (a, b), bw)
 
     __radd__ = __add__
 

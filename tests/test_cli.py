@@ -1,9 +1,12 @@
 import dataclasses
+import fcntl
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 import weakref
 
 import numpy as np
@@ -32,6 +35,14 @@ TINY_OVERRIDES = [
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def cli_env():
+    """The environment for a ``python -m paracnn.cli`` subprocess on this tree's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -283,44 +294,78 @@ class TestTrain:
             peaks.append(live["peak"])
         assert peaks[0] == peaks[1] <= 2 * 4
 
-    def test_lockfile_blocks_second_writer(self, corpus_dir, train_dir, capsys):
-        lock = train_dir / ".lock"
-        # no PID, not a PID, and a running process (this one)
-        for text in ("", "not a pid\n", f"{os.getpid()}\n"):
-            lock.write_text(text)
-            try:
-                args = ["train", "--data", str(corpus_dir), "--out", str(train_dir), "--quiet"]
-                for ov in TINY_OVERRIDES:
-                    args += ["--set", ov]
-                assert run_cli(*args) == 1
-                assert "locked" in capsys.readouterr().err
-            finally:
-                lock.unlink()
-
-    def test_lock_records_pid_while_training(self, corpus_dir, tmp_path, monkeypatch):
-        out = tmp_path / "run"
-        seen = []
-        monkeypatch.setattr(cli, "_train_loop",
-                            lambda *a: seen.append((out / ".lock").read_text()) or 0)
-        assert run_cli("train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
-                       "--set", "model.visual_dim=0") == 0
-        assert seen == [f"{os.getpid()}\n"]
-        assert not (out / ".lock").exists()
-
-    def test_stale_lock_reported_and_kept(self, corpus_dir, tmp_path, capsys):
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        assert proc.wait() == 0  # reaped, so its PID names no process
+    def test_lockfile_blocks_second_writer(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
-        lock = out / ".lock"
-        lock.write_text(f"{proc.pid}\n")
+        with open(out / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run_cli("train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                           "--set", "model.visual_dim=0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "locked" in err and err.count("\n") == 1
+        assert sorted(os.listdir(out)) == [".lock"]
+
+    def test_lock_held_while_training(self, corpus_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        seen = []
+
+        def probe(*_):
+            with open(out / ".lock") as fh:
+                try:
+                    fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    seen.append("held")
+            return 0
+
+        monkeypatch.setattr(cli, "_train_loop", probe)
+        assert run_cli("train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                       "--set", "model.visual_dim=0") == 0
+        assert seen == ["held"]
+        assert not (out / ".lock").exists()
+
+    def test_lock_on_a_replaced_file_refused(self, corpus_dir, tmp_path, monkeypatch,
+                                             capsys):
+        # a run that ended removed the file this one locked, and a newer run
+        # made the path's file
+        out = tmp_path / "run"
+        flock = fcntl.flock
+
+        def flock_then_replace(fd, op):
+            flock(fd, op)
+            (out / ".lock").unlink()
+            (out / ".lock").touch()
+
+        monkeypatch.setattr(cli.fcntl, "flock", flock_then_replace)
         assert run_cli("train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
                        "--set", "model.visual_dim=0") == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: stale lock {lock}: ")
-        assert f"process {proc.pid} is not running; delete {lock}" in err
-        assert lock.read_text() == f"{proc.pid}\n"
-        assert not (out / "log.jsonl").exists()
+        assert "locked" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == [".lock"]
+
+    def test_killed_run_resumes(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        argv = [sys.executable, "-m", "paracnn.cli", "train", "--data", str(corpus_dir),
+                "--out", str(out), "--quiet"]
+        for ov in TINY_OVERRIDES + ["train.epochs=500"]:
+            argv += ["--set", ov]
+        ckpt = out / "checkpoint_ep0001.pckpt"
+        proc = subprocess.Popen(argv, env=cli_env())
+        try:
+            deadline = time.monotonic() + 300
+            while not ckpt.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        assert ckpt.exists() and (out / ".lock").exists()
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                "--resume", str(ckpt)]
+        for ov in TINY_OVERRIDES:  # train.epochs=2
+            args += ["--set", ov]
+        assert run_cli(*args) == 0
+        assert not (out / ".lock").exists()
+        records = (out / "log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in records] == [1, 2]
 
     def test_resume_reproduces_trajectory(self, corpus_dir, tmp_path, monkeypatch):
         # val falls to epoch 2 and rises after it, so epoch 2 stays the best;
@@ -595,7 +640,7 @@ class TestFileBoundaryErrors:
     def fails_cleanly(capsys, argv, names):
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and names in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
 
     def test_missing_checkpoint(self, corpus_dir, tmp_path, capsys):
         missing = str(tmp_path / "none.pckpt")
@@ -667,14 +712,11 @@ class TestFileBoundaryErrors:
         data = tmp_path / "corpus"
         assert run_cli("make-corpus", "--seed", "3", "--size", "10", "--out", str(data)) == 0
         os.remove(data / read_manifest(data / "train.jsonl")[-1]["feature_path"])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
         argv = [sys.executable, "-X", "dev", "-m", "paracnn.cli", "train", "--data", str(data),
                 "--out", str(tmp_path / "run"), "--quiet"]
         for ov in TINY_OVERRIDES + ["train.epochs=1"]:
             argv += ["--set", ov]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300,
+        proc = subprocess.run(argv, capture_output=True, text=True, env=cli_env(), timeout=300,
                               check=False)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "ResourceWarning" not in proc.stderr
@@ -698,6 +740,69 @@ class TestFileBoundaryErrors:
         hyp.write_text("a red circle\n\na blue cube\n")
         self.fails_cleanly(capsys, ["eval", "--hypotheses", str(hyp), "--manifest",
                                     str(manifest)], f"{manifest}:2:")
+
+
+    @pytest.mark.parametrize("key,value", [("id", 7), ("feature_path", 5),
+                                           ("paragraph", None)])
+    def test_manifest_field_not_a_string(self, corpus_dir, tmp_path, capsys, key, value):
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in ("train", "val", "test"):  # feature paths made absolute
+            write_manifest(data / f"{split}.jsonl",
+                           [dict(e, feature_path=str(corpus_dir / e["feature_path"]))
+                            for e in read_manifest(corpus_dir / f"{split}.jsonl")])
+        entries = read_manifest(data / "train.jsonl")
+        write_manifest(data / "train.jsonl", [dict(entries[0], **{key: value})] + entries[1:])
+        names = f"{data / 'train.jsonl'}:1: manifest field {key!r} must be a string, got "
+        out = tmp_path / "run"
+        self.fails_cleanly(capsys, ["train", "--data", str(data), "--out", str(out)], names)
+        assert not out.exists()
+        hyp, scores = tmp_path / "hyp.txt", tmp_path / "scores.json"
+        hyp.write_text("\n\n".join(["a red cube"] * len(entries)) + "\n")
+        self.fails_cleanly(capsys, ["eval", "--hypotheses", str(hyp), "--manifest",
+                                    str(data / "train.jsonl"), "--json", str(scores)], names)
+        assert not scores.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "abc"), ("seed", -3), ("seed", True), ("vocab", {"<pad>": 0}),
+        ("vocab", ["<pad>", "<start>", "<eos>", "<unk>", 5]), ("vocab", "specials swapped"),
+        ("config", ["model"])])
+    def test_malformed_checkpoint_metadata(self, train_dir, corpus_dir, tmp_path, capsys,
+                                               key, value):
+        meta, arrays = read_checkpoint(train_dir / "best.pckpt")
+        if value == "specials swapped":  # a list of strings of the config's size
+            value = [meta["vocab"][1], meta["vocab"][0]] + meta["vocab"][2:]
+        path, out = tmp_path / "bad.pckpt", tmp_path / "hyp.txt"
+        write_checkpoint(path, dict(meta, **{key: value}), arrays)
+        self.fails_cleanly(capsys, ["generate", "--checkpoint", str(path), "--features",
+                                    str(corpus_dir / "test.jsonl"), "--out", str(out)],
+                           f"error: {path}: checkpoint metadata {key!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_checkpoint_vocab_not_the_config_size(self, train_dir, corpus_dir, tmp_path,
+                                                  capsys, change):
+        meta, arrays = read_checkpoint(train_dir / "best.pckpt")
+        vocab = meta["vocab"][:-1] if change < 0 else meta["vocab"] + ["zebra"]
+        path, out = tmp_path / "bad.pckpt", tmp_path / "hyp.txt"
+        write_checkpoint(path, dict(meta, vocab=vocab), arrays)
+        self.fails_cleanly(capsys, ["generate", "--checkpoint", str(path), "--features",
+                                    str(corpus_dir / "test.jsonl"), "--out", str(out)],
+                           f"error: {path}: checkpoint metadata 'vocab' has {len(vocab)} "
+                           f"tokens, not model.vocab_size={len(meta['vocab'])}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epoch", ["3", 0, True])
+    def test_resume_epoch_of_wrong_type(self, train_dir, corpus_dir, tmp_path, capsys, epoch):
+        meta, arrays = read_checkpoint(train_dir / "checkpoint_ep0001.pckpt")
+        path, out = tmp_path / "bad.pckpt", tmp_path / "resumed"
+        write_checkpoint(path, dict(meta, epoch=epoch), arrays)
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--resume", str(path)]
+        for ov in TINY_OVERRIDES:
+            args += ["--set", ov]
+        self.fails_cleanly(capsys, args,
+                           f"error: {path}: checkpoint metadata 'epoch' must be an integer >= 1")
+        assert not out.exists()
 
 
 class TestCheckpointFormat:

@@ -20,6 +20,12 @@ class TestForwardValues:
         eye = Tensor([[1.0, 0.0], [0.0, 1.0]])
         assert np.array_equal((a @ eye).data, a.data)
 
+    def test_data_is_float64_and_a_float64_array_is_not_copied(self):
+        x = np.zeros((2, 3))
+        assert Tensor(x).data is x
+        assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float64
+        assert Tensor([1, 2]).data.dtype == np.float64
+
     def test_add_zero_is_bit_exact(self):
         rng = RngState(1)
         x = Tensor(randn(rng, 3, 4))
