@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import RngState, ShapeError, Tensor, concat, gather_rows
+from .tensor import RngState, ShapeError, Tensor, _unbroadcast, concat, gather_rows
 
 MASK_NEG = 1e9
 
@@ -179,6 +179,26 @@ class Embedding(Layer):
         return self.l2(self.l1(gather_rows(self.table, idx)))
 
 
+def tanh_of_sum(a: Tensor, b: Tensor) -> Tensor:
+    """``(a + b).tanh()`` as one tape node, for operands that broadcast together.
+
+    The sum is written once and its tanh taken in place, so the tape keeps one
+    array where ``(a + b).tanh()`` keeps two. The backward runs that pair's two
+    rules in their order: d = g * (1 - y*y), reduced onto ``a``, then onto ``b``.
+    """
+    y = a.data + b.data
+    np.tanh(y, out=y)
+
+    def bw(g):
+        d = g * (1.0 - y * y)
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(d, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(d, b.shape))
+
+    return Tensor._from_op(y, (a, b), bw)
+
+
 class VisualAttention(Layer):
     """Additive soft attention over region features.
 
@@ -200,7 +220,7 @@ class VisualAttention(Layer):
         R = regions.shape[-2]
         hw = (h @ self.Wh).reshape(B, T, 1, self.Wh.shape[1])
         vw = (regions @ self.Wv).reshape(B, 1, R, self.Wv.shape[1])
-        scores = ((hw + vw).tanh() @ self.v).reshape(B, T, R)
+        scores = (tanh_of_sum(hw, vw) @ self.v).reshape(B, T, R)
         if region_mask is not None:
             m = np.asarray(region_mask, dtype=np.float64).reshape(B, 1, R)
             scores = scores + Tensor((m - 1.0) * MASK_NEG)

@@ -3,8 +3,9 @@
 Every quantity in the generator, the critic and the losses is a ``Tensor``
 holding float64 data, so finite-difference gradient checks are
 meaningful. Each operation records a backward closure; ``Tensor.backward``
-walks the tape in reverse topological order and accumulates gradients into
-every ``requires_grad`` ancestor.
+walks the tape in reverse topological order, accumulates gradients into
+every ``requires_grad`` ancestor and frees each interior node behind it, so
+only leaves keep ``.grad`` and a spent graph cannot be walked again.
 
 Broadcasting is restricted to numpy's trailing-dimension alignment; anything
 else fails with a ``ShapeError``. Inside a ``no_grad()`` block nothing is
@@ -66,6 +67,11 @@ def _check_broadcast(sa: tuple, sb: tuple):
             raise ShapeError(f"shapes {sa} and {sb} do not broadcast on trailing dimensions")
 
 
+def _spent(g):
+    """Backward rule of an interior node whose graph ``backward`` has already walked."""
+    raise RuntimeError("backward through a graph that an earlier backward() has freed")
+
+
 class Tensor:
     """Node in a dynamic computation graph: values plus accumulated gradient."""
 
@@ -124,7 +130,11 @@ class Tensor:
     # -- autodiff --------------------------------------------------------------
 
     def backward(self):
-        """Backpropagate d(self)/d(self) = 1 from this scalar node."""
+        """Backpropagate d(self)/d(self) = 1 from this scalar node.
+
+        The graph is spent afterwards: a second ``backward()`` on it, or on a new
+        graph built on one of its interior nodes, raises ``RuntimeError``.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() needs a scalar output")
 
@@ -143,10 +153,18 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
+        # Each node is popped and, once its rule has run, an interior node lets go
+        # of its gradient, its closure and its parents, so an intermediate is
+        # freed as soon as no later rule needs it. Leaves keep their gradient.
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
+                node._parents = ()
+                node._backward = _spent
 
     # -- elementwise arithmetic -------------------------------------------------
 

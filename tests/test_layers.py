@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import sum_sq
 from paracnn.layers import (BiGruCell, CausalConvBlock, Embedding, GruDirection, Linear,
-                            MultiHeadSelfAttention, VisualAttention)
+                            MultiHeadSelfAttention, VisualAttention, tanh_of_sum)
 from paracnn.tensor import RngState, ShapeError, Tensor, concat, grad_check
 from paracnn.training import Critic
 
@@ -237,10 +237,31 @@ class TestVisualAttention:
         assert np.all(w.data[..., 2] < 1e-12)
 
     def test_gradcheck(self):
+        # T > 1 and R > 1 with both inputs taped: the fused score node reduces its
+        # gradient over regions onto the query and over steps onto the regions
         att = VisualAttention(rng_for(46), 3, 4, 3)
-        V = Tensor(rng_for(47).normal((1, 3, 4)))
-        x = Tensor(rng_for(48).normal((1, 1, 3)), requires_grad=True)
-        assert grad_check(lambda t: att(t, V)[0].sum(), x) < 1e-4
+        h = Tensor(rng_for(48).normal((2, 3, 3)), requires_grad=True)
+        V = Tensor(rng_for(47).normal((2, 4, 4)), requires_grad=True)
+        assert grad_check(lambda t: sum_sq(att(t, V)[0]), h) < 1e-4
+        assert grad_check(lambda t: sum_sq(att(h, t)[0]), V) < 1e-4
+
+    def test_fused_score_equals_sum_then_tanh_bitwise(self):
+        B, T, R, A = 2, 3, 4, 5
+        rng = rng_for(49)
+        hw_data, vw_data = rng.normal((B, T, 1, A)), rng.normal((B, 1, R, A))
+        G = rng.normal((B, T, R, A))
+
+        def run(score):
+            hw = Tensor(hw_data, requires_grad=True)
+            vw = Tensor(vw_data, requires_grad=True)
+            out = score(hw, vw)
+            (out * Tensor(G)).sum().backward()
+            return out.data, hw.grad, vw.grad
+
+        fused = run(tanh_of_sum)
+        taped = run(lambda hw, vw: (hw + vw).tanh())
+        for a, b in zip(fused, taped):
+            assert np.array_equal(a, b)
 
 
 class TestMultiHeadSelfAttention:

@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -170,6 +171,53 @@ class TestKeptGradients:
         for i, a in enumerate(leaves):
             for b in leaves[i + 1:]:
                 assert not np.shares_memory(a.grad, b.grad)
+
+
+class TestFreedTape:
+    """backward frees each interior node once its rule has run; leaves keep .grad."""
+
+    def graph(self):
+        rng = RngState(9)
+        x = Tensor(randn(rng, 3, 4), requires_grad=True)
+        w = Tensor(randn(rng, 4, 5), requires_grad=True)
+        c = randn(rng, 3, 5)
+        return x, w, c
+
+    def test_leaf_grads_equal_hand_sums_and_a_second_backward_raises(self):
+        x, w, c = self.graph()
+        loss = ((x @ w).tanh() * Tensor(c)).sum()
+        loss.backward()
+        y = np.tanh(x.data @ w.data)
+        d = c * (1.0 - y * y)
+        assert np.array_equal(x.grad, d @ w.data.T)
+        assert np.array_equal(w.grad, x.data.T @ d)
+        kept = x.grad.copy(), w.grad.copy()
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        assert np.array_equal(x.grad, kept[0]) and np.array_equal(w.grad, kept[1])
+
+    def test_backprop_through_a_spent_interior_node_raises(self):
+        x, w, _ = self.graph()
+        h = x @ w
+        sum_sq(h).backward()
+        with pytest.raises(RuntimeError):
+            (h * 3.0).sum().backward()
+
+    def test_intermediates_are_freed_when_backward_returns(self):
+        # Tensor has no __weakref__ slot; the array an intermediate holds is what
+        # backward must let go of
+        x, w, c = self.graph()
+
+        def build():
+            mid = (x @ w) * Tensor(c)
+            return mid.tanh().sum(), weakref.ref(mid.data)
+
+        loss, mid_data = build()
+        assert mid_data() is not None
+        loss.backward()
+        assert mid_data() is None
+        assert loss._parents == () and loss.grad is None
+        assert x.grad is not None and w.grad is not None
 
 
 class TestMatmulTwoDimWeight:
