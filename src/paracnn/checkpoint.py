@@ -83,6 +83,8 @@ def read_checkpoint(path):
                 name = _read_exact(fh, name_len, end, f"entry {i} name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"{path}: invalid name of entry {i}: {exc}") from exc
+            if name in arrays:
+                raise CheckpointError(f"{path}: duplicate entry {name!r}")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, end, f"entry {name!r} shape"))
             shape = struct.unpack("<" + "I" * ndim,
                                   _read_exact(fh, 4 * ndim, end, f"entry {name!r} shape"))

@@ -214,11 +214,8 @@ def cmd_train(args) -> int:
               f"{feat_dim}", file=sys.stderr)
         return 1
 
-    resume = None
-    if args.resume:  # read before the run directory is touched
-        resume = _read_checkpoint_meta(args.resume, ("vocab", "epoch"))
-        if resume[0]["vocab"] != vocab.tokens:
-            raise CheckpointError(f"{args.resume}: trained with a different vocabulary")
+    trainer = build_trainer(run, vocab)
+    done = _resume(trainer, args.resume, vocab) if args.resume else 0
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -237,10 +234,19 @@ def cmd_train(args) -> int:
                   file=sys.stderr)
             return 1
         try:
-            return _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir,
-                               resume, args.quiet)
+            return _train_loop(run, vocab, trainer, done, train_entries, val_entries,
+                               data_dir, out_dir, args.quiet)
         finally:
             os.remove(lock_path)
+
+
+def _resume(trainer, path, vocab) -> int:
+    """Load checkpoint ``path`` into ``trainer``; returns its epoch. Nothing read is kept."""
+    meta, arrays = _read_checkpoint_meta(path, ("vocab", "epoch"))
+    if meta["vocab"] != vocab.tokens:
+        raise CheckpointError(f"{path}: trained with a different vocabulary")
+    load_trainer_arrays(trainer, arrays)
+    return meta["epoch"]
 
 
 def _truncate_log(log_path, epoch) -> float:
@@ -269,27 +275,20 @@ def _truncate_log(log_path, epoch) -> float:
     return best_val
 
 
-def _train_loop(run, vocab, train_entries, val_entries, data_dir, out_dir, resume,
+def _train_loop(run, vocab, trainer, done, train_entries, val_entries, data_dir, out_dir,
                 quiet) -> int:
-    """Train into ``out_dir``; ``resume`` is the (meta, arrays) of a checkpoint to go on from."""
-    _write_resolved_config(dataclasses.asdict(run), out_dir, "resolved_config.json")
-    trainer = build_trainer(run, vocab)
-
+    """Train ``trainer`` from epoch ``done + 1``; a resumed run (``done`` > 0) keeps its log."""
     log_path = os.path.join(out_dir, "log.jsonl")
-    start_epoch = 1
     best_val = float("inf")
-    if resume:
-        meta, arrays = resume
-        load_trainer_arrays(trainer, arrays)
-        start_epoch = meta["epoch"] + 1
-        if os.path.exists(log_path):  # keep the run's log and its best so far
-            best_val = _truncate_log(log_path, meta["epoch"])
+    if done and os.path.exists(log_path):  # keep the run's log and its best so far
+        best_val = _truncate_log(log_path, done)
+    _write_resolved_config(dataclasses.asdict(run), out_dir, "resolved_config.json")
 
     best_path = os.path.join(out_dir, "best.pckpt")
     meta_base = {"seed": run.seed, "vocab": vocab.tokens, "config": dataclasses.asdict(run),
                  "rng_algorithm": RngState.ALGORITHM}
-    with open(log_path, "a" if resume else "w") as log_fh:
-        for epoch in range(start_epoch, run.train.epochs + 1):
+    with open(log_path, "a" if done else "w") as log_fh:
+        for epoch in range(done + 1, run.train.epochs + 1):
             t0 = time.time()
             try:
                 stats = train_epoch(trainer, train_entries, vocab, run.train.batch_size, epoch,
@@ -349,8 +348,10 @@ def load_checkpoint_trainer(path):
     for name in ("model", "twin", "train"):
         if not isinstance(config.get(name), dict):
             raise CheckpointError(f"{path}: checkpoint config lacks a {name!r} section")
-    # the decode section that older checkpoints carry is ignored
-    run = _run_config(meta["seed"], config)
+    try:  # the decode section that older checkpoints carry is ignored
+        run = _run_config(meta["seed"], config)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if len(meta["vocab"]) != run.model.vocab_size:
         raise CheckpointError(f"{path}: checkpoint metadata 'vocab' has {len(meta['vocab'])} "
                               f"tokens, not model.vocab_size={run.model.vocab_size}")
@@ -381,11 +382,7 @@ def cmd_generate(args) -> int:
 
     texts = []  # written after the last image; only one image's features are held
     for path in paths:
-        f = corpus_mod.load_features(path)
-        if f.shape[1] != run.model.visual_dim:
-            print(f"error: feature dim {f.shape[1]} != checkpoint visual_dim "
-                  f"{run.model.visual_dim}", file=sys.stderr)
-            return 1
+        f = corpus_mod.load_features_of_dim(path, run.model.visual_dim)
         if dc.adaptive:
             sents = decode_adaptive(trainer.model, trainer.predictor, f, dc, vocab)
         else:

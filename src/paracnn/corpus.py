@@ -290,6 +290,16 @@ def load_features(path) -> np.ndarray:
     return features
 
 
+def load_features_of_dim(path, visual_dim) -> np.ndarray:
+    """``load_features``, plus FeatureFileError naming ``path`` unless the file's
+    width is ``visual_dim`` (None: any width)."""
+    features = load_features(path)
+    if visual_dim is not None and features.shape[1] != visual_dim:
+        raise FeatureFileError(
+            f"{path}: feature dim {features.shape[1]} != model visual_dim {visual_dim}")
+    return features
+
+
 # -- manifests ------------------------------------------------------------------------
 
 def write_manifest(path, entries):
@@ -325,11 +335,12 @@ def read_manifest(path) -> list:
 
 
 def batch_from_entries(entries, vocab: Vocab, max_sentences: int, max_words: int,
-                       base_dir: str = "") -> ParagraphBatch:
+                       base_dir: str = "", visual_dim: int = None) -> ParagraphBatch:
     """Encode manifest entries into one padded batch with loaded features.
 
-    A ``feature_path`` names a PFV1 file relative to ``base_dir``, or holds an
-    in-memory [R, d] feature array.
+    A ``feature_path`` names a PFV1 file relative to ``base_dir``, which must
+    be ``visual_dim`` wide if that is given, or holds an in-memory [R, d]
+    feature array.
     """
     toks, masks, counts, feats = [], [], [], []
     for e in entries:
@@ -338,7 +349,8 @@ def batch_from_entries(entries, vocab: Vocab, max_sentences: int, max_words: int
         masks.append(m)
         counts.append(c)
         fp = e["feature_path"]
-        feats.append(load_features(os.path.join(base_dir, fp)) if isinstance(fp, str) else fp)
+        feats.append(load_features_of_dim(os.path.join(base_dir, fp), visual_dim)
+                     if isinstance(fp, str) else fp)
     return ParagraphBatch(np.stack(toks), np.stack(masks), np.asarray(counts), feats)
 
 
@@ -350,15 +362,17 @@ def shuffle_order(seed: int, n: int, epoch: int = None) -> np.ndarray:
 
 
 def make_batches(entries, vocab: Vocab, max_sentences: int, max_words: int, batch_size: int,
-                 order, base_dir: str = ""):
+                 order, base_dir: str = "", visual_dim: int = None):
     """Yield batches of ``batch_size`` entries taken in ``order``; the last may be short.
 
     A batch is built, and its features read, only when the caller asks for
     it: a loop over the batches holds one batch, and the next while it is built.
+    Each feature file read must be ``visual_dim`` wide, if that is given.
     """
     for lo in range(0, len(order), batch_size):
         yield batch_from_entries([entries[i] for i in order[lo:lo + batch_size]], vocab,
-                                 max_sentences, max_words, base_dir=base_dir)
+                                 max_sentences, max_words, base_dir=base_dir,
+                                 visual_dim=visual_dim)
 
 
 def pad_feature_batch(features: list):

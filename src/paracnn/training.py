@@ -345,10 +345,11 @@ class TwinTrainer:
 
 
 def _batches(trainer: TwinTrainer, entries, vocab, batch_size: int, order, base_dir: str):
-    """``make_batches`` on the trainer's [M, N] grid; built as they are consumed."""
+    """``make_batches`` on the trainer's [M, N] grid and feature width; built as they
+    are consumed."""
     cfg = trainer.cfg
     return make_batches(entries, vocab, cfg.max_sentences, cfg.max_words, batch_size, order,
-                        base_dir=base_dir)
+                        base_dir=base_dir, visual_dim=cfg.visual_dim)
 
 
 def train_epoch(trainer: TwinTrainer, entries, vocab, batch_size: int, epoch: int,

@@ -169,6 +169,7 @@ def test_criterion_3_incremental_equivalence():
 # -- 4: toy-corpus learning ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_toy_corpus_learning(toy_vocab_mod):
     t0 = time.time()
     vocab = toy_vocab_mod
@@ -202,6 +203,7 @@ def test_criterion_4_toy_corpus_learning(toy_vocab_mod):
 # -- 5: twin non-degradation -------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_twin_non_degradation(toy_vocab_mod):
     vocab = toy_vocab_mod
     records = generate_synthetic_corpus(3, 200, noise=0.0)

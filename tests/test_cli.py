@@ -2,6 +2,7 @@ import dataclasses
 import fcntl
 import json
 import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -433,6 +434,68 @@ class TestTrain:
         assert str(exc.value).startswith(f"{log}:2: not a training log record")
 
 
+def tree_bytes(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+class TestResume:
+    """``--resume`` loads its checkpoint before it touches the run directory, and keeps
+    none of it."""
+
+    @pytest.mark.parametrize("refusal, extra, message", [
+        ("shape", ["model.proj_dim=8"], "shape mismatch for 'fwd.feat_proj.W'"),
+        ("missing", ["twin.mode=l2"], "checkpoint missing parameter 'bwd."),
+        ("log", [], "log.jsonl:1: not a training log record"),
+    ])
+    def test_refused_resume_leaves_the_run_as_it_was(self, train_dir, corpus_dir, tmp_path,
+                                                     capsys, refusal, extra, message):
+        out = tmp_path / "run"
+        shutil.copytree(train_dir, out)
+        if refusal == "log":
+            (out / "log.jsonl").write_text("not json\n")
+        before = tree_bytes(out)
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                "--resume", str(out / "checkpoint_ep0001.pckpt")]
+        for ov in TINY_OVERRIDES + ["train.epochs=3"] + extra:  # a longer run than train_dir's
+            args += ["--set", ov]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert tree_bytes(out) == before  # no .lock either
+
+    def test_resumed_run_holds_no_checkpoint_array(self, train_dir, corpus_dir, tmp_path,
+                                                   monkeypatch):
+        out = tmp_path / "run"
+        shutil.copytree(train_dir, out)
+        read, epoch = cli.read_checkpoint, cli.train_epoch
+        refs, alive = [], []
+
+        def weakly_read(path):
+            meta, arrays = read(path)
+            refs.extend(weakref.ref(a) for a in arrays.values())
+            return meta, arrays
+
+        def checked_epoch(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return epoch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_checkpoint", weakly_read)
+        monkeypatch.setattr(cli, "train_epoch", checked_epoch)
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                "--resume", str(out / "checkpoint_ep0001.pckpt")]
+        for ov in TINY_OVERRIDES:  # train.epochs=2: one epoch after the checkpoint's
+            args += ["--set", ov]
+        assert run_cli(*args) == 0
+        assert refs and alive == [0]
+
+
 class TestGenerateAndEval:
     def test_generate_fixed_sentence_count(self, train_dir, corpus_dir, tmp_path):
         out = tmp_path / "hyp.txt"
@@ -674,8 +737,29 @@ class TestFileBoundaryErrors:
         out = tmp_path / "hyp.txt"
         self.fails_cleanly(capsys, ["generate", "--checkpoint", str(train_dir / "best.pckpt"),
                                     "--features", str(manifest), "--sentences", "2",
-                                    "--out", str(out)], "error: feature dim 5 != ")
+                                    "--out", str(out)],
+                           f"error: {tmp_path / 'odd.pfv'}: feature dim 5 != model visual_dim ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("split, batch_size", [("val", 1), ("train", 8)])
+    def test_train_feature_dim_mismatch_names_the_file(self, corpus_dir, tmp_path, capsys,
+                                                        split, batch_size):
+        # alone in its batch, or beside files of the model's width
+        data, odd = tmp_path / "data", tmp_path / "odd.pfv"
+        data.mkdir()
+        save_features(odd, np.ones((2, 7)))
+        for name in ("train", "val", "test"):  # feature paths made absolute
+            entries = [dict(e, feature_path=str(corpus_dir / e["feature_path"]))
+                       for e in read_manifest(corpus_dir / f"{name}.jsonl")]
+            if name == split:  # the last entry: train's first sets the model's width
+                entries[-1]["feature_path"] = str(odd)
+            write_manifest(data / f"{name}.jsonl", entries)
+        args = ["train", "--data", str(data), "--out", str(tmp_path / "run"), "--quiet"]
+        for ov in TINY_OVERRIDES + ["train.epochs=1", f"train.batch_size={batch_size}"]:
+            args += ["--set", ov]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == \
+            f"error: {odd}: feature dim 7 != model visual_dim 117\n"
 
     @pytest.mark.parametrize("bad", ["one_nan", "all_inf"])
     def test_non_finite_features(self, train_dir, corpus_dir, tmp_path, capsys, bad):
@@ -854,6 +938,15 @@ class TestCheckpointFormat:
             with pytest.raises(CheckpointError):
                 read_checkpoint(path)
 
+    def test_duplicate_entry_raises(self, tmp_path, capsys):
+        path = tmp_path / "dup.pckpt"
+        write_checkpoint(path, {"epoch": 1}, {"x": np.ones(2), "y": np.ones(3)})
+        blob = path.read_bytes()
+        y_at = blob.rindex(b"\x01\x00y\x01")  # entry y: name length, name, ndim
+        path.write_bytes(blob[:y_at + 2] + b"x" + blob[y_at + 3:])
+        assert run_cli("generate", "--checkpoint", str(path), "--features", str(path)) == 1
+        assert capsys.readouterr().err == f"error: {path}: duplicate entry 'x'\n"
+
     def test_checkpoint_meta_without_required_keys_raises(self, train_dir, tmp_path):
         from paracnn.checkpoint import CheckpointError
         meta, arrays = read_checkpoint(train_dir / "best.pckpt")
@@ -946,7 +1039,8 @@ class TestCheckpointFormat:
         write_checkpoint(path, dict(meta, config=config), arrays)
         assert run_cli("generate", "--checkpoint", str(path),
                        "--features", str(corpus_dir / "test.jsonl")) == 1
-        assert "error: unknown key(s) in [twin]: ['critic_steps']" in capsys.readouterr().err
+        assert f"error: {path}: unknown key(s) in [twin]: ['critic_steps']" in \
+            capsys.readouterr().err
 
     def test_checkpoint_decode_section_ignored(self, train_dir, corpus_dir, tmp_path):
         # checkpoints written while decode settings were part of the run config

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from paracnn import corpus
 from paracnn.corpus import (CorpusError, FeatureFileError, ParagraphBatch, Vocab,
-                            build_vocab, encode_paragraph,
+                            batch_from_entries, build_vocab, encode_paragraph, make_batches,
                             generate_synthetic_corpus, load_features, save_features,
                             read_manifest, write_manifest, pad_feature_batch)
 from paracnn.decode import sentences_to_text
@@ -187,6 +187,21 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFileError, match="non-finite"):
             save_features(path, feats)
         assert not path.exists()
+
+    def test_batch_files_checked_against_the_model_width(self, tmp_path, toy_vocab):
+        save_features(tmp_path / "a.pfv", np.ones((2, 4)))
+        save_features(tmp_path / "b.pfv", np.ones((3, 5)))
+        entries = [{"paragraph": "the red cube is in the east.", "feature_path": name}
+                   for name in ("a.pfv", "b.pfv")]
+        batches = make_batches(entries, toy_vocab, 2, 8, 1, [0, 1], base_dir=str(tmp_path),
+                               visual_dim=4)
+        assert next(batches).feature_refs[0].shape == (2, 4)
+        with pytest.raises(FeatureFileError) as exc:
+            next(batches)
+        assert str(exc.value) == f"{tmp_path / 'b.pfv'}: feature dim 5 != model visual_dim 4"
+        # without a width, any width loads
+        batch = batch_from_entries(entries[1:], toy_vocab, 2, 8, base_dir=str(tmp_path))
+        assert batch.feature_refs[0].shape == (3, 5)
 
     def test_dimension_mismatch_across_batch(self):
         with pytest.raises(FeatureFileError, match="dimension mismatch"):
