@@ -201,8 +201,8 @@ def cmd_train(args) -> int:
 
     vocab = corpus_mod.build_vocab([e["paragraph"] for e in train_entries])
 
-    feat_dim = corpus_mod.load_features(
-        os.path.join(data_dir, train_entries[0]["feature_path"])).shape[1]
+    first_path = os.path.join(data_dir, train_entries[0]["feature_path"])
+    feat_dim = corpus_mod.load_features(first_path).shape[1]
     run = load_run_config(args.config, args.set or [], default_vocab_size=len(vocab),
                           default_visual_dim=feat_dim)
     if run.model.vocab_size != len(vocab):
@@ -210,8 +210,8 @@ def cmd_train(args) -> int:
               f"{len(vocab)}", file=sys.stderr)
         return 1
     if run.model.visual_dim != feat_dim:
-        print(f"error: config visual_dim {run.model.visual_dim} != feature dim "
-              f"{feat_dim}", file=sys.stderr)
+        print(f"error: {first_path}: feature dim {feat_dim} != model visual_dim "
+              f"{run.model.visual_dim}", file=sys.stderr)
         return 1
 
     trainer = build_trainer(run, vocab)
@@ -245,8 +245,16 @@ def _resume(trainer, path, vocab) -> int:
     meta, arrays = _read_checkpoint_meta(path, ("vocab", "epoch"))
     if meta["vocab"] != vocab.tokens:
         raise CheckpointError(f"{path}: trained with a different vocabulary")
-    load_trainer_arrays(trainer, arrays)
+    _load_arrays(trainer, arrays, path)
     return meta["epoch"]
+
+
+def _load_arrays(trainer, arrays, path):
+    """``load_trainer_arrays``, with a refusal naming checkpoint ``path``."""
+    try:
+        load_trainer_arrays(trainer, arrays)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def _truncate_log(log_path, epoch) -> float:
@@ -361,7 +369,7 @@ def load_checkpoint_trainer(path):
         raise CheckpointError(f"{path}: checkpoint metadata 'vocab': {exc}") from exc
     trainer = build_trainer(dataclasses.replace(run, twin=TwinConfig()), vocab)
     # decoding never steps an optimizer, so its state is left as built
-    load_trainer_arrays(trainer, {k: v for k, v in arrays.items() if not k.startswith("opt.")})
+    _load_arrays(trainer, {k: v for k, v in arrays.items() if not k.startswith("opt.")}, path)
     return trainer, run, vocab
 
 

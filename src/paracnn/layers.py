@@ -114,18 +114,19 @@ class CausalConvBlock(Layer):
     def __call__(self, x: Tensor) -> Tensor:
         """x: [..., T, in_channels] -> [..., T, out_channels]."""
         self._check_channels(x)
-        T = x.shape[-2]
-        k = self.kernel_size
-        pad = Tensor(np.zeros(x.shape[:-2] + (k - 1, self.in_channels)))
-        xp = concat([pad, x], axis=-2)
+        T, cin, k = x.shape[-2], self.in_channels, self.kernel_size
+        xp = np.concatenate([np.zeros(x.shape[:-2] + (k - 1, cin)), x.data], axis=-2)
         # window tap tau sees the frame (k-1-tau) steps in the past; stacking
         # the taps on the channel axis turns the convolution into one GEMM
-        taps = []
-        for tau in range(k):
-            sl = [slice(None)] * xp.ndim
-            sl[-2] = slice(tau, tau + T)
-            taps.append(xp[tuple(sl)])
-        return self._gated(concat(taps, axis=-1), x)
+        windows = np.concatenate([xp[..., tau:tau + T, :] for tau in range(k)], axis=-1)
+
+        def window_grad(dw):
+            dxp = np.zeros(xp.shape)
+            for tau in range(k):
+                dxp[..., tau:tau + T, :] += dw[..., tau * cin:(tau + 1) * cin]
+            x._accumulate(dxp[..., k - 1:, :])
+
+        return self._gated(windows, (x,), window_grad)
 
     def step(self, x: Tensor, history: list) -> Tensor:
         """One new frame x: [..., in_channels] -> its output [..., out_channels].
@@ -137,12 +138,18 @@ class CausalConvBlock(Layer):
         ``__call__`` over the whole sequence.
         """
         self._check_channels(x)
-        k = self.kernel_size
-        taps = list(history)
-        missing = k - 1 - len(taps)
-        if missing > 0:
-            taps.insert(0, Tensor(np.zeros(x.shape[:-1] + (missing * self.in_channels,))))
-        out = self._gated(concat(taps + [x], axis=-1), x)
+        cin, k = self.in_channels, self.kernel_size
+        inputs = tuple(history) + (x,)
+        pad = cin * (k - len(inputs))  # zero columns for the taps older than the history
+        windows = np.concatenate([np.zeros(x.shape[:-1] + (pad,))]
+                                 + [t.data for t in inputs], axis=-1)
+
+        def window_grad(dw):
+            for i, t in enumerate(inputs):
+                if t.requires_grad:
+                    t._accumulate(dw[..., pad + i * cin:pad + (i + 1) * cin])
+
+        out = self._gated(windows, inputs, window_grad)
         history.append(x)
         # max(0, ...): a negative bound would drop taps while history is short
         del history[:max(0, len(history) - (k - 1))]
@@ -152,15 +159,45 @@ class CausalConvBlock(Layer):
         if x.shape[-1] != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[-1]}")
 
-    def _gated(self, windows: Tensor, x: Tensor) -> Tensor:
-        """Tap-major windows [..., k*in] of the frames x: [..., in] -> gated output [..., out]."""
-        pre = windows @ self.weight + self.bias
-        a = pre[..., : self.out_channels]
-        b = pre[..., self.out_channels:]
-        out = a * b.sigmoid()
+    def _gated(self, windows: np.ndarray, inputs: tuple, window_grad) -> Tensor:
+        """Tap-major windows [..., k*in] -> gated output [..., out], as one tape node.
+
+        ``inputs`` are the tensors the windows were cut from, the new frames x
+        [..., in] last; the node's parents are they, the weight and the bias.
+        ``window_grad`` hands a gradient of the windows on to ``inputs``. The
+        backward sums each gradient in the order the tape of the composition
+        (GEMM, bias, halves, sigmoid, gate, residual) did, so its result is the
+        same bit for bit: d_pre is [g*s | (g*a)*s*(1-s)], the bias gets its sum
+        over the leading axes, and x gets the residual before its window slices.
+        """
+        out_c = self.out_channels
+        x = inputs[-1]
+        w2 = windows.reshape(-1, windows.shape[-1])
+        pre = (w2 @ self.weight.data).reshape(windows.shape[:-1] + (2 * out_c,))
+        pre += self.bias.data
+        a = pre[..., :out_c]
+        s = 1.0 / (1.0 + np.exp(-pre[..., out_c:]))
+        out = a * s
         if self.residual:
-            out = out + x
-        return out
+            out += x.data
+
+        def bw(g):
+            d_pre = np.empty(pre.shape)
+            np.multiply(g, s, out=d_pre[..., :out_c])
+            db = np.multiply(g, a, out=d_pre[..., out_c:])
+            db *= s
+            db *= 1.0 - s
+            if self.residual and x.requires_grad:
+                x._accumulate(g)
+            if self.bias.requires_grad:
+                self.bias._accumulate(d_pre.sum(axis=tuple(range(d_pre.ndim - 1))), owned=True)
+            d2 = d_pre.reshape(-1, 2 * out_c)
+            if any(t.requires_grad for t in inputs):
+                window_grad((d2 @ self.weight.data.T).reshape(windows.shape))
+            if self.weight.requires_grad:
+                self.weight._accumulate(w2.T @ d2, owned=True)
+
+        return Tensor._from_op(out, inputs + (self.weight, self.bias), bw)
 
 
 class Embedding(Layer):

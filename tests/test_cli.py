@@ -468,6 +468,8 @@ class TestResume:
         assert run_cli(*args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        if refusal != "log":  # a refused checkpoint is named
+            assert err.startswith(f"error: {out / 'checkpoint_ep0001.pckpt'}: {message}")
         assert tree_bytes(out) == before  # no .lock either
 
     def test_resumed_run_holds_no_checkpoint_array(self, train_dir, corpus_dir, tmp_path,
@@ -761,6 +763,19 @@ class TestFileBoundaryErrors:
         assert capsys.readouterr().err == \
             f"error: {odd}: feature dim 7 != model visual_dim 117\n"
 
+    def test_train_visual_dim_not_the_feature_width(self, corpus_dir, tmp_path, capsys):
+        first = os.path.join(str(corpus_dir),
+                             read_manifest(corpus_dir / "train.jsonl")[0]["feature_path"])
+        width = load_features(first).shape[1]
+        out = tmp_path / "run"
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
+        for ov in TINY_OVERRIDES + [f"model.visual_dim={width + 1}"]:
+            args += ["--set", ov]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == \
+            f"error: {first}: feature dim {width} != model visual_dim {width + 1}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["one_nan", "all_inf"])
     def test_non_finite_features(self, train_dir, corpus_dir, tmp_path, capsys, bad):
         entry = read_manifest(corpus_dir / "test.jsonl")[0]
@@ -861,6 +876,24 @@ class TestFileBoundaryErrors:
         self.fails_cleanly(capsys, ["generate", "--checkpoint", str(path), "--features",
                                     str(corpus_dir / "test.jsonl"), "--out", str(out)],
                            f"error: {path}: checkpoint metadata {key!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("refusal, message", [
+        ("shape", "shape mismatch for 'fwd.feat_proj.W'"),
+        ("missing", "checkpoint missing parameter 'fwd.feat_proj.W'")])
+    def test_generate_refused_checkpoint_arrays_name_the_file(self, train_dir, corpus_dir,
+                                                               tmp_path, capsys, refusal,
+                                                               message):
+        meta, arrays = read_checkpoint(train_dir / "best.pckpt")
+        if refusal == "shape":
+            arrays["fwd.feat_proj.W"] = arrays["fwd.feat_proj.W"][:-1]
+        else:
+            del arrays["fwd.feat_proj.W"]
+        path, out = tmp_path / "bad.pckpt", tmp_path / "hyp.txt"
+        write_checkpoint(path, meta, arrays)
+        self.fails_cleanly(capsys, ["generate", "--checkpoint", str(path), "--features",
+                                    str(corpus_dir / "test.jsonl"), "--out", str(out)],
+                           f"error: {path}: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("change", [-1, 1])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,11 +85,13 @@ class TestCausalConvBlock:
             conv(Tensor(np.zeros((1, 3, 5))))
 
     def test_gradcheck(self):
-        conv = CausalConvBlock(rng_for(14), 3, 3, 2)
-        x = Tensor(rng_for(15).normal((1, 4, 3)), requires_grad=True)
-        assert grad_check(lambda t: (conv(t) * conv(t)).sum(), x) < 1e-4
-        assert grad_check(lambda w: sum_sq(conv(Tensor(rng_for(16).normal((1, 4, 3))))),
-                          conv.weight) < 1e-4
+        for cout in (3, 5):  # with the residual and without
+            conv = CausalConvBlock(rng_for(14), 3, cout, 2)
+            x = Tensor(rng_for(15).normal((1, 4, 3)), requires_grad=True)
+            assert grad_check(lambda t: (conv(t) * conv(t)).sum(), x) < 1e-4
+            fixed = Tensor(rng_for(16).normal((1, 4, 3)))
+            for p in (conv.weight, conv.bias):
+                assert grad_check(lambda _: sum_sq(conv(fixed)), p) < 1e-4
 
     def test_weight_is_seeded_draw_in_gemm_layout(self):
         # 70 output columns: two full copy slabs and a partial one
@@ -108,21 +112,20 @@ class TestCausalConvBlock:
         expect = pre[..., :2] / (1.0 + np.exp(-pre[..., 2:]))
         assert np.allclose(conv(Tensor(x)).data, expect, rtol=1e-12, atol=1e-12)
 
-    def test_gemm_operand_is_the_weight_itself(self, monkeypatch):
-        # a per-call copy or re-layout of the weight must not come back
-        operands = []
-        matmul = Tensor.matmul
-
-        def spy(a, b):
-            operands.append(b.data if isinstance(b, Tensor) else b)
-            return matmul(a, b)
-
-        monkeypatch.setattr(Tensor, "matmul", spy)
-        monkeypatch.setattr(Tensor, "__matmul__", spy)
-        conv = CausalConvBlock(rng_for(20), 4, 4, 3)
-        conv(Tensor(rng_for(21).normal((2, 6, 4)), requires_grad=True))
-        assert len(operands) == 1
-        assert np.shares_memory(operands[0], conv.weight.data)
+    def test_gemm_operand_is_the_weight_itself(self):
+        # the weight is the GEMM operand as it is: a per-call copy or re-layout
+        # of its 320 x 128 floats (327 KB) must not come back
+        conv = CausalConvBlock(rng_for(20), 64, 64, 5)
+        x = Tensor(rng_for(21).normal((1, 2, 64)), requires_grad=True)
+        for call in (lambda: conv(x), lambda: conv.step(x[:, 0], [x[:, 1]] * 4)):
+            call()  # warm-up: first-call allocations are not the block's
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < conv.weight.data.nbytes
 
 
 class TestCausalConvStep:
@@ -159,16 +162,114 @@ class TestCausalConvStep:
 
     def test_gradcheck_over_steps(self):
         k, T = 4, 6
-        conv = CausalConvBlock(rng_for(53), 3, 3, k)
-        x = Tensor(rng_for(54).normal((1, T, 3)), requires_grad=True)
+        for cout in (3, 5):  # with the residual and without
+            conv = CausalConvBlock(rng_for(53), 3, cout, k)
+            x = Tensor(rng_for(54).normal((1, T, 3)), requires_grad=True)
 
-        def stepped(t_in):
-            history = []
-            return sum_sq(concat([conv.step(t_in[:, t], history) for t in range(T)], axis=-1))
+            def stepped(t_in):
+                history = []
+                outs = [conv.step(t_in[:, t], history) for t in range(T)]
+                return sum_sq(concat(outs, axis=-1))
 
-        assert grad_check(stepped, x) < 1e-4
-        fixed = Tensor(x.data.copy())
-        assert grad_check(lambda w: stepped(fixed), conv.weight) < 1e-4
+            assert grad_check(stepped, x) < 1e-4
+            fixed = Tensor(x.data.copy())
+            for p in (conv.weight, conv.bias):
+                assert grad_check(lambda _: stepped(fixed), p) < 1e-4
+
+
+def taped_conv_gate(conv, windows, x):
+    """The gated tail as the composition of tensor ops the fused node replaced."""
+    pre = windows @ conv.weight + conv.bias
+    out = pre[..., :conv.out_channels] * pre[..., conv.out_channels:].sigmoid()
+    return out + x if conv.residual else out
+
+
+def taped_conv_call(conv, x):
+    """``CausalConvBlock.__call__`` as pad, concat, k tap slices, concat and the gated tail."""
+    T, k = x.shape[-2], conv.kernel_size
+    xp = concat([Tensor(np.zeros(x.shape[:-2] + (k - 1, conv.in_channels))), x], axis=-2)
+    return taped_conv_gate(conv, concat([xp[..., tau:tau + T, :] for tau in range(k)], axis=-1), x)
+
+
+def taped_conv_step(conv, x, history):
+    """``CausalConvBlock.step`` as zero block, history and frame concatenated, and the gated tail."""
+    k = conv.kernel_size
+    taps = list(history)
+    missing = k - 1 - len(taps)
+    if missing > 0:
+        taps.insert(0, Tensor(np.zeros(x.shape[:-1] + (missing * conv.in_channels,))))
+    out = taped_conv_gate(conv, concat(taps + [x], axis=-1), x)
+    history.append(x)
+    del history[:max(0, len(history) - (k - 1))]
+    return out
+
+
+class TestFusedConvBlock:
+    """``__call__`` and ``step`` are one tape node each, equal bit for bit to the
+    composition of tensor ops they replaced, gradients included."""
+
+    @staticmethod
+    def outputs_and_grads(loss_of, leaves):
+        for leaf in leaves:
+            leaf.zero_grad()
+        out, loss = loss_of()
+        loss.backward()
+        return out.data, [leaf.grad for leaf in leaves]
+
+    def assert_equal_to_taped(self, monkeypatch, loss_of, leaves):
+        fused = self.outputs_and_grads(loss_of, leaves)
+        monkeypatch.setattr(CausalConvBlock, "__call__", taped_conv_call)
+        monkeypatch.setattr(CausalConvBlock, "step", taped_conv_step)
+        taped = self.outputs_and_grads(loss_of, leaves)
+        assert np.array_equal(fused[0], taped[0])
+        for i, (f, t) in enumerate(zip(fused[1], taped[1])):
+            assert f is not None and np.array_equal(f, t), i
+
+    @pytest.mark.parametrize("k, cin, cout", [(1, 3, 3), (3, 3, 3), (1, 3, 5), (4, 3, 5)])
+    def test_call_equals_taped_composition(self, monkeypatch, k, cin, cout):
+        conv = CausalConvBlock(rng_for(60 + k), cin, cout, k)
+        x = Tensor(rng_for(61).normal((2, 5, cin)), requires_grad=True)
+        r = Tensor(rng_for(62).normal((2, 5, cout)))
+
+        def loss_of():
+            # x also feeds the loss directly, and the weight is used twice
+            out = conv(x)
+            return out, (out * r).sum() + sum_sq(x) + sum_sq(conv(x * 0.5))
+
+        self.assert_equal_to_taped(monkeypatch, loss_of, [x, conv.weight, conv.bias])
+
+    def test_topic_loop_steps_equal_taped_composition(self, monkeypatch):
+        # as in the topic loop: each step's output is fed back as the next
+        # frame, so history frames require grad and feed later steps
+        blocks = [CausalConvBlock(rng_for(63), 3, 4, 3), CausalConvBlock(rng_for(64), 4, 4, 2)]
+        x = Tensor(rng_for(65).normal((2, 6, 3)), requires_grad=True)
+
+        def loss_of():
+            histories = [[], []]
+            frame, outs = x[:, 0], []
+            for t in range(6):
+                h = frame
+                for block, history in zip(blocks, histories):
+                    h = block.step(h, history)
+                outs.append(h)
+                frame = h[:, :3].tanh() + x[:, (t + 1) % 6]
+            out = concat(outs, axis=-1)
+            return out, sum_sq(out)
+
+        leaves = [x] + [p for b in blocks for p in (b.weight, b.bias)]
+        self.assert_equal_to_taped(monkeypatch, loss_of, leaves)
+
+    def test_call_and_step_are_one_node(self):
+        conv = CausalConvBlock(rng_for(66), 3, 3, 3)
+        x = Tensor(rng_for(67).normal((1, 4, 3)), requires_grad=True)
+        out = conv(x)
+        assert len(out._parents) == 3
+        assert all(a is b for a, b in zip(out._parents, (x, conv.weight, conv.bias)))
+        frames = [Tensor(rng_for(68 + t).normal((1, 3)), requires_grad=True) for t in range(3)]
+        history = frames[:2]
+        out = conv.step(frames[2], history)
+        assert len(out._parents) == 5
+        assert all(a is b for a, b in zip(out._parents, frames + [conv.weight, conv.bias]))
 
 
 class TestEmbedding:
