@@ -11,6 +11,7 @@ array has the shape the trainer holds it in.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -53,17 +54,25 @@ def write_checkpoint(path, meta: dict, arrays: dict):
             os.remove(tmp)
 
 
-def _read_exact(fh, n: int, end: int, what: str) -> bytes:
+def _read_exact(fh, n: int, end: int, what: str, keep: bool = True) -> bytes:
+    """The next ``n`` bytes, or with ``keep=False`` a seek past them; both bounds-checked."""
     if fh.tell() + n > end:
         raise CheckpointError(f"{fh.name}: truncated {what}")
-    return fh.read(n)
+    if keep:
+        return fh.read(n)
+    fh.seek(n, os.SEEK_CUR)
+    return b""
 
 
-def read_checkpoint(path):
+def read_checkpoint(path, *prefixes):
     """Returns (meta dict, name -> read-only float64 array); CheckpointError on any malformed input.
 
-    Each array is a view of the bytes read for it; ``load_trainer_arrays`` makes the one copy.
+    Given name ``prefixes``, only the entries whose names start with one of them
+    are read; every other entry's header is read and checked and its data seeked
+    past, so a cut-short skipped entry fails like a read one. Each array is a
+    view of the bytes read for it; ``load_trainer_arrays`` makes the one copy.
     """
+    prefixes = prefixes or ("",)  # every name starts with ""
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         if fh.read(6) != MAGIC:
@@ -76,21 +85,24 @@ def read_checkpoint(path):
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path}: metadata block is not a JSON object")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, end, "entry count"))
-        arrays = {}
+        arrays, names = {}, set()
         for i in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, end, f"entry {i} name"))
             try:
                 name = _read_exact(fh, name_len, end, f"entry {i} name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"{path}: invalid name of entry {i}: {exc}") from exc
-            if name in arrays:
+            if name in names:
                 raise CheckpointError(f"{path}: duplicate entry {name!r}")
+            names.add(name)
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, end, f"entry {name!r} shape"))
             shape = struct.unpack("<" + "I" * ndim,
                                   _read_exact(fh, 4 * ndim, end, f"entry {name!r} shape"))
-            size = int(np.prod(shape)) if ndim else 1
-            raw = _read_exact(fh, 8 * size, end, f"entry {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            size = math.prod(shape)  # a Python int: dims that overflow int64 read as truncated
+            keep = name.startswith(prefixes)
+            raw = _read_exact(fh, 8 * size, end, f"entry {name!r}", keep)
+            if keep:
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.tell() != end:
             raise CheckpointError(
                 f"{path}: {end - fh.tell()} trailing bytes after {count} entries")

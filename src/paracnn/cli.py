@@ -337,9 +337,9 @@ _META_TYPES = {
 }
 
 
-def _read_checkpoint_meta(path, keys):
+def _read_checkpoint_meta(path, keys, *prefixes):
     """read_checkpoint, plus CheckpointError when the metadata lacks or mistypes one of ``keys``."""
-    meta, arrays = read_checkpoint(path)
+    meta, arrays = read_checkpoint(path, *prefixes)
     for key in keys:
         if key not in meta:
             raise CheckpointError(f"{path}: checkpoint metadata lacks {key!r}")
@@ -351,7 +351,9 @@ def _read_checkpoint_meta(path, keys):
 
 def load_checkpoint_trainer(path):
     """(trainer, run, vocab) for decoding; the trainer holds no backward network or critic."""
-    meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"))
+    # decoding runs the forward network and the count predictor and never steps an
+    # optimizer: the other entries are checked and skipped, not read
+    meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"), "fwd.", "predictor.")
     config = meta["config"]
     for name in ("model", "twin", "train"):
         if not isinstance(config.get(name), dict):
@@ -368,8 +370,7 @@ def load_checkpoint_trainer(path):
     except corpus_mod.CorpusError as exc:
         raise CheckpointError(f"{path}: checkpoint metadata 'vocab': {exc}") from exc
     trainer = build_trainer(dataclasses.replace(run, twin=TwinConfig()), vocab)
-    # decoding never steps an optimizer, so its state is left as built
-    _load_arrays(trainer, {k: v for k, v in arrays.items() if not k.startswith("opt.")}, path)
+    _load_arrays(trainer, arrays, path)
     return trainer, run, vocab
 
 
@@ -490,7 +491,7 @@ def gradcheck_report(seed: int = 0):
     att = L.VisualAttention(rng, 6, 5, 4)
     hq = Tensor(rng.normal((1, 1, 6)), requires_grad=True)
     regions = Tensor(rng.normal((1, 3, 5)))
-    check("layer.visual_attention", lambda t: att(t, regions)[0].sum(), hq)
+    check("layer.visual_attention", lambda t: att(t, regions, att.keys(regions))[0].sum(), hq)
 
     mha = L.MultiHeadSelfAttention(rng, 6, 2)
     check("layer.self_attention", lambda t: (mha(t) * mha(t)).sum(),

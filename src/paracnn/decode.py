@@ -5,10 +5,13 @@ Decoding is deterministic: per sentence, the context pools the previously
 picked by argmax until <eos> or the word budget. Decoding runs the same
 ``ParagraphModel.topic_forward`` and ``ParagraphModel.sentence_forward`` as
 teacher-forced training, for one image at a time; each word step feeds only
-the newest token against per-sentence word-block caches and records no tape
-(``no_grad``). The repetition penalty subtracts gamma times a
-token's emission count from its logit, and trigram blocking forbids
-completing any already-emitted trigram; both apply at inference only.
+the newest token and records no tape (``no_grad``). A paragraph's
+``WordCache`` holds what its word steps share: the attention keys of the
+image and each token's embedded row, computed once per paragraph, and the
+word blocks' input histories, emptied per sentence. The repetition penalty
+subtracts gamma times a token's emission count from its logit, and trigram
+blocking forbids completing any already-emitted trigram; both apply at
+inference only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Vocab
-from .model import ParagraphModel, SentenceCountPredictor, TopicState, predict_sentence_count
+from .model import (ParagraphModel, SentenceCountPredictor, TopicState, WordCache,
+                    predict_sentence_count)
 from .tensor import Tensor, no_grad
 
 NEG_INF = float("-inf")
@@ -86,6 +90,7 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     feats = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
     # a batch of one image: [1, proj] global vector, [1, R, proj] regions
     global_feat, regions = model.project_features(feats.reshape((1,) + feats.shape))
+    cache = WordCache(model.region_keys(regions))
     if predictor is not None:
         n_sent = predict_sentence_count(predictor, global_feat, dc.min_sentences,
                                         dc.max_sentences)
@@ -103,11 +108,11 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
             context = model.pool_context(model.embed(prev), np.ones(prev.shape))
         topic = model.topic_forward(state, global_feat, context)
 
-        caches = [[] for _ in model.word_blocks]
+        cache.histories.clear()
         tok = vocab.start
         words = []
         for _ in range(n_words):
-            _, logits = model.sentence_forward(topic, [[tok]], regions, caches=caches)
+            _, logits = model.sentence_forward(topic, [[tok]], regions, cache=cache)
             row = logits.data[0, -1]
             if dc.rep_penalty > 0 or dc.block_trigrams:
                 row = apply_repetition_penalty(row, history, dc.rep_penalty, dc.block_trigrams)

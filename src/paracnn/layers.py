@@ -247,8 +247,18 @@ class VisualAttention(Layer):
         self.Wv = _param(rng, (region_dim, attn_dim), region_dim)
         self.v = _param(rng, (attn_dim, 1), attn_dim)
 
-    def __call__(self, h: Tensor, regions: Tensor, region_mask=None):
-        """h: [B, T, d] with regions [B, R, d_v] and an optional [B, R] mask.
+    def keys(self, regions: Tensor) -> Tensor:
+        """regions [B, R, d_v] -> their score terms W_v V_r, [B, 1, R, attn].
+
+        They do not depend on the query, so a caller attending to the same
+        regions again (one call per decoded word) computes them once.
+        """
+        B, R, _ = regions.shape
+        return (regions @ self.Wv).reshape(B, 1, R, self.Wv.shape[1])
+
+    def __call__(self, h: Tensor, regions: Tensor, keys: Tensor, region_mask=None):
+        """h: [B, T, d] with regions [B, R, d_v], their ``keys(regions)`` and an
+        optional [B, R] mask.
 
         Returns (context [B, T, d_v], weights [B, T, R]); weights form a
         probability simplex over regions (masked regions get weight 0).
@@ -256,8 +266,7 @@ class VisualAttention(Layer):
         B, T, _ = h.shape
         R = regions.shape[-2]
         hw = (h @ self.Wh).reshape(B, T, 1, self.Wh.shape[1])
-        vw = (regions @ self.Wv).reshape(B, 1, R, self.Wv.shape[1])
-        scores = (tanh_of_sum(hw, vw) @ self.v).reshape(B, T, R)
+        scores = (tanh_of_sum(hw, keys) @ self.v).reshape(B, T, R)
         if region_mask is not None:
             m = np.asarray(region_mask, dtype=np.float64).reshape(B, 1, R)
             scores = scores + Tensor((m - 1.0) * MASK_NEG)

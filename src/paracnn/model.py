@@ -12,10 +12,11 @@ Teacher-forced training (``paragraph_forward``) and greedy decoding share one
 code path. ``topic_forward`` adds one topic slot to a ``TopicState`` by stepping
 each topic block once against its last k-1 inputs. ``sentence_forward`` runs
 the word stack over S sentences: all positions in parallel in training
-(S = B*M teacher-forced sentences), or, given per-block caches, one new
-position per call in decoding. Only the sequential topic loop remains.
+(S = B*M teacher-forced sentences), or, given a paragraph's ``WordCache``, one
+new position per call in decoding. Only the sequential topic loop remains.
 Regions stay per image ([B, R, proj]), and the S = B*M sentences are grouped
-by image, so an attention tap projects each image's regions once.
+by image, so an attention tap projects each image's regions once per call;
+decoding, through the ``WordCache``, projects them once per paragraph.
 """
 
 from __future__ import annotations
@@ -83,6 +84,20 @@ class TopicState:
 
     histories: dict = field(default_factory=dict)  # block index -> its last k-1 inputs
     topics: list = field(default_factory=list)
+
+
+@dataclass
+class WordCache:
+    """Word-stack decode state of one paragraph of one image.
+
+    The attention keys of the image and the embedded row of each token seen
+    so far are computed once per paragraph; the per-block input histories are
+    emptied at the start of each sentence.
+    """
+
+    keys: dict  # tap name -> ``ParagraphModel.region_keys`` of the image
+    embeds: dict = field(default_factory=dict)  # token -> its embedded [1, 1, embed] row
+    histories: dict = field(default_factory=dict)  # block index -> its last k-1 inputs
 
 
 class ParagraphModel(Layer):
@@ -170,8 +185,12 @@ class ParagraphModel(Layer):
 
     # -- word stack -----------------------------------------------------------------
 
+    def region_keys(self, regions: Tensor) -> dict:
+        """The attention keys of [B, R, proj] regions, {tap name: [B, 1, R, channels]}."""
+        return {name: tap.attn.keys(regions) for name, tap in self.word_attn.items()}
+
     def sentence_forward(self, topics: Tensor, inputs, regions: Tensor, region_mask=None,
-                         caches=None):
+                         cache: WordCache = None):
         """Word stack over S sentences: returns (hidden [S, T, channels], logits [S, T, V]).
 
         ``topics`` is [S, topic], ``inputs`` the [S, T] input tokens (each row
@@ -180,8 +199,9 @@ class ParagraphModel(Layer):
         belongs to image s // (S // B), and each attention tap sees an image's
         sentences as one query sequence. The logit row at position t scores the
         token following inputs[:, t]; the hidden frames are the pre-logit features.
-        With ``caches`` (one history list per word block, empty at a sentence's
-        start), ``inputs`` holds the [S, 1] newest tokens and only their row is computed.
+        With a ``cache`` (decoding one image), ``inputs`` holds the [1, 1] newest
+        token and only its row is computed, from the cached keys, embedded rows
+        and block histories; a token not yet embedded is embedded and stored.
         """
         inputs = np.asarray(inputs, dtype=np.int64)
         if inputs.ndim != 2:
@@ -192,15 +212,23 @@ class ParagraphModel(Layer):
             raise ShapeError(f"{S} sentences do not split evenly over {B} images")
         if T > self.cfg.max_words:
             raise ShapeError(f"prefix length {T} exceeds max_words {self.cfg.max_words}")
-        if caches is not None and T != 1:
-            raise ShapeError("a cached step takes the [S, 1] newest tokens")
+        if cache is None:
+            keys, embeds = self.region_keys(regions), self.embed(inputs)
+        else:
+            if (S, T) != (1, 1):
+                raise ShapeError(f"a cached step takes the [1, 1] newest token, got [{S}, {T}]")
+            keys, tok = cache.keys, int(inputs[0, 0])
+            embeds = cache.embeds.get(tok)
+            if embeds is None:
+                embeds = cache.embeds[tok] = self.embed(inputs)
         top = topics.reshape(S, 1, self.cfg.topic_dim).broadcast_to((S, T, self.cfg.topic_dim))
-        h = self.word_in(concat([self.embed(inputs), top], axis=-1))
+        h = self.word_in(concat([embeds, top], axis=-1))
         for i, block in enumerate(self.word_blocks, start=1):
-            h = block(h) if caches is None else block.step(h, caches[i - 1])
+            h = block(h) if cache is None else block.step(h, cache.histories.setdefault(i, []))
             tap = self.word_attn.get(str(i))
             if tap is not None:
-                h = tap(h.reshape(B, -1, h.shape[-1]), regions, region_mask).reshape(h.shape)
+                h = tap(h.reshape(B, -1, h.shape[-1]), regions, keys[str(i)],
+                        region_mask).reshape(h.shape)
         return h, self.vocab_head(h)
 
     # -- teacher-forced paragraph pass --------------------------------------------------
@@ -249,8 +277,8 @@ class _AttentionTap(Layer):
         self.attn = VisualAttention(rng, channels, region_dim, channels)
         self.proj = Linear(rng, region_dim, channels)
 
-    def __call__(self, h: Tensor, regions: Tensor, region_mask=None) -> Tensor:
-        context, _ = self.attn(h, regions, region_mask)
+    def __call__(self, h: Tensor, regions: Tensor, keys: Tensor, region_mask=None) -> Tensor:
+        context, _ = self.attn(h, regions, keys, region_mask)
         return h + self.proj(context)
 
 

@@ -20,7 +20,7 @@ from paracnn.corpus import (build_vocab, encode_paragraph, generate_synthetic_co
                             synthetic_vocab_paragraphs)
 from paracnn.decode import DecodeConfig, decode_adaptive, greedy_decode
 from paracnn.metrics import EvalPair, bleu_n, cider, rouge_l
-from paracnn.model import ModelConfig, ParagraphModel, TopicState
+from paracnn.model import ModelConfig, ParagraphModel, TopicState, WordCache
 from paracnn.tensor import RngState, Tensor
 from paracnn.training import TwinConfig, TwinTrainer, train_epoch
 from test_metrics import CIDER_FIXTURE, CIDER_FIXTURE_SCORE, cider_oracle
@@ -155,11 +155,11 @@ def test_criterion_3_incremental_equivalence():
                 ctx = model.pool_context(emb, mask[:, j - 1])
             topic = model.topic_forward(state, g, ctx)
             inputs = [1] + list(tokens[0, j, :-1])
-            caches = [[] for _ in model.word_blocks]
+            cache = WordCache(model.region_keys(regions))
             for t in range(1, 5):
                 # the cached step decoding uses: one new token per call
                 _, step_logits = model.sentence_forward(topic, [inputs[t - 1:t]], regions,
-                                                        caches=caches)
+                                                        cache=cache)
                 diff = np.abs(step_logits.data[0, -1] - full.data[0, j, t - 1]).max()
                 worst = max(worst, diff)
     ok = worst < 1e-10

@@ -1,5 +1,7 @@
 """PCKPT2 entries: every parameter and optimizer-state array in the shape the trainer holds it."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,30 @@ def test_wrong_conv_shape_raises_checkpoint_error(key, shape):
     with pytest.raises(CheckpointError, match="shape mismatch"):
         load_trainer_arrays(trainer(), arrays)
 
+
+def test_prefixes_select_entries(tmp_path):
+    path = tmp_path / "a.pckpt"
+    arrays = trainer_arrays(trained())
+    write_checkpoint(path, {"seed": 3}, arrays)
+    _, every = read_checkpoint(path)
+    assert every.keys() == arrays.keys()
+    _, some = read_checkpoint(path, "fwd.", "opt.critic.")
+    assert some.keys() == {k for k in arrays if k.startswith(("fwd.", "opt.critic."))}
+    assert all(np.array_equal(some[k], arrays[k]) for k in some)
+
+
+@pytest.mark.parametrize("prefixes", [(), ("b",)])
+def test_skipped_entries_are_checked(tmp_path, prefixes):
+    path = tmp_path / "a.pckpt"
+    write_checkpoint(path, {}, {"a": np.ones(2), "b": np.ones(3)})
+    blob = path.read_bytes()
+    a_at = blob.index(b"\x01\x00a\x01")  # entry a: name length, name, ndim
+    # a's name duplicated as b's, and a's one dim as four of 2**16, whose
+    # product is 0 in int64
+    path.write_bytes(blob.replace(b"\x01\x00b", b"\x01\x00a"))
+    with pytest.raises(CheckpointError, match="duplicate entry 'a'"):
+        read_checkpoint(path, *prefixes)
+    path.write_bytes(blob[:a_at + 3] + b"\x04" + struct.pack("<4I", *[2 ** 16] * 4)
+                     + blob[a_at + 8:])
+    with pytest.raises(CheckpointError, match="truncated entry 'a'"):
+        read_checkpoint(path, *prefixes)

@@ -1058,6 +1058,43 @@ class TestCheckpointFormat:
         for opt in (trainer.opt, trainer.opt_pred):
             assert opt.state and not any(np.any(v) for v in opt.state.values())
 
+    def test_generate_reads_forward_network_only(self, twin_dir, monkeypatch):
+        read, kept = cli.read_checkpoint, []
+
+        def recording(path, *prefixes):
+            meta, arrays = read(path, *prefixes)
+            kept.extend(arrays)
+            return meta, arrays
+
+        monkeypatch.setattr(cli, "read_checkpoint", recording)
+        cli.load_checkpoint_trainer(str(twin_dir / "best.pckpt"))
+        _, every = read(twin_dir / "best.pckpt")
+        assert sorted(kept) == sorted(k for k in every if k.startswith(("fwd.", "predictor.")))
+
+    def test_generate_checks_the_entries_it_skips(self, twin_dir, corpus_dir, tmp_path,
+                                                  capsys):
+        blob = (twin_dir / "best.pckpt").read_bytes()
+        # walk the entries to the first critic entry: its ndim byte, data offset and size
+        at = 10 + int.from_bytes(blob[6:10], "little") + 4
+        while True:
+            n = int.from_bytes(blob[at:at + 2], "little")
+            name, at = blob[at + 2:at + 2 + n].decode(), at + 2 + n
+            dims = struct.unpack(f"<{blob[at]}I", blob[at + 1:at + 1 + 4 * blob[at]])
+            data_at = at + 1 + 4 * len(dims)
+            nbytes = 8 * int(np.prod(dims))
+            if name.startswith("critic."):
+                break
+            at = data_at + nbytes
+        cut = blob[:data_at + nbytes // 2]  # the file ends inside the entry
+        # the entry's first dim claims more data than the file holds
+        grown = blob[:at + 1] + struct.pack("<I", 2 ** 31) + blob[at + 5:]
+        path = tmp_path / "bad.pckpt"
+        for data in (cut, grown):
+            path.write_bytes(data)
+            assert run_cli("generate", "--checkpoint", str(path),
+                           "--features", str(corpus_dir / "test.jsonl")) == 1
+            assert capsys.readouterr().err == f"error: {path}: truncated entry {name!r}\n"
+
     def test_loading_builds_forward_network_only(self, twin_dir):
         trainer, run, _ = cli.load_checkpoint_trainer(str(twin_dir / "best.pckpt"))
         assert trainer.model_bwd is None and trainer.opt_bwd is None

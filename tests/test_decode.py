@@ -10,7 +10,8 @@ from paracnn.corpus import build_vocab, synthetic_vocab_paragraphs
 from paracnn.decode import (DecodeConfig, apply_repetition_penalty, decode_adaptive,
                             greedy_decode, read_paragraphs, sentences_to_text,
                             write_paragraphs)
-from paracnn.model import ParagraphModel, SentenceCountPredictor, TopicState
+from paracnn.layers import Embedding, VisualAttention
+from paracnn.model import ParagraphModel, SentenceCountPredictor, TopicState, WordCache
 from paracnn.tensor import RngState, Tensor, no_grad
 
 
@@ -177,10 +178,10 @@ def test_decoding_records_no_tape(vocab, monkeypatch):
     logits = []
     forward = ParagraphModel.sentence_forward
 
-    def keep(self, topics, inputs, regions, region_mask=None, caches=None):
+    def keep(self, topics, inputs, regions, region_mask=None, cache=None):
         # every decode step is a cached call on the one newest token
-        assert caches is not None and np.shape(inputs) == (1, 1)
-        out = forward(self, topics, inputs, regions, region_mask, caches=caches)
+        assert cache is not None and np.shape(inputs) == (1, 1)
+        out = forward(self, topics, inputs, regions, region_mask, cache=cache)
         logits.append(out[1])
         return out
 
@@ -189,6 +190,82 @@ def test_decoding_records_no_tape(vocab, monkeypatch):
                   plain_decode_config(num_sentences=1), vocab)
     assert logits and all(t._parents == () and not t.requires_grad for t in logits)
     assert all(t.shape == (1, 1, len(vocab)) for t in logits)
+
+
+def spy(monkeypatch, owner, name, calls):
+    """Wrap method ``owner.name`` so each call appends its arguments to ``calls``."""
+    method = getattr(owner, name)
+
+    def recording(self, *args, **kwargs):
+        calls.append(args)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+
+
+def test_keys_and_embeddings_once_per_paragraph(vocab, monkeypatch):
+    model = fresh_model(vocab, seed=7, max_words=6, attn_layers=(1, 2))
+    keys, embeds, steps = [], [], []
+    spy(monkeypatch, VisualAttention, "keys", keys)
+    spy(monkeypatch, Embedding, "__call__", embeds)
+    spy(monkeypatch, ParagraphModel, "sentence_forward", steps)
+    sents = greedy_decode(model, RngState(17).normal((3, 6)),
+                          plain_decode_config(num_sentences=3), vocab)
+    assert len(keys) == len(model.word_attn) == 2
+    inputs = [int(args[1][0][0]) for args in steps]  # the token fed at each word step
+    assert len(inputs) == sum(map(len, sents))
+    # no one-word sentence, so a pooled sentence is told from a word step by its shape
+    assert min(map(len, sents)) > 1
+    pooled = [np.asarray(args[0]).tolist() for args in embeds if np.shape(args[0]) != (1, 1)]
+    assert pooled == [[sents[0]], [sents[1]]]  # the previous sentence, embedded whole
+    assert len(embeds) == len(set(inputs)) + len(pooled) < len(inputs) + len(pooled)
+
+
+def test_cached_decode_bitwise_equals_recomputing_each_word(vocab, monkeypatch):
+    # two taps; a step that recomputes the keys and the embedding at every word
+    # must give the same logits bit for bit
+    model = fresh_model(vocab, seed=8, max_words=7, attn_layers=(1, 2))
+    feats = RngState(18).normal((3, 6))
+    dc = DecodeConfig(num_sentences=3, rep_penalty=1.5)
+    rows = []
+    forward = ParagraphModel.sentence_forward
+
+    def keep(self, *args, **kwargs):
+        out = forward(self, *args, **kwargs)
+        rows.append(out[1].data[0, -1])
+        return out
+
+    monkeypatch.setattr(ParagraphModel, "sentence_forward", keep)
+    sents = greedy_decode(model, feats, dc, vocab)
+    monkeypatch.setattr(ParagraphModel, "sentence_forward", forward)
+
+    expected_rows, expected = [], []
+    history = []
+    with no_grad():
+        g, regions = model.project_features(Tensor(feats[None]))
+        state = TopicState()
+        for j in range(dc.num_sentences):
+            ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
+            if j:
+                prev = np.asarray([expected[-1]])
+                ctx = model.pool_context(model.embed(prev), np.ones(prev.shape))
+            topic = model.topic_forward(state, g, ctx)
+            block_inputs, tok, words = {}, vocab.start, []
+            for _ in range(model.cfg.max_words):
+                fresh = WordCache(model.region_keys(regions), histories=block_inputs)
+                _, logits = model.sentence_forward(topic, [[tok]], regions, cache=fresh)
+                expected_rows.append(logits.data[0, -1])
+                row = apply_repetition_penalty(logits.data[0, -1], history, dc.rep_penalty,
+                                               dc.block_trigrams)
+                tok = int(np.argmax(row))
+                history.append(tok)
+                words.append(tok)
+                if tok == vocab.eos:
+                    break
+            expected.append(words)
+    assert sents == expected
+    assert len(rows) == len(expected_rows) == len(history)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, expected_rows))
 
 
 def prefix_oracle(model, feats, dc, vocab):

@@ -297,7 +297,7 @@ class TestVisualAttention:
     def test_single_region(self):
         att = VisualAttention(rng_for(30), 4, 5, 3)
         V = Tensor(rng_for(31).normal((1, 1, 5)))
-        ctx, w = att(Tensor(rng_for(32).normal((1, 1, 4))), V)
+        ctx, w = att(Tensor(rng_for(32).normal((1, 1, 4))), V, att.keys(V))
         assert np.allclose(w.data, [[[1.0]]])
         assert np.allclose(ctx.data, V.data, atol=1e-12)
 
@@ -305,8 +305,8 @@ class TestVisualAttention:
         att = VisualAttention(rng_for(33), 4, 5, 3)
         row = rng_for(34).normal((5,))
         V = Tensor(np.tile(row, (1, 4, 1)))
-        c1, _ = att(Tensor(rng_for(35).normal((1, 1, 4))), V)
-        c2, _ = att(Tensor(rng_for(36).normal((1, 1, 4))), V)
+        c1, _ = att(Tensor(rng_for(35).normal((1, 1, 4))), V, att.keys(V))
+        c2, _ = att(Tensor(rng_for(36).normal((1, 1, 4))), V, att.keys(V))
         assert np.allclose(c1.data[0, 0], row, atol=1e-12)
         assert np.allclose(c2.data[0, 0], row, atol=1e-12)
 
@@ -314,7 +314,7 @@ class TestVisualAttention:
         att = VisualAttention(rng_for(37), 4, 5, 3)
         h = rng_for(38).normal((4,))
         V = rng_for(39).normal((3, 5))
-        ctx, w = att(Tensor(h[None, None]), Tensor(V[None]))
+        ctx, w = att(Tensor(h[None, None]), Tensor(V[None]), att.keys(Tensor(V[None])))
         scores = np.array([att.v.data[:, 0] @ np.tanh(h @ att.Wh.data + V[r] @ att.Wv.data)
                            for r in range(3)])
         e = np.exp(scores - scores.max())
@@ -326,7 +326,7 @@ class TestVisualAttention:
         att = VisualAttention(rng_for(40), 4, 5, 3)
         h = Tensor(rng_for(41).normal((2, 6, 4)))
         V = Tensor(rng_for(42).normal((2, 3, 5)))
-        _, w = att(h, V)
+        _, w = att(h, V, att.keys(V))
         assert np.all(w.data >= 0)
         assert np.allclose(w.data.sum(-1), 1.0)
 
@@ -334,17 +334,18 @@ class TestVisualAttention:
         att = VisualAttention(rng_for(43), 4, 5, 3)
         h = Tensor(rng_for(44).normal((1, 2, 4)))
         V = Tensor(rng_for(45).normal((1, 3, 5)))
-        _, w = att(h, V, region_mask=np.array([[1.0, 1.0, 0.0]]))
+        _, w = att(h, V, att.keys(V), region_mask=np.array([[1.0, 1.0, 0.0]]))
         assert np.all(w.data[..., 2] < 1e-12)
 
     def test_gradcheck(self):
         # T > 1 and R > 1 with both inputs taped: the fused score node reduces its
-        # gradient over regions onto the query and over steps onto the regions
+        # gradient over regions onto the query and over steps onto the regions,
+        # which reach V through both the keys and the context
         att = VisualAttention(rng_for(46), 3, 4, 3)
         h = Tensor(rng_for(48).normal((2, 3, 3)), requires_grad=True)
         V = Tensor(rng_for(47).normal((2, 4, 4)), requires_grad=True)
-        assert grad_check(lambda t: sum_sq(att(t, V)[0]), h) < 1e-4
-        assert grad_check(lambda t: sum_sq(att(h, t)[0]), V) < 1e-4
+        assert grad_check(lambda t: sum_sq(att(t, V, att.keys(V))[0]), h) < 1e-4
+        assert grad_check(lambda t: sum_sq(att(h, t, att.keys(t))[0]), V) < 1e-4
 
     def test_fused_score_equals_sum_then_tanh_bitwise(self):
         B, T, R, A = 2, 3, 4, 5

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_grid, tiny_config
 from paracnn.model import (ModelConfig, ParagraphModel, SentenceCountPredictor,
-                           TopicState, predict_sentence_count)
+                           TopicState, WordCache, predict_sentence_count)
 from paracnn.tensor import RngState, ShapeError, Tensor, cross_entropy, grad_check
 
 
@@ -153,6 +153,15 @@ class TestSentenceForward:
         regions = Tensor(np.zeros((2, 3, 8)))
         with pytest.raises(ShapeError, match="3 sentences"):
             model.sentence_forward(Tensor(np.zeros((3, 8))), np.ones((3, 1)), regions)
+
+    def test_cached_step_takes_one_token(self, model):
+        # the cache holds one image's keys and embeds one token per step
+        regions = Tensor(np.zeros((2, 3, 8)))
+        cache = WordCache(model.region_keys(regions))
+        with pytest.raises(ShapeError, match=r"\[1, 1\] newest token, got \[2, 1\]"):
+            model.sentence_forward(Tensor(np.zeros((2, 8))), np.ones((2, 1)), regions,
+                                   cache=cache)
+        assert cache.embeds == {} and cache.histories == {}
 
     def test_token_out_of_range(self, model):
         with pytest.raises(IndexError):
