@@ -55,13 +55,18 @@ def write_checkpoint(path, meta: dict, arrays: dict):
 
 
 def _read_exact(fh, n: int, end: int, what: str, keep: bool = True) -> bytes:
-    """The next ``n`` bytes, or with ``keep=False`` a seek past them; both bounds-checked."""
-    if fh.tell() + n > end:
-        raise CheckpointError(f"{fh.name}: truncated {what}")
-    if keep:
-        return fh.read(n)
-    fh.seek(n, os.SEEK_CUR)
-    return b""
+    """The next ``n`` bytes, or with ``keep=False`` a seek past them; both bounds-checked.
+
+    A read that returns fewer than ``n`` bytes is truncated too.
+    """
+    if fh.tell() + n <= end:
+        if not keep:
+            fh.seek(n, os.SEEK_CUR)
+            return b""
+        data = fh.read(n)
+        if len(data) == n:
+            return data
+    raise CheckpointError(f"{fh.name}: truncated {what}")
 
 
 def read_checkpoint(path, *prefixes):
@@ -73,7 +78,8 @@ def read_checkpoint(path, *prefixes):
     view of the bytes read for it; ``load_trainer_arrays`` makes the one copy.
     """
     prefixes = prefixes or ("",)  # every name starts with ""
-    with open(path, "rb") as fh:
+    # unbuffered: a skipped entry's header read must not fill a buffer with its data
+    with open(path, "rb", buffering=0) as fh:
         end = os.fstat(fh.fileno()).st_size
         if fh.read(6) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, expected {MAGIC!r}")
@@ -129,27 +135,27 @@ def trainer_arrays(trainer) -> dict:
     return out
 
 
-def _copy_entry(arrays: dict, key: str, p) -> np.ndarray:
+def _copy_entry(arrays: dict, key: str, p, path) -> np.ndarray:
     """A copy of entry ``key``, checked against parameter ``p``'s shape."""
     arr = arrays[key]
     if arr.shape != p.data.shape:
-        raise CheckpointError(
-            f"shape mismatch for {key!r}: checkpoint {arr.shape} vs model {p.data.shape}")
+        raise CheckpointError(f"{path}: shape mismatch for {key!r}: checkpoint {arr.shape} "
+                              f"vs model {p.data.shape}")
     return arr.astype(np.float64, copy=True)
 
 
-def load_trainer_arrays(trainer, arrays: dict):
-    """Copy checkpoint arrays into a freshly built trainer.
+def load_trainer_arrays(trainer, arrays: dict, path):
+    """Copy the arrays read from checkpoint ``path`` into a freshly built trainer.
 
     Every parameter of every network the trainer holds must be in ``arrays``
     (entries of networks it does not hold are ignored). A loaded entry,
-    optimizer state included, must have its parameter's shape.
+    optimizer state included, must have its parameter's shape. Errors name ``path``.
     """
     for prefix, module, opt in _sections(trainer):
         for name, p in module.named_parameters().items():
             key = f"{prefix}.{name}"
             if key not in arrays:
-                raise CheckpointError(f"checkpoint missing parameter {key!r}")
-            p.data = _copy_entry(arrays, key, p)
+                raise CheckpointError(f"{path}: checkpoint missing parameter {key!r}")
+            p.data = _copy_entry(arrays, key, p, path)
             if f"opt.{key}" in arrays:
-                opt.state[name] = _copy_entry(arrays, f"opt.{key}", p)
+                opt.state[name] = _copy_entry(arrays, f"opt.{key}", p, path)

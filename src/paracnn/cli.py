@@ -97,6 +97,9 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
                 raise ConfigError(f"{path}: not a JSON config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
+        for name in ("model", "twin", "train"):
+            if not isinstance(raw.get(name, {}), dict):
+                raise ConfigError(f"{path}: config section {name!r} must be a JSON object")
     known = {"seed", "model", "twin", "train"}
     unknown = set(raw) - known
     if unknown:
@@ -170,23 +173,16 @@ def cmd_make_corpus(args) -> int:
     for name, part in splits.items():
         corpus_mod.write_manifest(os.path.join(out_dir, f"{name}.jsonl"), part)
     corpus_mod.write_manifest(os.path.join(out_dir, "manifest.jsonl"), entries)
-    with open(os.path.join(out_dir, "corpus_config.json"), "w") as fh:
-        json.dump({"seed": args.seed, "size": args.size,
-                   "max_objects": args.max_objects, "noise": args.noise,
-                   "split": {k: len(v) for k, v in splits.items()}},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_resolved_config({"seed": args.seed, "size": args.size,
+                            "max_objects": args.max_objects, "noise": args.noise,
+                            "split": {k: len(v) for k, v in splits.items()}},
+                           out_dir, "corpus_config.json")
     print(f"wrote {args.size} scenes to {out_dir} "
           f"(train/val/test = {n_train}/{n_val}/{n_test})")
     return 0
 
 
 # -- train ------------------------------------------------------------------------
-
-
-def _load_split(data_dir: str, name: str):
-    path = os.path.join(data_dir, f"{name}.jsonl")
-    return corpus_mod.read_manifest(path)
 
 
 def build_trainer(run: RunConfig, vocab) -> TwinTrainer:
@@ -196,8 +192,8 @@ def build_trainer(run: RunConfig, vocab) -> TwinTrainer:
 
 def cmd_train(args) -> int:
     data_dir = args.data
-    train_entries = _load_split(data_dir, "train")
-    val_entries = _load_split(data_dir, "val")
+    train_entries = corpus_mod.read_manifest(os.path.join(data_dir, "train.jsonl"))
+    val_entries = corpus_mod.read_manifest(os.path.join(data_dir, "val.jsonl"))
 
     vocab = corpus_mod.build_vocab([e["paragraph"] for e in train_entries])
 
@@ -245,16 +241,8 @@ def _resume(trainer, path, vocab) -> int:
     meta, arrays = _read_checkpoint_meta(path, ("vocab", "epoch"))
     if meta["vocab"] != vocab.tokens:
         raise CheckpointError(f"{path}: trained with a different vocabulary")
-    _load_arrays(trainer, arrays, path)
+    load_trainer_arrays(trainer, arrays, path)
     return meta["epoch"]
-
-
-def _load_arrays(trainer, arrays, path):
-    """``load_trainer_arrays``, with a refusal naming checkpoint ``path``."""
-    try:
-        load_trainer_arrays(trainer, arrays)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def _truncate_log(log_path, epoch) -> float:
@@ -370,7 +358,7 @@ def load_checkpoint_trainer(path):
     except corpus_mod.CorpusError as exc:
         raise CheckpointError(f"{path}: checkpoint metadata 'vocab': {exc}") from exc
     trainer = build_trainer(dataclasses.replace(run, twin=TwinConfig()), vocab)
-    _load_arrays(trainer, arrays, path)
+    load_trainer_arrays(trainer, arrays, path)
     return trainer, run, vocab
 
 
@@ -480,7 +468,7 @@ def gradcheck_report(seed: int = 0):
         report.append((name, grad_check(f, x)))
 
     rng = root.child(90)
-    conv = L.CausalConvBlock(rng, 4, 4, 3)
+    conv = L.CausalConvBlock(rng, 4, 3)
     x = Tensor(rng.normal((1, 5, 4)), requires_grad=True)
     check("layer.causal_conv", lambda t: (conv(t) * conv(t)).sum(), x)
 
@@ -508,38 +496,28 @@ def gradcheck_report(seed: int = 0):
     shake = root.child(92)
     for p in model.named_parameters().values():
         p.data += shake.normal(p.data.shape, scale=0.3)
+    pred = SentenceCountPredictor(root.child(4), cfg.proj_dim, cfg.max_sentences,
+                                  hidden1=6, hidden2=5)
+    critic = Critic(root.child(3), cfg.channels, 4)
+
     data_rng = root.child(91)
     tokens = data_rng.integers(4, cfg.vocab_size, (1, 2, 4)).astype(np.int64)
     mask = np.ones((1, 2, 4), dtype=bool)
     mask[0, 1, 3] = False
     tokens[0, 1, 3] = 0
     feats = Tensor(data_rng.normal((1, 3, cfg.visual_dim)))
-
-    def model_loss(_):
-        logits, _ = model.paragraph_forward(tokens, mask, feats)
-        return cross_entropy(logits, tokens, mask)
-
-    for name, p in model.named_parameters().items():
-        check(f"model.{name}", model_loss, p)
-
-    pred = SentenceCountPredictor(root.child(4), cfg.proj_dim, cfg.max_sentences,
-                                  hidden1=6, hidden2=5)
     gfeat = Tensor(data_rng.normal((1, cfg.proj_dim)))
-
-    def pred_loss(_):
-        return cross_entropy(pred(gfeat), np.array([1]))
-
-    for name, p in pred.named_parameters().items():
-        check(f"predictor.{name}", pred_loss, p)
-
-    critic = Critic(root.child(3), cfg.channels, 4)
     hseq = Tensor(data_rng.normal((1, 5, cfg.channels)))
 
-    def critic_loss(_):
-        return critic.score(hseq).mean()
-
-    for name, p in critic.named_parameters().items():
-        check(f"critic.{name}", critic_loss, p)
+    losses = [
+        ("model", model,
+         lambda _: cross_entropy(model.paragraph_forward(tokens, mask, feats)[0], tokens, mask)),
+        ("predictor", pred, lambda _: cross_entropy(pred(gfeat), np.array([1]))),
+        ("critic", critic, lambda _: critic.score(hseq).mean()),
+    ]
+    for prefix, net, loss in losses:
+        for name, p in net.named_parameters().items():
+            check(f"{prefix}.{name}", loss, p)
 
     return report
 

@@ -282,8 +282,8 @@ def load_features(path) -> np.ndarray:
         expected = rows * dim * 4
         payload = fh.read()
         if len(payload) != expected:
-            raise FeatureFileError(
-                f"{path}: truncated data, expected {expected} bytes, got {len(payload)}")
+            raise FeatureFileError(f"{path}: wrong data length for R={rows}, d={dim}: "
+                                   f"expected {expected} bytes, got {len(payload)}")
     features = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dim)
     if not np.isfinite(features).all():
         raise FeatureFileError(f"{path}: non-finite feature value (NaN or inf)")

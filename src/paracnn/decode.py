@@ -87,9 +87,8 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     cfg = model.cfg
     n_words = min(dc.max_words or cfg.max_words, cfg.max_words)
 
-    feats = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
     # a batch of one image: [1, proj] global vector, [1, R, proj] regions
-    global_feat, regions = model.project_features(feats.reshape((1,) + feats.shape))
+    global_feat, regions = model.project_features(Tensor(np.asarray(features)[None]))
     cache = WordCache(model.region_keys(regions))
     if predictor is not None:
         n_sent = predict_sentence_count(predictor, global_feat, dc.min_sentences,

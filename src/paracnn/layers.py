@@ -56,32 +56,26 @@ class Linear(Layer):
         return out + self.b if hasattr(self, "b") else out
 
 
-# Tile (outer axes, input channels) of a conv weight re-layout. A plain
-# transposed copy of a 512-channel, kernel-5 weight reads with a 20 KB stride
-# and took 60-80 ms, 14 ms in slabs of 32 output channels and 11 ms in these
-# tiles (x86-64, numpy 2.4, one core).
+# Tile (outer axes, input channels) of the conv weight re-layout. For one
+# 512-channel, kernel-5 weight a plain transposed copy reads with a 20 KB
+# stride and took 47 ms, these tiles 8 ms (x86-64 Xeon, numpy 2.4, one core).
 _TILE = (128, 8)
 
 
-def _reversed_axes(a: np.ndarray) -> np.ndarray:
-    """``a.transpose(2, 1, 0)`` of a 3-D array as a new C-contiguous array, copied in tiles."""
-    out = np.empty(a.shape[::-1])
-    t, tc = _TILE
-    for i in range(0, a.shape[0], t):
-        for c in range(0, a.shape[1], tc):
-            for j in range(0, a.shape[2], t):
-                out[j:j + t, c:c + tc, i:i + t] = a[i:i + t, c:c + tc, j:j + t].T
-    return out
-
-
 def _conv_weight_to_gemm(w: np.ndarray) -> np.ndarray:
-    """[2*out, in, k] -> a new C-contiguous [k*in, 2*out] array.
+    """[2*out, in, k] -> a new C-contiguous [k*in, 2*out] array, copied in tiles.
 
     Row tau*in + c, column o holds w[o, c, tau]: the weight as the right-hand
     GEMM operand of the tap-major windows ``CausalConvBlock`` builds.
     """
     out2, cin, k = w.shape
-    return _reversed_axes(w).reshape(k * cin, out2)
+    out = np.empty((k, cin, out2))  # w.transpose(2, 1, 0)
+    t, tc = _TILE
+    for i in range(0, out2, t):
+        for c in range(0, cin, tc):
+            for j in range(0, k, t):
+                out[j:j + t, c:c + tc, i:i + t] = w[i:i + t, c:c + tc, j:j + t].T
+    return out.reshape(k * cin, out2)
 
 
 class CausalConvBlock(Layer):
@@ -89,7 +83,8 @@ class CausalConvBlock(Layer):
 
     Output at position t depends on inputs at positions <= t only. The
     pre-activation splits into a linear half A (columns [0, out)) and a gate
-    half B. A residual connection applies when in_channels == out_channels.
+    half B, and the block adds its input back: every block maps ``channels``
+    channels to as many, with a residual.
 
     The weight is held in GEMM layout [kernel*in_channels, 2*out_channels]:
     row tau*in + c, column o weights channel c of the frame (k-1-tau) steps in
@@ -99,17 +94,15 @@ class CausalConvBlock(Layer):
     GEMM layout) and re-laid out once here.
     """
 
-    def __init__(self, rng: RngState, in_channels: int, out_channels: int, kernel_size: int):
+    def __init__(self, rng: RngState, channels: int, kernel_size: int):
         if kernel_size < 1:
             raise ShapeError("kernel_size must be >= 1")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
+        self.in_channels = self.out_channels = channels
         self.kernel_size = kernel_size
-        self.residual = in_channels == out_channels
-        fan_in = in_channels * kernel_size
-        self.weight = _param(rng, (2 * out_channels, in_channels, kernel_size), fan_in)
+        fan_in = channels * kernel_size
+        self.weight = _param(rng, (2 * channels, channels, kernel_size), fan_in)
         self.weight.data = _conv_weight_to_gemm(self.weight.data)
-        self.bias = _param(rng, (2 * out_channels,), fan_in)
+        self.bias = _param(rng, (2 * channels,), fan_in)
 
     def __call__(self, x: Tensor) -> Tensor:
         """x: [..., T, in_channels] -> [..., T, out_channels]."""
@@ -178,8 +171,7 @@ class CausalConvBlock(Layer):
         a = pre[..., :out_c]
         s = 1.0 / (1.0 + np.exp(-pre[..., out_c:]))
         out = a * s
-        if self.residual:
-            out += x.data
+        out += x.data
 
         def bw(g):
             d_pre = np.empty(pre.shape)
@@ -187,7 +179,7 @@ class CausalConvBlock(Layer):
             db = np.multiply(g, a, out=d_pre[..., out_c:])
             db *= s
             db *= 1.0 - s
-            if self.residual and x.requires_grad:
+            if x.requires_grad:
                 x._accumulate(g)
             if self.bias.requires_grad:
                 self.bias._accumulate(d_pre.sum(axis=tuple(range(d_pre.ndim - 1))), owned=True)

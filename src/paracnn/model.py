@@ -111,10 +111,10 @@ class ParagraphModel(Layer):
         self.topic_start = Tensor(rng.uniform(-0.1, 0.1, (c.embed_dim,)), requires_grad=True)
         self.topic_in_embed = Linear(rng, c.channels, c.embed_dim)
         self.topic_in = Linear(rng, c.embed_dim + c.proj_dim + c.context_dim, c.channels)
-        self.topic_blocks = [CausalConvBlock(rng, c.channels, c.channels, c.topic_kernel)
+        self.topic_blocks = [CausalConvBlock(rng, c.channels, c.topic_kernel)
                              for _ in range(c.topic_depth)]
         self.word_in = Linear(rng, c.embed_dim + c.topic_dim, c.channels)
-        self.word_blocks = [CausalConvBlock(rng, c.channels, c.channels, c.word_kernel)
+        self.word_blocks = [CausalConvBlock(rng, c.channels, c.word_kernel)
                             for _ in range(c.word_depth)]
         self.word_attn = {}
         for layer_idx in c.attn_layers:

@@ -1,12 +1,14 @@
 """PCKPT2 entries: every parameter and optimizer-state array in the shape the trainer holds it."""
 
+import io
 import struct
+import types
 
 import numpy as np
 import pytest
 
 from conftest import tiny_config
-from paracnn import layers
+from paracnn import checkpoint, layers
 from paracnn.checkpoint import (CheckpointError, load_trainer_arrays, read_checkpoint,
                                 trainer_arrays, write_checkpoint)
 from paracnn.corpus import ParagraphBatch
@@ -80,7 +82,7 @@ def test_write_load_write_byte_identical(tmp_path):
     write_checkpoint(first, meta, trainer_arrays(trained()))
     _, arrays = read_checkpoint(first)
     fresh = trainer(seed=4)
-    load_trainer_arrays(fresh, arrays)
+    load_trainer_arrays(fresh, arrays, first)
     write_checkpoint(second, meta, trainer_arrays(fresh))
     assert first.read_bytes() == second.read_bytes()
 
@@ -91,7 +93,7 @@ def test_read_entries_are_read_only_until_loaded(tmp_path):
     _, arrays = read_checkpoint(path)
     assert arrays and not any(a.flags.writeable for a in arrays.values())
     fresh = trainer(seed=4)
-    load_trainer_arrays(fresh, arrays)
+    load_trainer_arrays(fresh, arrays, path)
     assert all(a.flags.writeable for a in trainer_arrays(fresh).values())
 
 
@@ -99,7 +101,7 @@ def test_load_copies_every_entry():
     source = trained()
     arrays = trainer_arrays(source)
     target = trainer(seed=4)
-    load_trainer_arrays(target, arrays)
+    load_trainer_arrays(target, arrays, "a.pckpt")
     loaded = trainer_arrays(target)
     assert loaded.keys() == arrays.keys()
     for key, arr in arrays.items():
@@ -113,8 +115,8 @@ def test_wrong_conv_shape_raises_checkpoint_error(key, shape):
     # (16, 8, 3) is the [2*out, in, kernel] draw, (16, 24) the transposed weight
     arrays = trainer_arrays(trainer())
     arrays[key] = np.zeros(shape)
-    with pytest.raises(CheckpointError, match="shape mismatch"):
-        load_trainer_arrays(trainer(), arrays)
+    with pytest.raises(CheckpointError, match=rf"^a\.pckpt: shape mismatch for '{key}'"):
+        load_trainer_arrays(trainer(), arrays, "a.pckpt")
 
 
 def test_prefixes_select_entries(tmp_path):
@@ -126,6 +128,47 @@ def test_prefixes_select_entries(tmp_path):
     _, some = read_checkpoint(path, "fwd.", "opt.critic.")
     assert some.keys() == {k for k in arrays if k.startswith(("fwd.", "opt.critic."))}
     assert all(np.array_equal(some[k], arrays[k]) for k in some)
+
+
+def test_skipped_entries_are_not_read(tmp_path, monkeypatch):
+    # every byte read from the file, counted below Python's buffering
+    path = tmp_path / "a.pckpt"
+    arrays = trainer_arrays(trained())
+    write_checkpoint(path, {"seed": 3}, arrays)
+    counted = []
+
+    class CountingFile(io.FileIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            counted.append(len(data))
+            return data
+
+        def readinto(self, buf):
+            n = super().readinto(buf)
+            counted.append(n)
+            return n
+
+    def counting_open(file, mode="r", buffering=-1):
+        raw = CountingFile(file, mode)
+        return raw if buffering == 0 else io.BufferedReader(raw)
+
+    monkeypatch.setattr(checkpoint, "open", counting_open, raising=False)
+    prefixes = ("fwd.", "predictor.")
+    _, kept = read_checkpoint(path, *prefixes)
+    assert kept.keys() == {k for k in arrays if k.startswith(prefixes)}
+    skipped = sum(a.nbytes for k, a in arrays.items() if not k.startswith(prefixes))
+    assert sum(counted) == path.stat().st_size - skipped
+
+
+def test_short_read_is_truncated(tmp_path, monkeypatch):
+    # a file cut after its size was taken passes the bounds check; its read comes up short
+    path = tmp_path / "a.pckpt"
+    write_checkpoint(path, {}, {"a": np.ones(4)})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+    with pytest.raises(CheckpointError, match="truncated entry 'a'"):
+        read_checkpoint(path)
 
 
 @pytest.mark.parametrize("prefixes", [(), ("b",)])

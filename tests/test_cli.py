@@ -2,6 +2,7 @@ import dataclasses
 import fcntl
 import json
 import os
+import re
 import shutil
 import signal
 import struct
@@ -829,6 +830,23 @@ class TestFileBoundaryErrors:
             load_run_config(cfg)
         self.fails_cleanly(capsys, ["train", "--data", str(corpus_dir), "--config", str(cfg),
                                     "--out", str(tmp_path / "run")], str(cfg))
+
+    @pytest.mark.parametrize("config, overrides", [
+        ({"model": 5}, []), ({"model": 5}, ["model.channels=8"]),
+        ({"train": [["epochs", 1]]}, [])])
+    def test_config_section_not_a_json_object(self, corpus_dir, tmp_path, capsys, config,
+                                              overrides):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        message = f"{cfg}: config section {next(iter(config))!r} must be a JSON object"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_run_config(cfg, overrides, default_vocab_size=10)
+        argv = ["train", "--data", str(corpus_dir), "--config", str(cfg),
+                "--out", str(tmp_path / "run")]
+        for ov in overrides:
+            argv += ["--set", ov]
+        self.fails_cleanly(capsys, argv, message)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line", ["{\"id\": ", "42"])
     def test_manifest_line_not_a_json_object(self, corpus_dir, tmp_path, capsys, line):

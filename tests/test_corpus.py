@@ -169,7 +169,16 @@ class TestFeatureFiles:
         save_features(path, feats)
         data = path.read_bytes()
         path.write_bytes(data[:-6])
-        with pytest.raises(FeatureFileError, match=r"expected 60 bytes, got 54"):
+        with pytest.raises(FeatureFileError,
+                           match=r"wrong data length for R=3, d=5: expected 60 bytes, got 54"):
+            load_features(path)
+
+    def test_trailing_bytes_name_byte_counts(self, tmp_path):
+        path = tmp_path / "t.pfv"
+        save_features(path, np.ones((3, 5), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00\x00")
+        with pytest.raises(FeatureFileError,
+                           match=r"wrong data length for R=3, d=5: expected 60 bytes, got 62"):
             load_features(path)
 
     def test_bad_magic(self, tmp_path):

@@ -25,7 +25,7 @@ class TestCausalConvBlock:
     def test_identity_configuration(self):
         # kernel 2, linear half selects the current frame, gate forced wide open;
         # the residual adds the input once more
-        conv = CausalConvBlock(rng_for(1), 2, 2, 2)
+        conv = CausalConvBlock(rng_for(1), 2, 2)
         conv.weight.data[:] = 0.0
         for c in range(2):
             conv.weight.data[conv_tap(conv, c, c, 1)] = 1.0  # tap 1 = current frame
@@ -38,7 +38,7 @@ class TestCausalConvBlock:
     def test_previous_plus_current_sum(self):
         # kernel 2, linear half sums previous and current frame of one channel
         # (on top of the residual)
-        conv = CausalConvBlock(rng_for(3), 1, 1, 2)
+        conv = CausalConvBlock(rng_for(3), 1, 2)
         conv.weight.data[:] = 0.0
         conv.weight.data[conv_tap(conv, 0, 0, 0)] = 1.0
         conv.weight.data[conv_tap(conv, 0, 0, 1)] = 1.0
@@ -49,7 +49,7 @@ class TestCausalConvBlock:
         assert np.allclose((out - x).reshape(-1), [1.0, 3.0, 5.0], atol=1e-12)
 
     def test_causality_bit_exact(self):
-        conv = CausalConvBlock(rng_for(4), 3, 3, 3)
+        conv = CausalConvBlock(rng_for(4), 3, 3)
         x = rng_for(5).normal((1, 7, 3))
         base = conv(Tensor(x)).data.copy()
         for t in range(7):
@@ -60,7 +60,7 @@ class TestCausalConvBlock:
             assert not np.allclose(out[0, t:], base[0, t:])
 
     def test_stacked_causality(self):
-        blocks = [CausalConvBlock(rng_for(6 + i), 4, 4, 3) for i in range(3)]
+        blocks = [CausalConvBlock(rng_for(6 + i), 4, 3) for i in range(3)]
 
         def run(arr):
             h = Tensor(arr)
@@ -75,47 +75,42 @@ class TestCausalConvBlock:
         out = run(bumped)
         assert np.array_equal(out[0, :4], base[0, :4])
 
-    def test_residual_only_when_channels_match(self):
-        assert CausalConvBlock(rng_for(11), 4, 4, 2).residual
-        assert not CausalConvBlock(rng_for(12), 4, 6, 2).residual
-
     def test_channel_mismatch_raises(self):
-        conv = CausalConvBlock(rng_for(13), 4, 4, 2)
+        conv = CausalConvBlock(rng_for(13), 4, 2)
         with pytest.raises(ShapeError):
             conv(Tensor(np.zeros((1, 3, 5))))
 
     def test_gradcheck(self):
-        for cout in (3, 5):  # with the residual and without
-            conv = CausalConvBlock(rng_for(14), 3, cout, 2)
-            x = Tensor(rng_for(15).normal((1, 4, 3)), requires_grad=True)
-            assert grad_check(lambda t: (conv(t) * conv(t)).sum(), x) < 1e-4
-            fixed = Tensor(rng_for(16).normal((1, 4, 3)))
-            for p in (conv.weight, conv.bias):
-                assert grad_check(lambda _: sum_sq(conv(fixed)), p) < 1e-4
+        conv = CausalConvBlock(rng_for(14), 3, 2)
+        x = Tensor(rng_for(15).normal((1, 4, 3)), requires_grad=True)
+        assert grad_check(lambda t: (conv(t) * conv(t)).sum(), x) < 1e-4
+        fixed = Tensor(rng_for(16).normal((1, 4, 3)))
+        for p in (conv.weight, conv.bias):
+            assert grad_check(lambda _: sum_sq(conv(fixed)), p) < 1e-4
 
     def test_weight_is_seeded_draw_in_gemm_layout(self):
-        # 70 output columns: two full copy slabs and a partial one
-        conv = CausalConvBlock(rng_for(17), 4, 35, 3)
-        draw = rng_for(17).uniform(-1 / np.sqrt(12), 1 / np.sqrt(12), (70, 4, 3))
+        # 134 output columns and 67 input channels: full and partial copy tiles on both
+        conv = CausalConvBlock(rng_for(17), 67, 3)
+        draw = rng_for(17).uniform(-1 / np.sqrt(201), 1 / np.sqrt(201), (134, 67, 3))
         w = conv.weight.data
-        assert w.shape == (12, 70) and w.flags.c_contiguous
+        assert w.shape == (201, 134) and w.flags.c_contiguous
         for o, c, tau in np.ndindex(draw.shape):
             assert w[conv_tap(conv, o, c, tau)] == draw[o, c, tau]
 
     def test_forward_matches_direct_convolution(self):
-        conv = CausalConvBlock(rng_for(18), 3, 2, 3)
+        conv = CausalConvBlock(rng_for(18), 3, 3)
         x = rng_for(19).normal((2, 5, 3))
-        w = conv.weight.data.reshape(3, 3, 4).transpose(2, 1, 0)  # [2*out, in, k]
+        w = conv.weight.data.reshape(3, 3, 6).transpose(2, 1, 0)  # [2*out, in, k]
         xp = np.concatenate([np.zeros((2, 2, 3)), x], axis=1)
         pre = np.stack([sum(xp[:, t + tau] @ w[:, :, tau].T for tau in range(3))
                         for t in range(5)], axis=1) + conv.bias.data
-        expect = pre[..., :2] / (1.0 + np.exp(-pre[..., 2:]))
+        expect = pre[..., :3] / (1.0 + np.exp(-pre[..., 3:])) + x
         assert np.allclose(conv(Tensor(x)).data, expect, rtol=1e-12, atol=1e-12)
 
     def test_gemm_operand_is_the_weight_itself(self):
         # the weight is the GEMM operand as it is: a per-call copy or re-layout
         # of its 320 x 128 floats (327 KB) must not come back
-        conv = CausalConvBlock(rng_for(20), 64, 64, 5)
+        conv = CausalConvBlock(rng_for(20), 64, 5)
         x = Tensor(rng_for(21).normal((1, 2, 64)), requires_grad=True)
         for call in (lambda: conv(x), lambda: conv.step(x[:, 0], [x[:, 1]] * 4)):
             call()  # warm-up: first-call allocations are not the block's
@@ -131,24 +126,24 @@ class TestCausalConvBlock:
 class TestCausalConvStep:
     """``step`` on one frame at a time against the rows of ``__call__``."""
 
-    @pytest.mark.parametrize("k, cin, cout", [(1, 3, 3), (4, 3, 3), (5, 2, 4)])
-    def test_rows_match_full_pass(self, k, cin, cout):
-        conv = CausalConvBlock(rng_for(30 + k), cin, cout, k)
+    @pytest.mark.parametrize("k, channels", [(1, 3), (4, 3)])
+    def test_rows_match_full_pass(self, k, channels):
+        conv = CausalConvBlock(rng_for(30 + k), channels, k)
         T = k + 3
-        x = rng_for(40 + k).normal((2, T, cin))
+        x = rng_for(40 + k).normal((2, T, channels))
         full = conv(Tensor(x)).data
         history = []
         lengths = []
         for t in range(T):
             lengths.append(len(history))
             row = conv.step(Tensor(x[:, t]), history)
-            assert row.shape == (2, cout)
+            assert row.shape == (2, channels)
             assert np.allclose(row.data, full[:, t], rtol=0, atol=1e-12)
         # every history length 0..k-1 was stepped against, then it stays at k-1
         assert lengths == [min(t, k - 1) for t in range(T)]
 
     def test_history_holds_last_inputs(self):
-        conv = CausalConvBlock(rng_for(50), 2, 2, 4)
+        conv = CausalConvBlock(rng_for(50), 2, 4)
         frames = [Tensor(rng_for(51 + t).normal((1, 2))) for t in range(6)]
         history = []
         for t, frame in enumerate(frames):
@@ -156,32 +151,31 @@ class TestCausalConvStep:
             assert history == frames[max(0, t - 2):t + 1]
 
     def test_channel_mismatch_raises(self):
-        conv = CausalConvBlock(rng_for(52), 4, 4, 2)
+        conv = CausalConvBlock(rng_for(52), 4, 2)
         with pytest.raises(ShapeError):
             conv.step(Tensor(np.zeros((1, 5))), [])
 
     def test_gradcheck_over_steps(self):
         k, T = 4, 6
-        for cout in (3, 5):  # with the residual and without
-            conv = CausalConvBlock(rng_for(53), 3, cout, k)
-            x = Tensor(rng_for(54).normal((1, T, 3)), requires_grad=True)
+        conv = CausalConvBlock(rng_for(53), 3, k)
+        x = Tensor(rng_for(54).normal((1, T, 3)), requires_grad=True)
 
-            def stepped(t_in):
-                history = []
-                outs = [conv.step(t_in[:, t], history) for t in range(T)]
-                return sum_sq(concat(outs, axis=-1))
+        def stepped(t_in):
+            history = []
+            outs = [conv.step(t_in[:, t], history) for t in range(T)]
+            return sum_sq(concat(outs, axis=-1))
 
-            assert grad_check(stepped, x) < 1e-4
-            fixed = Tensor(x.data.copy())
-            for p in (conv.weight, conv.bias):
-                assert grad_check(lambda _: stepped(fixed), p) < 1e-4
+        assert grad_check(stepped, x) < 1e-4
+        fixed = Tensor(x.data.copy())
+        for p in (conv.weight, conv.bias):
+            assert grad_check(lambda _: stepped(fixed), p) < 1e-4
 
 
 def taped_conv_gate(conv, windows, x):
     """The gated tail as the composition of tensor ops the fused node replaced."""
     pre = windows @ conv.weight + conv.bias
     out = pre[..., :conv.out_channels] * pre[..., conv.out_channels:].sigmoid()
-    return out + x if conv.residual else out
+    return out + x
 
 
 def taped_conv_call(conv, x):
@@ -225,11 +219,11 @@ class TestFusedConvBlock:
         for i, (f, t) in enumerate(zip(fused[1], taped[1])):
             assert f is not None and np.array_equal(f, t), i
 
-    @pytest.mark.parametrize("k, cin, cout", [(1, 3, 3), (3, 3, 3), (1, 3, 5), (4, 3, 5)])
-    def test_call_equals_taped_composition(self, monkeypatch, k, cin, cout):
-        conv = CausalConvBlock(rng_for(60 + k), cin, cout, k)
-        x = Tensor(rng_for(61).normal((2, 5, cin)), requires_grad=True)
-        r = Tensor(rng_for(62).normal((2, 5, cout)))
+    @pytest.mark.parametrize("k, channels", [(1, 3), (3, 3)])
+    def test_call_equals_taped_composition(self, monkeypatch, k, channels):
+        conv = CausalConvBlock(rng_for(60 + k), channels, k)
+        x = Tensor(rng_for(61).normal((2, 5, channels)), requires_grad=True)
+        r = Tensor(rng_for(62).normal((2, 5, channels)))
 
         def loss_of():
             # x also feeds the loss directly, and the weight is used twice
@@ -241,8 +235,8 @@ class TestFusedConvBlock:
     def test_topic_loop_steps_equal_taped_composition(self, monkeypatch):
         # as in the topic loop: each step's output is fed back as the next
         # frame, so history frames require grad and feed later steps
-        blocks = [CausalConvBlock(rng_for(63), 3, 4, 3), CausalConvBlock(rng_for(64), 4, 4, 2)]
-        x = Tensor(rng_for(65).normal((2, 6, 3)), requires_grad=True)
+        blocks = [CausalConvBlock(rng_for(63), 4, 3), CausalConvBlock(rng_for(64), 4, 2)]
+        x = Tensor(rng_for(65).normal((2, 6, 4)), requires_grad=True)
 
         def loss_of():
             histories = [[], []]
@@ -252,7 +246,7 @@ class TestFusedConvBlock:
                 for block, history in zip(blocks, histories):
                     h = block.step(h, history)
                 outs.append(h)
-                frame = h[:, :3].tanh() + x[:, (t + 1) % 6]
+                frame = h.tanh() + x[:, (t + 1) % 6]
             out = concat(outs, axis=-1)
             return out, sum_sq(out)
 
@@ -260,7 +254,7 @@ class TestFusedConvBlock:
         self.assert_equal_to_taped(monkeypatch, loss_of, leaves)
 
     def test_call_and_step_are_one_node(self):
-        conv = CausalConvBlock(rng_for(66), 3, 3, 3)
+        conv = CausalConvBlock(rng_for(66), 3, 3)
         x = Tensor(rng_for(67).normal((1, 4, 3)), requires_grad=True)
         out = conv(x)
         assert len(out._parents) == 3
@@ -535,7 +529,7 @@ class TestFusedGruDirection:
 @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(0, 7))
 def test_conv_causality_property(seed, length, pos):
     rng = RngState(seed)
-    conv = CausalConvBlock(rng.child(1), 2, 2, 3)
+    conv = CausalConvBlock(rng.child(1), 2, 3)
     t = pos % length
     x = rng.child(2).normal((1, length, 2))
     bumped = x.copy()

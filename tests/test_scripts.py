@@ -75,3 +75,15 @@ def test_digest_settings_resolve():
                 for argv in commands if argv[0] == "train"]
     assert len(set(settings)) == len(settings) == 4
     check_commands(commands)
+
+
+def test_readme_cli_examples_resolve():
+    # the README's CLI block is a script too: its flags and overrides must stay valid
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## CLI\n", 1)[1].split("```\n")[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("paracnn ")]
+    assert [argv[0] for argv in commands] == ["make-corpus", "train", "generate", "eval",
+                                              "gradcheck"]
+    check_commands(commands)
