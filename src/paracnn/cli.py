@@ -58,6 +58,9 @@ class RunConfig:
     train: TrainConfig
 
 
+SECTIONS = {"model": ModelConfig, "twin": TwinConfig, "train": TrainConfig}
+
+
 def _build_section(cls, data: dict, section: str):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - fields
@@ -70,13 +73,9 @@ def _build_section(cls, data: dict, section: str):
 
 
 def _run_config(seed: int, sections: dict) -> RunConfig:
-    """RunConfig from one raw dict per section (model, twin, train); others are ignored."""
-    return RunConfig(
-        seed=seed,
-        model=_build_section(ModelConfig, sections["model"], "model"),
-        twin=_build_section(TwinConfig, sections["twin"], "twin"),
-        train=_build_section(TrainConfig, sections["train"], "train"),
-    )
+    """RunConfig from one raw dict per section of SECTIONS; others are ignored."""
+    return RunConfig(seed, **{name: _build_section(cls, sections[name], name)
+                              for name, cls in SECTIONS.items()})
 
 
 def _check_seed(seed):
@@ -97,11 +96,10 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
                 raise ConfigError(f"{path}: not a JSON config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        for name in ("model", "twin", "train"):
+        for name in SECTIONS:
             if not isinstance(raw.get(name, {}), dict):
                 raise ConfigError(f"{path}: config section {name!r} must be a JSON object")
-    known = {"seed", "model", "twin", "train"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"seed", *SECTIONS}
     if unknown:
         raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
     for item in overrides:
@@ -118,12 +116,12 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
         if "." not in key:
             raise ConfigError(f"override key {key!r} must be 'seed' or 'section.key'")
         section, _, field = key.partition(".")
-        if section not in known:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
         raw.setdefault(section, {})[field] = value
 
     seed = _check_seed(raw.get("seed", 0))
-    sections = {name: dict(raw.get(name, {})) for name in ("model", "twin", "train")}
+    sections = {name: dict(raw.get(name, {})) for name in SECTIONS}
     model_raw = sections["model"]
     if "vocab_size" not in model_raw:
         if default_vocab_size is None:
@@ -148,13 +146,11 @@ def _write_resolved_config(config: dict, out_dir: str, name: str):
 
 def cmd_make_corpus(args) -> int:
     if args.size < 3:
-        print(f"error: --size {args.size} is below 3: the train, val and test splits "
-              f"need a scene each", file=sys.stderr)
-        return 1
+        raise ConfigError(f"--size {args.size} is below 3: the train, val and test splits "
+                          f"need a scene each")
     out_dir = args.out
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not args.force:
-        print(f"error: {out_dir} is not empty (use --force to overwrite)", file=sys.stderr)
-        return 1
+        raise FileExistsError(f"{out_dir} is not empty (use --force to overwrite)")
     records = corpus_mod.generate_synthetic_corpus(
         _check_seed(args.seed), args.size, max_objects=args.max_objects, noise=args.noise)
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
@@ -202,13 +198,11 @@ def cmd_train(args) -> int:
     run = load_run_config(args.config, args.set or [], default_vocab_size=len(vocab),
                           default_visual_dim=feat_dim)
     if run.model.vocab_size != len(vocab):
-        print(f"error: config vocab_size {run.model.vocab_size} != corpus vocabulary "
-              f"{len(vocab)}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"config vocab_size {run.model.vocab_size} != corpus vocabulary "
+                          f"{len(vocab)}")
     if run.model.visual_dim != feat_dim:
-        print(f"error: {first_path}: feature dim {feat_dim} != model visual_dim "
-              f"{run.model.visual_dim}", file=sys.stderr)
-        return 1
+        raise corpus_mod.FeatureFileError(f"{first_path}: feature dim {feat_dim} != model "
+                                          f"visual_dim {run.model.visual_dim}")
 
     trainer = build_trainer(run, vocab)
     done = _resume(trainer, args.resume, vocab) if args.resume else 0
@@ -226,9 +220,7 @@ def cmd_train(args) -> int:
         except (BlockingIOError, FileNotFoundError):
             ours = False
         if not ours:
-            print(f"error: {out_dir} is locked by another training run ({lock_path})",
-                  file=sys.stderr)
-            return 1
+            raise BlockingIOError(f"{out_dir} is locked by another training run ({lock_path})")
         try:
             return _train_loop(run, vocab, trainer, done, train_entries, val_entries,
                                data_dir, out_dir, args.quiet)
@@ -291,9 +283,8 @@ def _train_loop(run, vocab, trainer, done, train_entries, val_entries, data_dir,
                                     base_dir=data_dir)
             except TrainingDiverged as exc:
                 # per-epoch checkpoints from completed epochs stay on disk
-                print(f"error: training diverged in epoch {epoch}: {exc}; "
-                      f"last good checkpoint is from epoch {epoch - 1}", file=sys.stderr)
-                return 1
+                raise TrainingDiverged(f"training diverged in epoch {epoch}: {exc}; "
+                                       f"last good checkpoint is from epoch {epoch - 1}") from exc
             val_ce = validation_ce(trainer, val_entries, vocab, run.train.batch_size,
                                    base_dir=data_dir)
             record = dict(dataclasses.asdict(stats), epoch=epoch, val_ce=val_ce,
@@ -343,7 +334,7 @@ def load_checkpoint_trainer(path):
     # optimizer: the other entries are checked and skipped, not read
     meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"), "fwd.", "predictor.")
     config = meta["config"]
-    for name in ("model", "twin", "train"):
+    for name in SECTIONS:
         if not isinstance(config.get(name), dict):
             raise CheckpointError(f"{path}: checkpoint config lacks a {name!r} section")
     try:  # the decode section that older checkpoints carry is ignored
@@ -404,30 +395,23 @@ def cmd_eval(args) -> int:
     with open(args.hypotheses) as fh:
         hyps = read_paragraphs(fh)
     if not hyps:
-        print("error: empty hypothesis file", file=sys.stderr)
-        return 1
+        raise corpus_mod.CorpusError("empty hypothesis file")
     entries = corpus_mod.read_manifest(args.manifest)
     if len(hyps) != len(entries):
         missing = [e["id"] for e in entries[len(hyps):]]
         extra = len(hyps) - len(entries)
         detail = f"missing hypotheses for ids {missing}" if missing else \
             f"{extra} hypotheses beyond the manifest"
-        print(f"error: id mismatch: {len(hyps)} hypotheses vs {len(entries)} "
-              f"manifest entries ({detail})", file=sys.stderr)
-        return 1
+        raise corpus_mod.CorpusError(f"id mismatch: {len(hyps)} hypotheses vs {len(entries)} "
+                                     f"manifest entries ({detail})")
 
     pairs = []
     for hyp_sents, entry in zip(hyps, entries):
-        hyp_tokens = []
-        for line in hyp_sents:
-            hyp_tokens.extend(corpus_mod.tokenize(line))
-        ref_tokens = []
-        for sent in corpus_mod.split_sentences(entry["paragraph"]):
-            ref_tokens.extend(corpus_mod.tokenize(sent))
+        ref_tokens = corpus_mod.tokenize(entry["paragraph"])
         if not ref_tokens:
             raise corpus_mod.CorpusError(f"{args.manifest}: entry {entry['id']!r} has a "
                                          f"reference paragraph with no words")
-        pairs.append(metrics_mod.EvalPair(hyp_tokens, ref_tokens))
+        pairs.append(metrics_mod.EvalPair(corpus_mod.tokenize(" ".join(hyp_sents)), ref_tokens))
 
     scores = metrics_mod.evaluate_all(pairs)
     display = {k: (v * 100.0 if k != "CIDEr" else v * 10.0) for k, v in scores.items()}
@@ -590,7 +574,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, CheckpointError, corpus_mod.CorpusError,
-            corpus_mod.FeatureFileError, OSError) as exc:
+            corpus_mod.FeatureFileError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,6 +58,7 @@ class Vocab:
 
     tokens: list
     index: dict = field(init=False)
+    pad, start, eos, unk = range(len(SPECIALS))  # the indices of SPECIALS
 
     def __post_init__(self):
         if tuple(self.tokens[:4]) != SPECIALS:
@@ -68,22 +69,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def pad(self) -> int:
-        return 0
-
-    @property
-    def start(self) -> int:
-        return 1
-
-    @property
-    def eos(self) -> int:
-        return 2
-
-    @property
-    def unk(self) -> int:
-        return 3
 
     def encode_token(self, tok: str) -> int:
         return self.index.get(tok, self.unk)
@@ -117,28 +102,24 @@ def encode_paragraph(text: str, vocab: Vocab, max_sentences: int = 6,
                      max_words: int = 30):
     """Encode one paragraph into a fixed [M, N] grid.
 
-    Keeps at most M sentences; each sentence keeps at most N-1 words plus a
-    trailing <eos>, padded with <pad>. Returns (tokens, mask, sentence_count)
-    where the mask covers the words and the <eos>.
+    Drops the sentences without words, then keeps at most M sentences; each
+    sentence keeps at most N-1 words plus a trailing <eos>, padded with <pad>.
+    Returns (tokens, mask, sentence_count) where the mask covers the words and
+    the <eos>.
     """
     sentences = split_sentences(text)
     if not sentences:
         raise CorpusError(f"no sentences after segmentation: {text!r}")
-    sentences = sentences[:max_sentences]
+    kept = [words for words in map(tokenize, sentences) if words][:max_sentences]
+    if not kept:
+        raise CorpusError(f"no tokens after segmentation: {text!r}")
     tokens = np.full((max_sentences, max_words), vocab.pad, dtype=np.int64)
     mask = np.zeros((max_sentences, max_words), dtype=bool)
-    count = 0
-    for j, sent in enumerate(sentences):
-        words = tokenize(sent)[: max_words - 1]
-        if not words:
-            continue
-        ids = [vocab.encode_token(w) for w in words] + [vocab.eos]
-        tokens[count, : len(ids)] = ids
-        mask[count, : len(ids)] = True
-        count += 1
-    if count == 0:
-        raise CorpusError(f"no tokens after segmentation: {text!r}")
-    return tokens, mask, count
+    for j, words in enumerate(kept):
+        ids = [vocab.encode_token(w) for w in words[: max_words - 1]] + [vocab.eos]
+        tokens[j, : len(ids)] = ids
+        mask[j, : len(ids)] = True
+    return tokens, mask, len(kept)
 
 
 @dataclass

@@ -70,6 +70,8 @@ class ModelConfig:
         if any(type(i) is not int or not 1 <= i < self.word_depth for i in self.attn_layers):
             raise ValueError(f"attention layer indices {self.attn_layers} must be integers "
                              f"in [1, word_depth={self.word_depth})")
+        if len(set(self.attn_layers)) != len(self.attn_layers):
+            raise ValueError(f"attention layer indices {self.attn_layers} repeat a layer")
         if self.topic_dim != self.channels:
             raise ValueError("topic_dim must equal channels: the topic is the stack's output frame")
         if self.context_dim != self.embed_dim:

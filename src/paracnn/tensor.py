@@ -433,7 +433,8 @@ def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:
     stencil (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h with h = eps: its
     truncation error is O(h^4), so h can be large enough that the round-off of
     f, divided by h, stays far below a small gradient. Relative error uses the
-    denominator max(|analytic|, |numeric|, 1e-8).
+    denominator max(|analytic|, |numeric|, 1e-8). Only the first, analytic call
+    of ``f`` records a tape; the stencil's calls run under ``no_grad``.
     """
     x.zero_grad()
     out = f(x)
@@ -445,14 +446,15 @@ def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:
     numeric = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
     nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        at = []
-        for step in (eps, -eps, 2.0 * eps, -2.0 * eps):
-            flat[i] = orig + step
-            at.append(float(f(x).data))
-        flat[i] = orig
-        nflat[i] = (8.0 * (at[0] - at[1]) - (at[2] - at[3])) / (12.0 * eps)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            at = []
+            for step in (eps, -eps, 2.0 * eps, -2.0 * eps):
+                flat[i] = orig + step
+                at.append(float(f(x).data))
+            flat[i] = orig
+            nflat[i] = (8.0 * (at[0] - at[1]) - (at[2] - at[3])) / (12.0 * eps)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

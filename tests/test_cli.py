@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import fcntl
 import json
@@ -17,7 +18,8 @@ import pytest
 from paracnn import cli
 from paracnn.checkpoint import read_checkpoint, write_checkpoint
 from paracnn.cli import ConfigError, load_run_config, main
-from paracnn.corpus import load_features, read_manifest, save_features, tokenize, write_manifest
+from paracnn.corpus import (build_vocab, load_features, read_manifest, save_features, tokenize,
+                            write_manifest)
 from paracnn.decode import DecodeConfig
 from paracnn.metrics import EvalPair, evaluate_all
 from paracnn.tensor import Tensor
@@ -127,13 +129,6 @@ class TestMakeCorpus:
         assert run_cli(*args) == 0
         assert [json.loads(line)["epoch"] for line in (out / "log.jsonl").open()] == [1]
 
-    def test_too_small_corpus_rejected(self, tmp_path, capsys):
-        out = tmp_path / "two"
-        assert run_cli("make-corpus", "--size", "2", "--out", str(out)) == 1
-        assert capsys.readouterr() == ("", "error: --size 2 is below 3: the train, val and "
-                                           "test splits need a scene each\n")
-        assert not out.exists()
-
     def test_feature_files_load(self, corpus_dir):
         entry = read_manifest(corpus_dir / "train.jsonl")[0]
         feats = load_features(corpus_dir / entry["feature_path"])
@@ -152,6 +147,15 @@ class TestRunConfig:
         cfg.write_text(json.dumps({"model": {"vocab_size": 10}, "extras": {}}))
         with pytest.raises(ConfigError, match="extras"):
             load_run_config(cfg)
+
+    @pytest.mark.parametrize("config", [None, {"seed": 3}])
+    def test_seed_is_not_a_section(self, tmp_path, config):
+        path = None
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+        with pytest.raises(ConfigError, match="unknown config section 'seed'"):
+            load_run_config(path, ["seed.x=1"], default_vocab_size=10)
 
     def test_override_parsing(self):
         run = load_run_config(None, ["model.channels=32", "model.topic_dim=32",
@@ -589,12 +593,6 @@ class TestGenerateAndEval:
                        "--manifest", str(corpus_dir / "test.jsonl")) == 1
         assert "id mismatch" in capsys.readouterr().err
 
-    def test_eval_empty_hypotheses_errors(self, corpus_dir, tmp_path):
-        hyp = tmp_path / "empty.txt"
-        hyp.write_text("")
-        assert run_cli("eval", "--hypotheses", str(hyp),
-                       "--manifest", str(corpus_dir / "test.jsonl")) == 1
-
     def test_eval_reads_generated_empty_sentences(self, corpus_dir, tmp_path):
         # this 2-epoch l2 model with self-attention pooling emits <eos> first
         # for some sentence slots
@@ -659,6 +657,8 @@ class TestBadSettings:
                                 "got 2.0",
         "model.attn_layers=[1.5]": "[model] config: attention layer indices (1.5,) must be "
                                    "integers in [1, word_depth=3)",
+        "model.attn_layers=[2,2]": "[model] config: attention layer indices (2, 2) repeat a "
+                                   "layer",
     }
 
     @pytest.mark.parametrize("overrides", sorted(TRAIN))
@@ -670,7 +670,7 @@ class TestBadSettings:
         assert run_cli(*args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and self.TRAIN[overrides] in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
         assert not out.exists()
 
     MAKE_CORPUS = {
@@ -697,6 +697,110 @@ class TestBadSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: max_objects 1 ") and "Traceback" not in err
         assert not out.exists()
+
+
+def _train_argv(corpus_dir, out, *overrides):
+    args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
+    for ov in TINY_OVERRIDES + list(overrides):
+        args += ["--set", ov]
+    return args
+
+
+def _refuse_small_corpus(corpus_dir, tmp_path, held):
+    out = tmp_path / "corpus"
+    return (["make-corpus", "--size", "2", "--out", str(out)], out, None,
+            "--size 2 is below 3: the train, val and test splits need a scene each")
+
+
+def _refuse_occupied_out(corpus_dir, tmp_path, held):
+    out = tmp_path / "corpus"
+    out.mkdir()
+    (out / "keep.txt").write_text("x")
+    return (["make-corpus", "--size", "4", "--out", str(out)], out, ["keep.txt"],
+            f"{out} is not empty (use --force to overwrite)")
+
+
+def _refuse_vocab_size(corpus_dir, tmp_path, held):
+    out = tmp_path / "run"
+    n = len(build_vocab([e["paragraph"] for e in read_manifest(corpus_dir / "train.jsonl")]))
+    return (_train_argv(corpus_dir, out, "model.vocab_size=5"), out, None,
+            f"config vocab_size 5 != corpus vocabulary {n}")
+
+
+def _refuse_feature_width(corpus_dir, tmp_path, held):
+    out = tmp_path / "run"
+    first = os.path.join(str(corpus_dir),
+                         read_manifest(corpus_dir / "train.jsonl")[0]["feature_path"])
+    width = load_features(first).shape[1]
+    return (_train_argv(corpus_dir, out, f"model.visual_dim={width + 1}"), out, None,
+            f"{first}: feature dim {width} != model visual_dim {width + 1}")
+
+
+def _refuse_locked_run(corpus_dir, tmp_path, held):
+    out = tmp_path / "run"
+    out.mkdir()
+    fcntl.flock(held(open(out / ".lock", "a")), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    return (_train_argv(corpus_dir, out), out, [".lock"],
+            f"{out} is locked by another training run ({out / '.lock'})")
+
+
+def _refuse_diverged_epoch(corpus_dir, tmp_path, held):
+    from paracnn.training import TrainingDiverged
+    out, calls = tmp_path / "run", []
+
+    def diverging_epoch(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise TrainingDiverged("probe")
+        return train_epoch(*args, **kwargs)
+
+    train_epoch = cli.train_epoch
+    held(pytest.MonkeyPatch.context()).setattr(cli, "train_epoch", diverging_epoch)
+    return (_train_argv(corpus_dir, out), out,
+            ["best.pckpt", "checkpoint_ep0001.pckpt", "log.jsonl", "resolved_config.json"],
+            "training diverged in epoch 2: probe; last good checkpoint is from epoch 1")
+
+
+def _refuse_empty_hypotheses(corpus_dir, tmp_path, held):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("")
+    out = tmp_path / "scores.json"
+    return (["eval", "--hypotheses", str(hyp), "--manifest", str(corpus_dir / "test.jsonl"),
+             "--json", str(out)], out, None, "empty hypothesis file")
+
+
+def _refuse_id_mismatch(corpus_dir, tmp_path, held):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a red circle\n")
+    out = tmp_path / "scores.json"
+    ids = [e["id"] for e in read_manifest(corpus_dir / "test.jsonl")]
+    return (["eval", "--hypotheses", str(hyp), "--manifest", str(corpus_dir / "test.jsonl"),
+             "--json", str(out)], out, None,
+            f"id mismatch: 1 hypotheses vs {len(ids)} manifest entries "
+            f"(missing hypotheses for ids {ids[1:]})")
+
+
+class TestRefusals:
+    """Each refusal is raised by its command and printed by ``main``: one ``error: ...``
+    line on stderr, nothing on stdout, exit status 1, and the output path left as
+    listed (None: not made)."""
+
+    CASES = {f.__name__[len("_refuse_"):]: f for f in (
+        _refuse_small_corpus, _refuse_occupied_out, _refuse_vocab_size, _refuse_feature_width,
+        _refuse_locked_run, _refuse_diverged_epoch, _refuse_empty_hypotheses,
+        _refuse_id_mismatch)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line(self, corpus_dir, tmp_path, capsys, case):
+        with contextlib.ExitStack() as stack:
+            argv, out, listing, message = self.CASES[case](corpus_dir, tmp_path,
+                                                           stack.enter_context)
+            assert run_cli(*argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        if listing is None:
+            assert not out.exists()
+        else:
+            assert sorted(os.listdir(out)) == listing
 
 
 class TestFileBoundaryErrors:
@@ -763,19 +867,6 @@ class TestFileBoundaryErrors:
         assert run_cli(*args) == 1
         assert capsys.readouterr().err == \
             f"error: {odd}: feature dim 7 != model visual_dim 117\n"
-
-    def test_train_visual_dim_not_the_feature_width(self, corpus_dir, tmp_path, capsys):
-        first = os.path.join(str(corpus_dir),
-                             read_manifest(corpus_dir / "train.jsonl")[0]["feature_path"])
-        width = load_features(first).shape[1]
-        out = tmp_path / "run"
-        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet"]
-        for ov in TINY_OVERRIDES + [f"model.visual_dim={width + 1}"]:
-            args += ["--set", ov]
-        assert run_cli(*args) == 1
-        assert capsys.readouterr().err == \
-            f"error: {first}: feature dim {width} != model visual_dim {width + 1}\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["one_nan", "all_inf"])
     def test_non_finite_features(self, train_dir, corpus_dir, tmp_path, capsys, bad):
@@ -1184,11 +1275,9 @@ class TestGradcheckCommand:
                        "layer.self_attention", "layer.bigru", "predictor.", "critic."):
             assert prefix in out
 
-    def test_corrupted_backward_rule_fails(self, capsys, monkeypatch):
-        # negative control: break one backward rule and the gate must trip
+    def test_corrupted_backward_rule_fails(self, monkeypatch):
+        # negative control: break one backward rule and the check must trip the gate
         from paracnn import tensor as T
-
-        orig = T.Tensor.tanh
 
         def bad_tanh(self):
             a = self
@@ -1196,4 +1285,13 @@ class TestGradcheckCommand:
             return T.Tensor._from_op(y, (a,), lambda g: a._accumulate(g * (1.0 - y)))
 
         monkeypatch.setattr(T.Tensor, "tanh", bad_tanh)
+        x = Tensor(T.RngState(0).normal((3,)), requires_grad=True)
+        assert T.grad_check(lambda t: t.tanh().sum(), x) > 1e-4
+
+    def test_failing_row_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gradcheck_report",
+                            lambda seed: [("layer.ok", 9.9e-05), ("layer.bad", 1e-4)])
         assert run_cli("gradcheck", "--seed", "0") == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "layer.ok   9.900e-05  ok", "layer.bad  1.000e-04  FAIL",
+            "max relative error: 1.000e-04"]

@@ -73,6 +73,13 @@ class TestEncodeParagraph:
         with pytest.raises(CorpusError):
             encode_paragraph("   ", v)
 
+    def test_wordless_sentence_takes_no_slot(self):
+        v = build_vocab(["hi. there."] * 2, min_freq=2)
+        tokens, mask, count = encode_paragraph("Hi. !. There.", v, max_sentences=2, max_words=4)
+        assert count == 2
+        assert [list(tokens[j][mask[j]]) for j in range(2)] == \
+            [[v.index["hi"], v.eos], [v.index["there"], v.eos]]
+
     def test_extra_sentences_dropped(self):
         v = build_vocab(["a a. b b. c c."] * 2, min_freq=2)
         tokens, mask, count = encode_paragraph("a a. b b. c c.", v, 2, 5)

@@ -304,6 +304,11 @@ class TestModelConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(attn_layers=(3,), word_depth=3)
 
+    def test_attention_layers_must_not_repeat(self):
+        # one tap per listed layer would be drawn, but ``word_attn`` keeps one per index
+        with pytest.raises(ValueError, match=r"\(2, 2\) repeat a layer"):
+            tiny_config(attn_layers=(2, 2), word_depth=3)
+
     def test_topic_dim_must_equal_channels(self):
         with pytest.raises(ValueError):
             tiny_config(topic_dim=16, channels=8)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sum_sq
+from paracnn import tensor
 from paracnn.tensor import (EmptyLossError, RngState, ShapeError, Tensor, concat,
                             cross_entropy, gather_rows, grad_check, no_grad)
 
@@ -100,6 +101,17 @@ class TestBackward:
 
         x = Tensor(randn(RngState(5), 4, 3), requires_grad=True)
         assert grad_check(lambda t: off_square(t).sum(), x) == pytest.approx(1e-3, rel=1e-2)
+
+    def test_grad_check_tapes_only_the_analytic_call(self):
+        taping = []
+
+        def f(t):
+            taping.append(tensor._taping)
+            return (t * t).sum()
+
+        grad_check(f, Tensor([1.0, 2.0], requires_grad=True))
+        assert taping == [True] + [False] * 8  # then 4 stencil points per coordinate
+        assert tensor._taping
 
     def test_grad_check_rejects_nonscalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
