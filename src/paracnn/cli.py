@@ -85,8 +85,8 @@ def _check_seed(seed):
     return seed
 
 
-def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
-                    default_visual_dim: int = None) -> RunConfig:
+def load_run_config(path, overrides, default_vocab_size: int,
+                    default_visual_dim: int) -> RunConfig:
     raw = {}
     if path:
         with open(path) as fh:
@@ -123,14 +123,8 @@ def load_run_config(path=None, overrides=(), default_vocab_size: int = None,
     seed = _check_seed(raw.get("seed", 0))
     sections = {name: dict(raw.get(name, {})) for name in SECTIONS}
     model_raw = sections["model"]
-    if "vocab_size" not in model_raw:
-        if default_vocab_size is None:
-            raise ConfigError("model.vocab_size is required (or derivable from data)")
-        model_raw["vocab_size"] = default_vocab_size
-    if model_raw.get("visual_dim") == 0:
-        # 0 means: take the dimension from the data
-        if default_visual_dim is None:
-            raise ConfigError("model.visual_dim=0 needs feature data to infer from")
+    model_raw.setdefault("vocab_size", default_vocab_size)
+    if model_raw.get("visual_dim") == 0:  # 0 means: take the dimension from the data
         model_raw["visual_dim"] = default_visual_dim
     return _run_config(seed, sections)
 
@@ -205,7 +199,7 @@ def cmd_train(args) -> int:
                                           f"visual_dim {run.model.visual_dim}")
 
     trainer = build_trainer(run, vocab)
-    done = _resume(trainer, args.resume, vocab) if args.resume else 0
+    done = _resume(trainer, args.resume, run, vocab) if args.resume else 0
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -228,13 +222,28 @@ def cmd_train(args) -> int:
             os.remove(lock_path)
 
 
-def _resume(trainer, path, vocab) -> int:
-    """Load checkpoint ``path`` into ``trainer``; returns its epoch. Nothing read is kept."""
-    meta, arrays = _read_checkpoint_meta(path, ("vocab", "epoch"))
+def _resume(trainer, path, run, vocab) -> int:
+    """Load checkpoint ``path`` into ``trainer``; returns its epoch. Nothing read is kept.
+
+    The checkpoint's run config must be ``run`` but for ``train.epochs``, so that
+    the resumed run is the one that wrote it.
+    """
+    meta, arrays, saved = _checkpoint_run(path)
     if meta["vocab"] != vocab.tokens:
         raise CheckpointError(f"{path}: trained with a different vocabulary")
     load_trainer_arrays(trainer, arrays, path)
+    old, new = _flat_config(saved), _flat_config(run)
+    changed = sorted(key for key in new if new[key] != old[key] and key != "train.epochs")
+    if changed:
+        raise ConfigError(f"{path}: a resumed run may change only train.epochs, not {changed}")
     return meta["epoch"]
+
+
+def _flat_config(run: RunConfig) -> dict:
+    """``run`` as {"seed": ..., "section.key": ...}."""
+    config = dataclasses.asdict(run)
+    return {"seed": run.seed, **{f"{name}.{key}": value for name in SECTIONS
+                                 for key, value in config[name].items()}}
 
 
 def _truncate_log(log_path, epoch) -> float:
@@ -316,23 +325,15 @@ _META_TYPES = {
 }
 
 
-def _read_checkpoint_meta(path, keys, *prefixes):
-    """read_checkpoint, plus CheckpointError when the metadata lacks or mistypes one of ``keys``."""
+def _checkpoint_run(path, *prefixes):
+    """(meta, arrays, run) of checkpoint ``path``: read_checkpoint, the metadata checked
+    against ``_META_TYPES`` (CheckpointError) and the run config it was trained with."""
     meta, arrays = read_checkpoint(path, *prefixes)
-    for key in keys:
+    for key, (what, ok) in _META_TYPES.items():
         if key not in meta:
             raise CheckpointError(f"{path}: checkpoint metadata lacks {key!r}")
-        what, ok = _META_TYPES[key]
         if not ok(meta[key]):
             raise CheckpointError(f"{path}: checkpoint metadata {key!r} must be {what}")
-    return meta, arrays
-
-
-def load_checkpoint_trainer(path):
-    """(trainer, run, vocab) for decoding; the trainer holds no backward network or critic."""
-    # decoding runs the forward network and the count predictor and never steps an
-    # optimizer: the other entries are checked and skipped, not read
-    meta, arrays = _read_checkpoint_meta(path, ("config", "vocab", "seed"), "fwd.", "predictor.")
     config = meta["config"]
     for name in SECTIONS:
         if not isinstance(config.get(name), dict):
@@ -344,6 +345,14 @@ def load_checkpoint_trainer(path):
     if len(meta["vocab"]) != run.model.vocab_size:
         raise CheckpointError(f"{path}: checkpoint metadata 'vocab' has {len(meta['vocab'])} "
                               f"tokens, not model.vocab_size={run.model.vocab_size}")
+    return meta, arrays, run
+
+
+def load_checkpoint_trainer(path):
+    """(trainer, run, vocab) for decoding; the trainer holds no backward network or critic."""
+    # decoding runs the forward network and the count predictor and never steps an
+    # optimizer: the other entries are checked and skipped, not read
+    meta, arrays, run = _checkpoint_run(path, "fwd.", "predictor.")
     try:
         vocab = corpus_mod.Vocab(meta["vocab"])
     except corpus_mod.CorpusError as exc:

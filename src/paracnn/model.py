@@ -21,7 +21,6 @@ decoding, through the ``WordCache``, projects them once per paragraph.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,6 @@ import numpy as np
 from .layers import (MASK_NEG, CausalConvBlock, Embedding, Layer, Linear,
                      MultiHeadSelfAttention, VisualAttention)
 from .tensor import RngState, ShapeError, Tensor, concat
-
-log = logging.getLogger(__name__)
 
 POOL_MODES = ("mean", "self_attention")
 
@@ -76,7 +73,7 @@ class ModelConfig:
             raise ValueError("topic_dim must equal channels: the topic is the stack's output frame")
         if self.context_dim != self.embed_dim:
             raise ValueError("context_dim must equal embed_dim: the context is a pooled embedding")
-        if self.embed_dim % self.attn_heads != 0:
+        if self.pooling == "self_attention" and self.embed_dim % self.attn_heads != 0:
             raise ValueError("embed_dim must be divisible by attn_heads")
 
 
@@ -153,8 +150,6 @@ class ParagraphModel(Layer):
         """
         m = np.asarray(mask, dtype=np.float64).reshape(embeds.shape[0], embeds.shape[1])
         counts = m.sum(axis=1)
-        if (counts == 0).any():
-            log.debug("pool_context: empty previous sentence, using zero context")
         if self.cfg.pooling == "self_attention":
             embeds = self.ctx_attn(embeds, key_mask=m)
         weighted = embeds * Tensor(m[:, :, None])

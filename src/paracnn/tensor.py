@@ -8,7 +8,8 @@ every ``requires_grad`` ancestor and frees each interior node behind it, so
 only leaves keep ``.grad`` and a spent graph cannot be walked again.
 
 Broadcasting is restricted to numpy's trailing-dimension alignment; anything
-else fails with a ``ShapeError``. Inside a ``no_grad()`` block nothing is
+else fails with a ``ShapeError``. The operands of ``+``, ``-`` and ``@`` are
+Tensors; ``*`` also takes a number. Inside a ``no_grad()`` block nothing is
 recorded, so inference keeps no tape alive.
 """
 
@@ -169,8 +170,6 @@ class Tensor:
     # -- elementwise arithmetic -------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
         _check_broadcast(self.shape, other.shape)
         data = self.data + other.data
         a, b = self, other
@@ -182,8 +181,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(g, b.shape))
 
         return Tensor._from_op(data, (a, b), bw)
-
-    __radd__ = __add__
 
     def __neg__(self):
         a = self
@@ -214,8 +211,6 @@ class Tensor:
     # -- structural ops ----------------------------------------------------------
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
         a, b = self, other
         if a.ndim < 2 or b.ndim < 2:
             raise ShapeError("matmul requires operands with ndim >= 2")
@@ -310,11 +305,6 @@ class Tensor:
         return Tensor._from_op(data, (a,), bw)
 
     # -- nonlinearities ------------------------------------------------------------
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        y = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor._from_op(y, (a,), lambda g: a._accumulate(g * y * (1.0 - y)))
 
     def tanh(self) -> "Tensor":
         a = self

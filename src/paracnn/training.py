@@ -11,7 +11,7 @@ step), or both. Only the forward network is ever consulted at inference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -362,18 +362,16 @@ def train_epoch(trainer: TwinTrainer, entries, vocab, batch_size: int, epoch: in
     if not agg:
         raise ValueError("train_epoch needs at least one entry")
 
-    def mean_of(name):
-        vals = [getattr(s, name) for s in agg]
-        return None if vals[0] is None else float(np.mean(vals))
-
-    return EpochStats(
-        ce_fwd=mean_of("ce_fwd"),
-        ce_bwd=mean_of("ce_bwd"),
-        twin_l2=mean_of("twin_l2"),
-        critic_loss=mean_of("critic_loss"),
-        critic_updates=sum(s.critic_updates for s in agg),
-        generator_updates=sum(s.generator_updates for s in agg),
-    )
+    combined = {}
+    for f in fields(EpochStats):
+        vals = [getattr(s, f.name) for s in agg]
+        if vals[0] is None:  # a loss the twin mode does not compute
+            combined[f.name] = None
+        elif type(vals[0]) is int:  # an update count
+            combined[f.name] = sum(vals)
+        else:  # a loss
+            combined[f.name] = float(np.mean(vals))
+    return EpochStats(**combined)
 
 
 def validation_ce(trainer: TwinTrainer, entries, vocab, batch_size: int,

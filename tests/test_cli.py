@@ -41,6 +41,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_config(path=None, overrides=()):
+    """``load_run_config`` as ``train`` calls it on a corpus of 10 tokens and width 6."""
+    return load_run_config(path, overrides, default_vocab_size=10, default_visual_dim=6)
+
+
 def cli_env():
     """The environment for a ``python -m paracnn.cli`` subprocess on this tree's sources."""
     env = dict(os.environ)
@@ -74,6 +79,20 @@ def twin_dir(tmp_path_factory, corpus_dir):
     args = ["train", "--data", str(corpus_dir), "--out", str(d), "--quiet"]
     for ov in TINY_OVERRIDES + ["train.epochs=1", "twin.mode=l2_plus_adversarial",
                                 "twin.critic_hidden=4"]:
+        args += ["--set", ov]
+    assert run_cli(*args) == 0
+    return d
+
+
+ATTN_OVERRIDES = TINY_OVERRIDES + ["model.pooling=self_attention", "train.epochs=1"]
+
+
+@pytest.fixture(scope="module")
+def attn_dir(tmp_path_factory, corpus_dir):
+    """One epoch with self-attention pooling: the checkpoint holds ``fwd.ctx_attn``."""
+    d = tmp_path_factory.mktemp("attn_run")
+    args = ["train", "--data", str(corpus_dir), "--out", str(d), "--quiet"]
+    for ov in ATTN_OVERRIDES:
         args += ["--set", ov]
     assert run_cli(*args) == 0
     return d
@@ -140,13 +159,13 @@ class TestRunConfig:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"model": {"vocab_size": 10, "warp_factor": 9}}))
         with pytest.raises(ConfigError, match="warp_factor"):
-            load_run_config(cfg)
+            run_config(cfg)
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"model": {"vocab_size": 10}, "extras": {}}))
         with pytest.raises(ConfigError, match="extras"):
-            load_run_config(cfg)
+            run_config(cfg)
 
     @pytest.mark.parametrize("config", [None, {"seed": 3}])
     def test_seed_is_not_a_section(self, tmp_path, config):
@@ -155,18 +174,17 @@ class TestRunConfig:
             path = tmp_path / "c.json"
             path.write_text(json.dumps(config))
         with pytest.raises(ConfigError, match="unknown config section 'seed'"):
-            load_run_config(path, ["seed.x=1"], default_vocab_size=10)
+            run_config(path, ["seed.x=1"])
 
     def test_override_parsing(self):
-        run = load_run_config(None, ["model.channels=32", "model.topic_dim=32",
-                                     "seed=7", "twin.mode=l2"],
-                              default_vocab_size=10)
+        run = run_config(None, ["model.channels=32", "model.topic_dim=32", "seed=7",
+                                "twin.mode=l2"])
         assert run.model.channels == 32
         assert run.seed == 7
         assert run.twin.mode == "l2"
 
     def test_defaults_mirror_reference_setup(self):
-        run = load_run_config(None, [], default_vocab_size=10)
+        run = run_config()
         assert run.train.epochs == 40
         assert run.train.lr == 4e-4
         assert run.model.max_sentences == 6
@@ -476,6 +494,31 @@ class TestResume:
         if refusal != "log":  # a refused checkpoint is named
             assert err.startswith(f"error: {out / 'checkpoint_ep0001.pckpt'}: {message}")
         assert tree_bytes(out) == before  # no .lock either
+
+    @pytest.mark.parametrize("extra, changed", [
+        (["seed=9"], ["seed"]),
+        (["train.lr=0.5"], ["train.lr"]),
+        (["model.max_words=12"], ["model.max_words"]),
+        (["model.pooling=mean"], ["model.pooling"]),  # would drop fwd.ctx_attn's weights
+        (["seed=9", "train.batch_size=4", "train.lr=0.5", "model.max_words=12",
+          "model.pooling=mean"],
+         ["model.max_words", "model.pooling", "seed", "train.batch_size", "train.lr"]),
+    ], ids=["seed", "lr", "max_words", "pooling", "all"])
+    def test_resume_refuses_a_changed_config(self, attn_dir, corpus_dir, tmp_path, capsys,
+                                             extra, changed):
+        # only train.epochs may change, as test_killed_run_resumes does
+        out = tmp_path / "run"
+        shutil.copytree(attn_dir, out)
+        before = tree_bytes(out)
+        ckpt = out / "checkpoint_ep0001.pckpt"
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                "--resume", str(ckpt)]
+        for ov in ATTN_OVERRIDES + ["train.epochs=2"] + extra:
+            args += ["--set", ov]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {ckpt}: a resumed run may change only train.epochs, not {changed}\n")
+        assert tree_bytes(out) == before
 
     def test_resumed_run_holds_no_checkpoint_array(self, train_dir, corpus_dir, tmp_path,
                                                    monkeypatch):
@@ -918,7 +961,7 @@ class TestFileBoundaryErrors:
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)
         with pytest.raises(ConfigError, match="bad.json"):
-            load_run_config(cfg)
+            run_config(cfg)
         self.fails_cleanly(capsys, ["train", "--data", str(corpus_dir), "--config", str(cfg),
                                     "--out", str(tmp_path / "run")], str(cfg))
 
@@ -931,7 +974,7 @@ class TestFileBoundaryErrors:
         cfg.write_text(json.dumps(config))
         message = f"{cfg}: config section {next(iter(config))!r} must be a JSON object"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            load_run_config(cfg, overrides, default_vocab_size=10)
+            run_config(cfg, overrides)
         argv = ["train", "--data", str(corpus_dir), "--config", str(cfg),
                 "--out", str(tmp_path / "run")]
         for ov in overrides:

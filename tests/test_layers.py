@@ -171,10 +171,16 @@ class TestCausalConvStep:
             assert grad_check(lambda _: stepped(fixed), p) < 1e-4
 
 
+def taped_sigmoid(t):
+    """``1 / (1 + exp(-t))`` as one tape node: the formula the fused nodes compute."""
+    y = 1.0 / (1.0 + np.exp(-t.data))
+    return Tensor._from_op(y, (t,), lambda g: t._accumulate(g * y * (1.0 - y)))
+
+
 def taped_conv_gate(conv, windows, x):
     """The gated tail as the composition of tensor ops the fused node replaced."""
     pre = windows @ conv.weight + conv.bias
-    out = pre[..., :conv.out_channels] * pre[..., conv.out_channels:].sigmoid()
+    out = pre[..., :conv.out_channels] * taped_sigmoid(pre[..., conv.out_channels:])
     return out + x
 
 
@@ -475,10 +481,10 @@ def taped_gru_run(d, seq):
     xh = seq @ d.Wh + d.bh
     h = Tensor(np.zeros((B, d.hidden)))
     for t in range(T):
-        z = (xz[:, t, :] + h @ d.Uz).sigmoid()
-        r = (xr[:, t, :] + h @ d.Ur).sigmoid()
+        z = taped_sigmoid(xz[:, t, :] + h @ d.Uz)
+        r = taped_sigmoid(xr[:, t, :] + h @ d.Ur)
         cand = (xh[:, t, :] + (r * h) @ d.Uh).tanh()
-        h = (-z + 1.0) * h + z * cand
+        h = (-z + Tensor(1.0)) * h + z * cand
     return h
 
 

@@ -313,6 +313,12 @@ class TestModelConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(topic_dim=16, channels=8)
 
+    def test_heads_checked_only_with_self_attention(self):
+        # mean pooling builds no attention heads, so their count need not divide anything
+        assert tiny_config(embed_dim=12, context_dim=12, attn_heads=8).attn_heads == 8
+        with pytest.raises(ValueError, match="embed_dim must be divisible by attn_heads"):
+            tiny_config(embed_dim=12, context_dim=12, attn_heads=8, pooling="self_attention")
+
     def test_bad_pooling_mode(self):
         with pytest.raises(ValueError):
             tiny_config(pooling="sum")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,10 @@ from paracnn.checkpoint import trainer_arrays
 from paracnn.corpus import (SPECIALS, ParagraphBatch, Vocab, make_batches, pad_feature_batch,
                             shuffle_order)
 from paracnn.tensor import RngState, Tensor, grad_check
-from paracnn.training import (WEIGHT_CLIP, Critic, RmspropOptimizer, TrainingDiverged,
-                              TwinConfig, TwinTrainer, adversarial_generator_loss, batch_ce,
-                              critic_step, reverse_targets, train_epoch, twin_l2_loss,
-                              validation_ce, _mirror_frames)
+from paracnn.training import (WEIGHT_CLIP, Critic, EpochStats, RmspropOptimizer,
+                              TrainingDiverged, TwinConfig, TwinTrainer,
+                              adversarial_generator_loss, batch_ce, critic_step, reverse_targets,
+                              train_epoch, twin_l2_loss, validation_ce, _mirror_frames)
 
 
 def make_batch(rng: RngState, B=2, M=2, N=4, vocab=11, d_feat=6, ragged=True):
@@ -305,9 +307,10 @@ def same_batches(got, want):
 
 
 class TestEpoch:
-    def test_train_epoch_trains_the_shuffled_batches(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["none", "l2", "l2_plus_adversarial"])
+    def test_train_epoch_trains_the_shuffled_batches(self, monkeypatch, mode):
         entries = make_entries(RngState(60), 5)
-        tr = small_trainer("l2", seed=12)
+        tr = small_trainer(mode, seed=12)
         seen, per_batch = [], []
         real_step = TwinTrainer.train_batch
 
@@ -321,10 +324,15 @@ class TestEpoch:
         order = shuffle_order(12, 5, 3)
         assert list(order) != list(range(5))
         assert same_batches(seen, list(make_batches(entries, TINY_VOCAB, 2, 4, 2, order)))
-        for name in ("ce_fwd", "ce_bwd", "twin_l2"):
-            assert getattr(stats, name) == float(np.mean([getattr(s, name) for s in per_batch]))
-        assert stats.critic_loss is None and per_batch[0].critic_loss is None
-        assert (stats.generator_updates, stats.critic_updates) == (3, 0)
+        assert stats.generator_updates == 3
+        for f in dataclasses.fields(EpochStats):  # a count adds up, a loss averages
+            vals = [getattr(s, f.name) for s in per_batch]
+            if vals[0] is None:  # a loss the mode does not compute
+                assert set(vals) == {None} and getattr(stats, f.name) is None, f.name
+            elif type(vals[0]) is int:
+                assert getattr(stats, f.name) == sum(vals), f.name
+            else:
+                assert getattr(stats, f.name) == float(np.mean(vals)), f.name
 
     def test_validation_ce_in_file_order(self, monkeypatch):
         entries = make_entries(RngState(61), 5)
