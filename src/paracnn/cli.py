@@ -363,6 +363,9 @@ def load_checkpoint_trainer(path):
 
 
 def cmd_generate(args) -> int:
+    out_dir = (os.path.dirname(args.out) or ".") if args.out else None
+    if out_dir is not None and not os.path.isdir(out_dir):  # refused before any decoding
+        raise FileNotFoundError(f"{out_dir}: no such directory for --out")
     trainer, run, vocab = load_checkpoint_trainer(args.checkpoint)
     flags = {"num_sentences": args.sentences, "adaptive": args.adaptive,
              "min_sentences": args.min, "max_sentences": args.max,
@@ -379,7 +382,7 @@ def cmd_generate(args) -> int:
 
     texts = []  # written after the last image; only one image's features are held
     for path in paths:
-        f = corpus_mod.load_features_of_dim(path, run.model.visual_dim)
+        f = corpus_mod.load_features(path, run.model.visual_dim)
         if dc.adaptive:
             sents = decode_adaptive(trainer.model, trainer.predictor, f, dc, vocab)
         else:
@@ -390,8 +393,7 @@ def cmd_generate(args) -> int:
         with open(args.out, "w") as fh:
             write_paragraphs(texts, fh)
         _write_resolved_config(dict(dataclasses.asdict(run), decode=dataclasses.asdict(dc)),
-                               os.path.dirname(os.path.abspath(args.out)),
-                               "resolved_generate_config.json")
+                               out_dir, "resolved_generate_config.json")
     else:
         write_paragraphs(texts, sys.stdout)
     return 0
@@ -424,15 +426,15 @@ def cmd_eval(args) -> int:
 
     scores = metrics_mod.evaluate_all(pairs)
     display = {k: (v * 100.0 if k != "CIDEr" else v * 10.0) for k, v in scores.items()}
+    payload = json.dumps({"raw": scores, "display": display}, sort_keys=True)
+    if args.json:  # before the table, so a refused path prints nothing to stdout
+        with open(args.json, "w") as fh:
+            fh.write(payload + "\n")
     width = max(len(k) for k in display)
     print(f"{'metric'.ljust(width)}  score")
     for key in ("BLEU-1", "BLEU-2", "BLEU-3", "BLEU-4", "ROUGE-L", "CIDEr"):
         print(f"{key.ljust(width)}  {display[key]:6.1f}")
-    payload = json.dumps({"raw": scores, "display": display}, sort_keys=True)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(payload + "\n")
-    else:
+    if not args.json:
         print(payload)
     return 0
 

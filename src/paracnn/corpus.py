@@ -135,13 +135,6 @@ class ParagraphBatch:
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
         self.mask = np.asarray(self.mask, dtype=bool)
         self.sentence_counts = np.asarray(self.sentence_counts, dtype=np.int64)
-        self.validate()
-
-    @property
-    def size(self) -> int:
-        return self.tokens.shape[0]
-
-    def validate(self):
         if self.tokens.ndim != 3 or self.mask.shape != self.tokens.shape:
             raise CorpusError("batch tokens and mask must share a [B, M, N] shape")
         B, M, N = self.tokens.shape
@@ -156,6 +149,10 @@ class ParagraphBatch:
             raise CorpusError("mask rows must be prefix-shaped")
         if (self.tokens[~self.mask] != 0).any():
             raise CorpusError("padded positions must hold <pad>")
+
+    @property
+    def size(self) -> int:
+        return self.tokens.shape[0]
 
 
 # -- synthetic scenes ------------------------------------------------------------
@@ -248,8 +245,9 @@ def save_features(path, features: np.ndarray):
         fh.write(arr.astype("<f4").tobytes())
 
 
-def load_features(path) -> np.ndarray:
-    """Read a PFV1 file into a float64 [R, d] matrix; every value must be finite."""
+def load_features(path, visual_dim: int = None) -> np.ndarray:
+    """Read a PFV1 file into a float64 [R, d] matrix; every value must be finite,
+    and d must be ``visual_dim`` if that is given."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
@@ -268,16 +266,8 @@ def load_features(path) -> np.ndarray:
     features = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dim)
     if not np.isfinite(features).all():
         raise FeatureFileError(f"{path}: non-finite feature value (NaN or inf)")
-    return features
-
-
-def load_features_of_dim(path, visual_dim) -> np.ndarray:
-    """``load_features``, plus FeatureFileError naming ``path`` unless the file's
-    width is ``visual_dim`` (None: any width)."""
-    features = load_features(path)
-    if visual_dim is not None and features.shape[1] != visual_dim:
-        raise FeatureFileError(
-            f"{path}: feature dim {features.shape[1]} != model visual_dim {visual_dim}")
+    if visual_dim is not None and dim != visual_dim:
+        raise FeatureFileError(f"{path}: feature dim {dim} != model visual_dim {visual_dim}")
     return features
 
 
@@ -330,7 +320,7 @@ def batch_from_entries(entries, vocab: Vocab, max_sentences: int, max_words: int
         masks.append(m)
         counts.append(c)
         fp = e["feature_path"]
-        feats.append(load_features_of_dim(os.path.join(base_dir, fp), visual_dim)
+        feats.append(load_features(os.path.join(base_dir, fp), visual_dim)
                      if isinstance(fp, str) else fp)
     return ParagraphBatch(np.stack(toks), np.stack(masks), np.asarray(counts), feats)
 
@@ -342,18 +332,18 @@ def shuffle_order(seed: int, n: int, epoch: int = None) -> np.ndarray:
     return (rng if epoch is None else rng.child(epoch)).permutation(n)
 
 
-def make_batches(entries, vocab: Vocab, max_sentences: int, max_words: int, batch_size: int,
-                 order, base_dir: str = "", visual_dim: int = None):
+def make_batches(entries, vocab: Vocab, cfg, batch_size: int, order, base_dir: str):
     """Yield batches of ``batch_size`` entries taken in ``order``; the last may be short.
 
-    A batch is built, and its features read, only when the caller asks for
-    it: a loop over the batches holds one batch, and the next while it is built.
-    Each feature file read must be ``visual_dim`` wide, if that is given.
+    Each batch is on the [M, N] grid of the model config ``cfg``, and each
+    feature file read must be ``cfg.visual_dim`` wide. A batch is built, and its
+    features read, only when the caller asks for it: a loop over the batches
+    holds one batch, and the next while it is built.
     """
     for lo in range(0, len(order), batch_size):
         yield batch_from_entries([entries[i] for i in order[lo:lo + batch_size]], vocab,
-                                 max_sentences, max_words, base_dir=base_dir,
-                                 visual_dim=visual_dim)
+                                 cfg.max_sentences, cfg.max_words, base_dir=base_dir,
+                                 visual_dim=cfg.visual_dim)
 
 
 def pad_feature_batch(features: list):

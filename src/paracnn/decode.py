@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Vocab
-from .model import (ParagraphModel, SentenceCountPredictor, TopicState, WordCache,
-                    predict_sentence_count)
+from .model import ParagraphModel, SentenceCountPredictor, TopicState, WordCache
 from .tensor import Tensor, no_grad
 
 NEG_INF = float("-inf")
@@ -81,8 +80,8 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     never emits <eos> stops at the word budget, so every sentence holds at
     least one word.
     ``dc.num_sentences`` sentences are decoded; with a ``predictor``, the count
-    is predicted from the projected image instead and clamped to
-    [dc.min_sentences, dc.max_sentences].
+    is predicted from the projected image instead (class k means k+1 sentences,
+    the lowest class wins a tie) and clamped to [dc.min_sentences, dc.max_sentences].
     """
     cfg = model.cfg
     n_words = min(dc.max_words or cfg.max_words, cfg.max_words)
@@ -91,8 +90,8 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     global_feat, regions = model.project_features(Tensor(np.asarray(features)[None]))
     cache = WordCache(model.region_keys(regions))
     if predictor is not None:
-        n_sent = predict_sentence_count(predictor, global_feat, dc.min_sentences,
-                                        dc.max_sentences)
+        count = int(np.argmax(predictor(global_feat).data)) + 1
+        n_sent = min(max(count, dc.min_sentences), dc.max_sentences)
     else:
         n_sent = dc.num_sentences
 

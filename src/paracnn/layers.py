@@ -22,26 +22,24 @@ def _param(rng: RngState, shape, fan_in: int) -> Tensor:
 class Layer:
     """Base for parameterized blocks: a nested parameter registry."""
 
-    def _members(self):
-        """(name, value) per attribute; lists, tuples and dicts of layers are flattened."""
-        for name, val in vars(self).items():
-            if isinstance(val, (list, tuple)):
-                yield from ((f"{name}.{i}", item) for i, item in enumerate(val)
-                            if isinstance(item, Layer))
-            elif isinstance(val, dict):
-                yield from ((f"{name}.{key}", item) for key, item in val.items()
-                            if isinstance(item, Layer))
-            else:
-                yield name, val
-
     def named_parameters(self) -> dict:
+        """Each trainable Tensor by its attribute path; a layer in a list attribute is
+        named by its index, one in a dict attribute by its key."""
         out = {}
-        for name, val in self._members():
+        for name, val in vars(self).items():
             if isinstance(val, Tensor) and val.requires_grad:
                 out[name] = val
-            elif isinstance(val, Layer):
-                for sub, p in val.named_parameters().items():
-                    out[f"{name}.{sub}"] = p
+                continue
+            if isinstance(val, list):
+                members = {f"{name}.{i}": item for i, item in enumerate(val)}
+            elif isinstance(val, dict):
+                members = {f"{name}.{key}": item for key, item in val.items()}
+            else:
+                members = {name: val}
+            for prefix, layer in members.items():
+                if isinstance(layer, Layer):
+                    for sub, p in layer.named_parameters().items():
+                        out[f"{prefix}.{sub}"] = p
         return out
 
 

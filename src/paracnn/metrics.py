@@ -52,8 +52,6 @@ def bleu_n(pairs, n: int) -> float:
     r_len = 0
     for pair in pairs:
         hyp = list(pair.hypothesis)
-        if not hyp:
-            log.warning("empty hypothesis scored as 0 matches")
         c_len += len(hyp)
         r_len += len(pair.reference)
         for k in range(1, n + 1):
@@ -151,6 +149,9 @@ def cider(pairs) -> float:
 def evaluate_all(pairs) -> dict:
     """All metrics at once, on the 0..1 (BLEU/ROUGE) and 0..10 (CIDEr) scales."""
     pairs = list(pairs)
+    empty = sum(not pair.hypothesis for pair in pairs)
+    if empty:
+        log.warning("%d of %d hypotheses are empty and score 0 matches", empty, len(pairs))
     out = {f"BLEU-{k}": bleu_n(pairs, k) for k in (1, 2, 3, 4)}
     out["ROUGE-L"] = rouge_l(pairs)
     out["CIDEr"] = cider(pairs)

@@ -293,12 +293,3 @@ class SentenceCountPredictor(Layer):
         h = self.fc1(global_feat).relu()
         h = self.fc2(h).relu()
         return self.fc3(h)
-
-
-def predict_sentence_count(predictor: SentenceCountPredictor, global_feat: Tensor,
-                           min_sentences: int, max_sentences: int) -> int:
-    """Argmax class (1-based count, lowest index wins ties) clamped to [min, max]."""
-    logits = predictor(global_feat.detach())
-    flat = logits.data.reshape(-1)
-    count = int(np.argmax(flat)) + 1
-    return int(np.clip(count, min_sentences, max_sentences))

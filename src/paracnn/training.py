@@ -344,21 +344,13 @@ class TwinTrainer:
         return float(loss.data)
 
 
-def _batches(trainer: TwinTrainer, entries, vocab, batch_size: int, order, base_dir: str):
-    """``make_batches`` on the trainer's [M, N] grid and feature width; built as they
-    are consumed."""
-    cfg = trainer.cfg
-    return make_batches(entries, vocab, cfg.max_sentences, cfg.max_words, batch_size, order,
-                        base_dir=base_dir, visual_dim=cfg.visual_dim)
-
-
 def train_epoch(trainer: TwinTrainer, entries, vocab, batch_size: int, epoch: int,
                 base_dir: str = "") -> EpochStats:
     """Train once on every entry, in epoch ``epoch``'s seeded order (``shuffle_order``),
     ``batch_size`` entries a batch; returns the mean losses and summed update counts."""
     order = shuffle_order(trainer.seed, len(entries), epoch)
     agg = [trainer.train_batch(b)
-           for b in _batches(trainer, entries, vocab, batch_size, order, base_dir)]
+           for b in make_batches(entries, vocab, trainer.cfg, batch_size, order, base_dir)]
     if not agg:
         raise ValueError("train_epoch needs at least one entry")
 
@@ -377,5 +369,6 @@ def train_epoch(trainer: TwinTrainer, entries, vocab, batch_size: int, epoch: in
 def validation_ce(trainer: TwinTrainer, entries, vocab, batch_size: int,
                   base_dir: str = "") -> float:
     """The forward network's mean per-batch CE over ``entries`` in file order."""
-    batches = _batches(trainer, entries, vocab, batch_size, np.arange(len(entries)), base_dir)
+    batches = make_batches(entries, vocab, trainer.cfg, batch_size, np.arange(len(entries)),
+                           base_dir)
     return float(np.mean([trainer.eval_ce(b) for b in batches]))

@@ -297,8 +297,8 @@ class TestTrain:
         def release():
             live["now"] -= 1
 
-        def counted_load(path):
-            arr = load(path)
+        def counted_load(path, visual_dim=None):
+            arr = load(path, visual_dim)
             weakref.finalize(arr, release)
             live["now"] += 1
             live["peak"] = max(live["peak"], live["now"])
@@ -595,7 +595,7 @@ class TestGenerateAndEval:
         events = []
         load, decode = cli.corpus_mod.load_features, cli.greedy_decode
         monkeypatch.setattr(cli.corpus_mod, "load_features",
-                            lambda path: events.append("load") or load(path))
+                            lambda *args: events.append("load") or load(*args))
         monkeypatch.setattr(cli, "greedy_decode",
                             lambda *args: events.append("decode") or decode(*args))
         generate_bytes(train_dir / "best.pckpt", corpus_dir, tmp_path / "hyp.txt")
@@ -823,6 +823,25 @@ def _refuse_id_mismatch(corpus_dir, tmp_path, held):
             f"(missing hypotheses for ids {ids[1:]})")
 
 
+def _refuse_generate_out_dir(corpus_dir, tmp_path, held):
+    # refused before the checkpoint is read or any image decoded
+    patch = held(pytest.MonkeyPatch.context())
+    for name in ("load_checkpoint_trainer", "greedy_decode"):
+        patch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    out = tmp_path / "nodir"
+    return (["generate", "--checkpoint", str(tmp_path / "best.pckpt"),
+             "--features", str(corpus_dir / "test.jsonl"), "--out", str(out / "hyp.txt")],
+            out, None, f"{out}: no such directory for --out")
+
+
+def _refuse_eval_json_dir(corpus_dir, tmp_path, held):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("\n\n".join(e["paragraph"] for e in read_manifest(corpus_dir / "test.jsonl")))
+    out = tmp_path / "nodir" / "scores.json"
+    return (["eval", "--hypotheses", str(hyp), "--manifest", str(corpus_dir / "test.jsonl"),
+             "--json", str(out)], out, None, f"[Errno 2] No such file or directory: '{out}'")
+
+
 class TestRefusals:
     """Each refusal is raised by its command and printed by ``main``: one ``error: ...``
     line on stderr, nothing on stdout, exit status 1, and the output path left as
@@ -831,7 +850,7 @@ class TestRefusals:
     CASES = {f.__name__[len("_refuse_"):]: f for f in (
         _refuse_small_corpus, _refuse_occupied_out, _refuse_vocab_size, _refuse_feature_width,
         _refuse_locked_run, _refuse_diverged_epoch, _refuse_empty_hypotheses,
-        _refuse_id_mismatch)}
+        _refuse_id_mismatch, _refuse_generate_out_dir, _refuse_eval_json_dir)}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_one_error_line(self, corpus_dir, tmp_path, capsys, case):

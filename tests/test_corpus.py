@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_config
 from paracnn import corpus
 from paracnn.corpus import (CorpusError, FeatureFileError, ParagraphBatch, Vocab,
                             batch_from_entries, build_vocab, encode_paragraph, make_batches,
@@ -188,6 +189,14 @@ class TestFeatureFiles:
                            match=r"wrong data length for R=3, d=5: expected 60 bytes, got 62"):
             load_features(path)
 
+    def test_width_checked_when_given(self, tmp_path):
+        path = tmp_path / "w.pfv"
+        save_features(path, np.ones((2, 4)))
+        with pytest.raises(FeatureFileError) as exc:
+            load_features(path, 5)
+        assert str(exc.value) == f"{path}: feature dim 4 != model visual_dim 5"
+        assert load_features(path).shape == (2, 4)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.pfv"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -209,8 +218,8 @@ class TestFeatureFiles:
         save_features(tmp_path / "b.pfv", np.ones((3, 5)))
         entries = [{"paragraph": "the red cube is in the east.", "feature_path": name}
                    for name in ("a.pfv", "b.pfv")]
-        batches = make_batches(entries, toy_vocab, 2, 8, 1, [0, 1], base_dir=str(tmp_path),
-                               visual_dim=4)
+        cfg = tiny_config(max_sentences=2, max_words=8, visual_dim=4)
+        batches = make_batches(entries, toy_vocab, cfg, 1, [0, 1], str(tmp_path))
         assert next(batches).feature_refs[0].shape == (2, 4)
         with pytest.raises(FeatureFileError) as exc:
             next(batches)

@@ -157,6 +157,12 @@ class TestDecodeAdaptive:
                                  min_sentences=2, max_sentences=3)
         assert len(decode_adaptive(model, pred, RngState(14).normal((2, 6)), dc, vocab)) == 2
 
+    def test_tie_takes_the_lowest_count(self, vocab):
+        model, pred = self.setup_predictor(vocab, cls_index=0)
+        pred.fc3.b.data[:] = 9.0  # every class ties
+        dc = plain_decode_config(adaptive=True, min_sentences=1, max_sentences=6)
+        assert len(decode_adaptive(model, pred, RngState(17).normal((2, 6)), dc, vocab)) == 1
+
     def test_image_projected_once(self, vocab, monkeypatch):
         model, pred = self.setup_predictor(vocab, cls_index=2)  # count 3
         dc = plain_decode_config(adaptive=True, min_sentences=1, max_sentences=4)

@@ -157,6 +157,14 @@ class TestEvaluateAll:
         assert scores["ROUGE-L"] == 1.0
         assert scores["BLEU-4"] == 1.0
 
+    def test_empty_hypotheses_warn_once(self, caplog):
+        import logging
+        pairs = pairs_of([([], list("ab"))] * 4)
+        with caplog.at_level(logging.WARNING, logger="paracnn.metrics"):
+            scores = evaluate_all(pairs)
+        assert caplog.messages == ["4 of 4 hypotheses are empty and score 0 matches"]
+        assert set(scores.values()) == {0.0}
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(list(range(len(CIDER_FIXTURE)))))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grid, tiny_config
-from paracnn.model import (ModelConfig, ParagraphModel, SentenceCountPredictor,
-                           TopicState, WordCache, predict_sentence_count)
+from paracnn.model import ModelConfig, ParagraphModel, TopicState, WordCache
 from paracnn.tensor import RngState, ShapeError, Tensor, cross_entropy, grad_check
 
 
@@ -274,29 +273,6 @@ class TestParagraphForward:
         assert np.array_equal(logits.data[0, 0], logits2.data[0, 0])
         assert np.array_equal(logits.data[0, 1, :1], logits2.data[0, 1, :1])
         assert not np.allclose(logits.data[0, 1, 1:], logits2.data[0, 1, 1:])
-
-
-class TestSentenceCountPredictor:
-    def test_one_hot_logits(self):
-        pred = SentenceCountPredictor(RngState(3).child(1), 8, 6)
-        pred.fc3.W.data[:] = 0.0
-        pred.fc3.b.data[:] = 0.0
-        pred.fc3.b.data[2] = 5.0  # class index 2 -> count 3
-        out = predict_sentence_count(pred, Tensor(np.zeros((1, 8))), 1, 6)
-        assert out == 3
-
-    def test_lower_clamp(self):
-        pred = SentenceCountPredictor(RngState(3).child(1), 8, 6)
-        pred.fc3.W.data[:] = 0.0
-        pred.fc3.b.data[:] = 0.0
-        pred.fc3.b.data[1] = 5.0  # argmax count 2
-        assert predict_sentence_count(pred, Tensor(np.zeros((1, 8))), 5, 6) == 5
-
-    def test_tie_breaks_to_lowest_index(self):
-        pred = SentenceCountPredictor(RngState(3).child(1), 8, 6)
-        pred.fc3.W.data[:] = 0.0
-        pred.fc3.b.data[:] = 1.0
-        assert predict_sentence_count(pred, Tensor(np.zeros((1, 8))), 1, 6) == 1
 
 
 class TestModelConfigValidation:

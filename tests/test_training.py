@@ -323,7 +323,7 @@ class TestEpoch:
         stats = train_epoch(tr, entries, TINY_VOCAB, 2, 3)
         order = shuffle_order(12, 5, 3)
         assert list(order) != list(range(5))
-        assert same_batches(seen, list(make_batches(entries, TINY_VOCAB, 2, 4, 2, order)))
+        assert same_batches(seen, list(make_batches(entries, TINY_VOCAB, tr.cfg, 2, order, "")))
         assert stats.generator_updates == 3
         for f in dataclasses.fields(EpochStats):  # a count adds up, a loss averages
             vals = [getattr(s, f.name) for s in per_batch]
@@ -342,7 +342,7 @@ class TestEpoch:
         monkeypatch.setattr(TwinTrainer, "eval_ce",
                             lambda trainer, batch: seen.append(batch) or real_eval(trainer, batch))
         ce = validation_ce(tr, entries, TINY_VOCAB, 2)
-        want = list(make_batches(entries, TINY_VOCAB, 2, 4, 2, np.arange(5)))
+        want = list(make_batches(entries, TINY_VOCAB, tr.cfg, 2, np.arange(5), ""))
         assert same_batches(seen, want)
         assert ce == float(np.mean([real_eval(tr, b) for b in want]))
 
