@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from .checkpoint import (CheckpointError, load_trainer_arrays, read_checkpoint,
                          trainer_arrays, write_checkpoint)
 from .decode import (DecodeConfig, decode_adaptive, greedy_decode, read_paragraphs,
-                     sentences_to_text, write_paragraphs)
+                     sentence_lines, write_paragraphs)
 from .model import ModelConfig
 from .tensor import RngState, Tensor, grad_check, cross_entropy
 from .training import (TrainingDiverged, TwinConfig, TwinTrainer, train_epoch,
@@ -363,8 +363,10 @@ def load_checkpoint_trainer(path):
 
 
 def cmd_generate(args) -> int:
+    if args.out and (os.path.isdir(args.out) or args.out.endswith(os.sep)):
+        raise IsADirectoryError(f"{args.out}: --out names a directory, not a file")
     out_dir = (os.path.dirname(args.out) or ".") if args.out else None
-    if out_dir is not None and not os.path.isdir(out_dir):  # refused before any decoding
+    if out_dir is not None and not os.path.isdir(out_dir):  # both refused before any decoding
         raise FileNotFoundError(f"{out_dir}: no such directory for --out")
     trainer, run, vocab = load_checkpoint_trainer(args.checkpoint)
     flags = {"num_sentences": args.sentences, "adaptive": args.adaptive,
@@ -380,22 +382,22 @@ def cmd_generate(args) -> int:
     else:
         paths = [args.features]
 
-    texts = []  # written after the last image; only one image's features are held
+    paragraphs = []  # written after the last image; only one image's features are held
     for path in paths:
         f = corpus_mod.load_features(path, run.model.visual_dim)
         if dc.adaptive:
             sents = decode_adaptive(trainer.model, trainer.predictor, f, dc, vocab)
         else:
             sents = greedy_decode(trainer.model, f, dc, vocab)
-        texts.append(sentences_to_text(sents, vocab))
+        paragraphs.append(sentence_lines(sents, vocab))
 
     if args.out:
         with open(args.out, "w") as fh:
-            write_paragraphs(texts, fh)
+            write_paragraphs(paragraphs, fh)
         _write_resolved_config(dict(dataclasses.asdict(run), decode=dataclasses.asdict(dc)),
                                out_dir, "resolved_generate_config.json")
     else:
-        write_paragraphs(texts, sys.stdout)
+        write_paragraphs(paragraphs, sys.stdout)
     return 0
 
 

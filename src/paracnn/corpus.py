@@ -140,8 +140,9 @@ class ParagraphBatch:
         B, M, N = self.tokens.shape
         if self.sentence_counts.shape != (B,) or len(self.feature_refs) != B:
             raise CorpusError("per-item fields must have length B")
-        if (self.sentence_counts < 0).any() or (self.sentence_counts > M).any():
-            raise CorpusError("sentence_counts must lie in [0, M]")
+        rows = self.mask.any(axis=2).sum(axis=1)
+        if (self.sentence_counts != rows).any() or (rows < 1).any():
+            raise CorpusError("sentence_counts must be each item's non-empty sentence rows, >= 1")
         # valid positions must form a prefix of each sentence row
         lengths = self.mask.sum(axis=2)
         prefix = np.arange(N)[None, None, :] < lengths[:, :, None]

@@ -83,8 +83,7 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     is predicted from the projected image instead (class k means k+1 sentences,
     the lowest class wins a tie) and clamped to [dc.min_sentences, dc.max_sentences].
     """
-    cfg = model.cfg
-    n_words = min(dc.max_words or cfg.max_words, cfg.max_words)
+    n_words = min(dc.max_words or model.cfg.max_words, model.cfg.max_words)
 
     # a batch of one image: [1, proj] global vector, [1, R, proj] regions
     global_feat, regions = model.project_features(Tensor(np.asarray(features)[None]))
@@ -95,16 +94,14 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
     else:
         n_sent = dc.num_sentences
 
-    state = TopicState()
-    sentences = []
+    state, sentences = TopicState(), []
     history = []  # every token of the paragraph so far
-    for j in range(n_sent):
-        if j == 0:
-            context = Tensor(np.zeros((1, cfg.context_dim)))
-        else:
+    for _ in range(n_sent):
+        if sentences:
             prev = np.asarray(sentences[-1:], dtype=np.int64)
-            context = model.pool_context(model.embed(prev), np.ones(prev.shape))
-        topic = model.topic_forward(state, global_feat, context)
+            topic = model.topic_forward(state, global_feat, model.embed(prev), np.ones(prev.shape))
+        else:
+            topic = model.topic_forward(state, global_feat)
 
         cache.histories.clear()
         tok = vocab.start
@@ -129,25 +126,23 @@ def decode_adaptive(model: ParagraphModel, predictor: SentenceCountPredictor, fe
     return greedy_decode(model, features, dc, vocab, predictor=predictor)
 
 
-def sentences_to_text(sentences, vocab: Vocab) -> str:
-    """Line-structured paragraph: one sentence per line, specials dropped."""
-    lines = []
-    for words in sentences:
-        toks = [vocab.decode_index(w) for w in words if w not in
-                (vocab.pad, vocab.start, vocab.eos, vocab.unk)]
-        lines.append(" ".join(toks))
-    return "\n".join(lines)
+def sentence_lines(sentences, vocab: Vocab) -> list:
+    """A decoded paragraph as one line of words per sentence, specials dropped."""
+    specials = (vocab.pad, vocab.start, vocab.eos, vocab.unk)
+    return [" ".join(vocab.decode_index(w) for w in words if w not in specials)
+            for words in sentences]
 
 
-def write_paragraphs(paragraph_texts, fh):
-    """Emit paragraphs separated by blank lines, one sentence per line.
+def write_paragraphs(paragraphs, fh):
+    """Emit paragraphs, lists of sentence lines as ``read_paragraphs`` returns them.
 
-    An empty sentence is the line ``<empty>``: blank lines only separate paragraphs.
+    Blank lines separate paragraphs, so an empty sentence is the line ``<empty>``
+    and a paragraph without sentences is written as one empty sentence.
     """
-    for i, text in enumerate(paragraph_texts):
+    for i, lines in enumerate(paragraphs):
         if i:
             fh.write("\n")
-        for line in text.split("\n"):
+        for line in lines or [""]:
             fh.write((line or EMPTY_SENTENCE) + "\n")
 
 

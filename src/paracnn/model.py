@@ -158,22 +158,27 @@ class ParagraphModel(Layer):
 
     # -- topic stack ---------------------------------------------------------------
 
-    def topic_forward(self, state: TopicState, global_feat: Tensor, context: Tensor) -> Tensor:
+    def topic_forward(self, state: TopicState, global_feat: Tensor, prev_embeds: Tensor = None,
+                      prev_mask=None) -> Tensor:
         """Extend the paragraph by one topic slot; mutates ``state`` and returns T_j [B, topic].
 
-        Slot j's input frame is built from the previous topic through a learned
-        map (a learned start vector for slot 1), the global image vector
-        [B, proj] and this slot's context [B, ctx]. Each block steps once on
-        the new frame against its history in ``state``, so the new topic is the
-        causal stack's output at slot j given the frames of slots 1..j.
+        Slot j's input frame joins the previous topic through a learned map (a learned
+        start vector for slot 1), the global image vector [B, proj] and the slot's
+        context: zero at slot 1, later ``pool_context`` of the previous sentence's
+        [B, N, embed] embeddings under its [B, N] mask. Each block steps once on the
+        frame against its history in ``state``: the causal stack's output at slot j.
         """
-        if global_feat.ndim != 2 or context.ndim != 2:
-            raise ShapeError("topic_forward expects [B, proj] global and [B, ctx] context")
+        slot = len(state.topics) + 1
+        if global_feat.ndim != 2 or (prev_embeds is None) != (slot == 1):
+            raise ShapeError(f"topic slot {slot} takes a [B, proj] global vector and "
+                             f"{'no' if slot == 1 else 'the'} previous sentence")
         if state.topics:
             tok = self.topic_in_embed(state.topics[-1])
+            context = self.pool_context(prev_embeds, prev_mask)
         else:
             B = global_feat.shape[0]
             tok = self.topic_start.reshape(1, -1).broadcast_to((B, self.cfg.embed_dim))
+            context = Tensor(np.zeros((B, self.cfg.context_dim)))
         h = self.topic_in(concat([tok, global_feat, context], axis=-1))
         for i, block in enumerate(self.topic_blocks):
             h = block.step(h, state.histories.setdefault(i, []))
@@ -248,13 +253,10 @@ class ParagraphModel(Layer):
         global_feat, regions = self.project_features(features, region_mask)
 
         token_embeds = self.embed(tokens)  # [B, M, N, embed]
-        contexts = [Tensor(np.zeros((B, c.context_dim)))]
-        for j in range(1, M):
-            prev = token_embeds[:, j - 1, :, :]
-            contexts.append(self.pool_context(prev, mask[:, j - 1, :]))
         state = TopicState()
-        for context in contexts:
-            self.topic_forward(state, global_feat, context)
+        self.topic_forward(state, global_feat)
+        for j in range(1, M):
+            self.topic_forward(state, global_feat, token_embeds[:, j - 1, :, :], mask[:, j - 1, :])
 
         # shift targets right: input 0 is <start>, input t is token t-1
         inputs = np.empty_like(tokens)

@@ -81,15 +81,12 @@ def test_criterion_1_gradient_oracle():
 
 def _topics_of(model, tokens, mask, feats):
     """Topics exactly as paragraph_forward derives them (teacher-forced)."""
-    B, M, N = tokens.shape
     global_feat, _ = model.project_features(feats)
     token_embeds = model.embed(tokens)
     state = TopicState()
-    context = Tensor(np.zeros((B, model.cfg.context_dim)))
-    for j in range(M):
-        if j > 0:
-            context = model.pool_context(token_embeds[:, j - 1, :, :], mask[:, j - 1, :])
-        model.topic_forward(state, global_feat, context)
+    model.topic_forward(state, global_feat)
+    for j in range(1, tokens.shape[1]):
+        model.topic_forward(state, global_feat, token_embeds[:, j - 1, :, :], mask[:, j - 1, :])
     return np.stack([t.data for t in state.topics], axis=1)
 
 
@@ -148,12 +145,9 @@ def test_criterion_3_incremental_equivalence():
 
         g, regions = model.project_features(Tensor(feats))
         state = TopicState()
-        ctx = Tensor(np.zeros((1, cfg.context_dim)))
         for j in range(2):
-            if j > 0:
-                emb = model.embed(tokens[:, j - 1])
-                ctx = model.pool_context(emb, mask[:, j - 1])
-            topic = model.topic_forward(state, g, ctx)
+            prev = (model.embed(tokens[:, j - 1]), mask[:, j - 1]) if j else ()
+            topic = model.topic_forward(state, g, *prev)
             inputs = [1] + list(tokens[0, j, :-1])
             cache = WordCache(model.region_keys(regions))
             for t in range(1, 5):

@@ -823,15 +823,33 @@ def _refuse_id_mismatch(corpus_dir, tmp_path, held):
             f"(missing hypotheses for ids {ids[1:]})")
 
 
-def _refuse_generate_out_dir(corpus_dir, tmp_path, held):
-    # refused before the checkpoint is read or any image decoded
+def _generate_argv(corpus_dir, tmp_path, held, out):
+    """A ``generate`` whose spies fail the test if the checkpoint is read or an image
+    decoded: its ``--out`` is refused first."""
     patch = held(pytest.MonkeyPatch.context())
     for name in ("load_checkpoint_trainer", "greedy_decode"):
         patch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    return ["generate", "--checkpoint", str(tmp_path / "best.pckpt"),
+            "--features", str(corpus_dir / "test.jsonl"), "--out", out]
+
+
+def _refuse_generate_out_dir(corpus_dir, tmp_path, held):
     out = tmp_path / "nodir"
-    return (["generate", "--checkpoint", str(tmp_path / "best.pckpt"),
-             "--features", str(corpus_dir / "test.jsonl"), "--out", str(out / "hyp.txt")],
-            out, None, f"{out}: no such directory for --out")
+    return (_generate_argv(corpus_dir, tmp_path, held, str(out / "hyp.txt")), out, None,
+            f"{out}: no such directory for --out")
+
+
+def _refuse_generate_out_is_dir(corpus_dir, tmp_path, held):
+    out = tmp_path / "hyps"
+    out.mkdir()
+    return (_generate_argv(corpus_dir, tmp_path, held, str(out)), out, [],
+            f"{out}: --out names a directory, not a file")
+
+
+def _refuse_generate_out_slash(corpus_dir, tmp_path, held):
+    out = tmp_path / "hyp.txt"
+    return (_generate_argv(corpus_dir, tmp_path, held, f"{out}/"), out, None,
+            f"{out}/: --out names a directory, not a file")
 
 
 def _refuse_eval_json_dir(corpus_dir, tmp_path, held):
@@ -850,7 +868,8 @@ class TestRefusals:
     CASES = {f.__name__[len("_refuse_"):]: f for f in (
         _refuse_small_corpus, _refuse_occupied_out, _refuse_vocab_size, _refuse_feature_width,
         _refuse_locked_run, _refuse_diverged_epoch, _refuse_empty_hypotheses,
-        _refuse_id_mismatch, _refuse_generate_out_dir, _refuse_eval_json_dir)}
+        _refuse_id_mismatch, _refuse_generate_out_dir, _refuse_generate_out_is_dir,
+        _refuse_generate_out_slash, _refuse_eval_json_dir)}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_one_error_line(self, corpus_dir, tmp_path, capsys, case):

@@ -9,7 +9,7 @@ from paracnn.corpus import (CorpusError, FeatureFileError, ParagraphBatch, Vocab
                             batch_from_entries, build_vocab, encode_paragraph, make_batches,
                             generate_synthetic_corpus, load_features, save_features,
                             read_manifest, write_manifest, pad_feature_batch)
-from paracnn.decode import sentences_to_text
+from paracnn.decode import sentence_lines
 
 
 class TestBuildVocab:
@@ -65,7 +65,7 @@ class TestEncodeParagraph:
         refs = ["the red circle is in the north. the blue star is in the south."]
         v = build_vocab(refs * 2, min_freq=2)
         tokens, mask, count = encode_paragraph(refs[0], v, 6, 30)
-        decoded = sentences_to_text([tokens[j][mask[j]] for j in range(count)], v).split("\n")
+        decoded = sentence_lines([tokens[j][mask[j]] for j in range(count)], v)
         expected = [" ".join(corpus.tokenize(s)) for s in corpus.split_sentences(refs[0])]
         assert decoded == expected
 
@@ -107,6 +107,16 @@ class TestParagraphBatch:
         mask = np.zeros((1, 2, 3), dtype=bool)
         with pytest.raises(CorpusError):
             ParagraphBatch(tokens, mask, np.array([3]), [None])
+
+    def test_counts_are_the_non_empty_rows(self):
+        # a count of 0 leaves the sentence-count predictor no class to learn
+        tokens, mask = np.zeros((2, 2, 3), dtype=np.int64), np.zeros((2, 2, 3), dtype=bool)
+        mask[0, :, 0] = True  # item 1 has no sentence
+        for counts in ([2, 0], [2, 1], [1, 0]):
+            with pytest.raises(CorpusError, match="each item's non-empty sentence rows, >= 1"):
+                ParagraphBatch(tokens, mask, np.array(counts), [None, None])
+        mask[1, 0, 0] = True
+        assert ParagraphBatch(tokens, mask, np.array([2, 1]), [None, None]).size == 2
 
 
 class TestSyntheticCorpus:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import tiny_config
 from paracnn.corpus import build_vocab, synthetic_vocab_paragraphs
 from paracnn.decode import (DecodeConfig, apply_repetition_penalty, decode_adaptive,
-                            greedy_decode, read_paragraphs, sentences_to_text,
+                            greedy_decode, read_paragraphs, sentence_lines,
                             write_paragraphs)
 from paracnn.layers import Embedding, VisualAttention
 from paracnn.model import ParagraphModel, SentenceCountPredictor, TopicState, WordCache
@@ -96,19 +96,16 @@ class TestGreedyDecode:
         sents = greedy_decode(model, feats, dc, vocab)
         # teacher-force the decoded tokens back through the model
         g, regions = model.project_features(Tensor(feats[None]))
-        state = TopicState()
-        ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
-        for j, words in enumerate(sents):
-            if j > 0 and sents[j - 1]:
-                emb = model.embed(np.asarray([sents[j - 1]]))
-                ctx = model.pool_context(emb, np.ones((1, len(sents[j - 1]))))
-            topic = model.topic_forward(state, g, ctx)
+        state, prev = TopicState(), ()  # slot 1 has no previous sentence
+        for words in sents:
+            topic = model.topic_forward(state, g, *prev)
             prefix = [vocab.start]
             for tok in words:
                 _, logits = model.sentence_forward(topic, [prefix], regions)
                 assert int(np.argmax(logits.data[0, -1])) == tok
                 if tok != vocab.eos:
                     prefix.append(tok)
+            prev = model.embed(np.asarray([words])), np.ones((1, len(words)))
 
     def test_sentence_count_honored(self, vocab):
         model = fresh_model(vocab)
@@ -249,13 +246,9 @@ def test_cached_decode_bitwise_equals_recomputing_each_word(vocab, monkeypatch):
     history = []
     with no_grad():
         g, regions = model.project_features(Tensor(feats[None]))
-        state = TopicState()
-        for j in range(dc.num_sentences):
-            ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
-            if j:
-                prev = np.asarray([expected[-1]])
-                ctx = model.pool_context(model.embed(prev), np.ones(prev.shape))
-            topic = model.topic_forward(state, g, ctx)
+        state, prev = TopicState(), ()
+        for _ in range(dc.num_sentences):
+            topic = model.topic_forward(state, g, *prev)
             block_inputs, tok, words = {}, vocab.start, []
             for _ in range(model.cfg.max_words):
                 fresh = WordCache(model.region_keys(regions), histories=block_inputs)
@@ -269,6 +262,7 @@ def test_cached_decode_bitwise_equals_recomputing_each_word(vocab, monkeypatch):
                 if tok == vocab.eos:
                     break
             expected.append(words)
+            prev = model.embed(np.asarray([words])), np.ones((1, len(words)))
     assert sents == expected
     assert len(rows) == len(expected_rows) == len(history)
     assert all(np.array_equal(a, b) for a, b in zip(rows, expected_rows))
@@ -278,14 +272,10 @@ def prefix_oracle(model, feats, dc, vocab):
     """Greedy decoding that re-runs the word stack on the whole prefix at every step."""
     n_words = min(dc.max_words or model.cfg.max_words, model.cfg.max_words)
     g, regions = model.project_features(Tensor(feats[None]))
-    state = TopicState()
+    state, prev = TopicState(), ()
     sentences, history = [], []
-    for j in range(dc.num_sentences):
-        ctx = Tensor(np.zeros((1, model.cfg.context_dim)))
-        if j > 0 and sentences[-1]:
-            prev = np.asarray([sentences[-1]])
-            ctx = model.pool_context(model.embed(prev), np.ones(prev.shape))
-        topic = model.topic_forward(state, g, ctx)
+    for _ in range(dc.num_sentences):
+        topic = model.topic_forward(state, g, *prev)
         prefix, words = [vocab.start], []
         for _ in range(n_words):
             _, logits = model.sentence_forward(topic, [prefix], regions)
@@ -298,6 +288,7 @@ def prefix_oracle(model, feats, dc, vocab):
                 break
             prefix.append(tok)
         sentences.append(words)
+        prev = model.embed(np.asarray([words])), np.ones((1, len(words)))
     return sentences
 
 
@@ -317,27 +308,26 @@ def test_cached_decode_matches_prefix_oracle(vocab, penalty, seed):
 
 class TestParagraphFormat:
     def test_round_trip(self):
-        texts = ["a b c\nd e", "x y"]
+        paragraphs = [["a b c", "d e"], ["x y"]]
         buf = io.StringIO()
-        write_paragraphs(texts, buf)
+        write_paragraphs(paragraphs, buf)
         assert buf.getvalue() == "a b c\nd e\n\nx y\n"
         buf.seek(0)
-        paras = read_paragraphs(buf)
-        assert paras == [["a b c", "d e"], ["x y"]]
+        assert read_paragraphs(buf) == paragraphs
 
     def test_empty_sentences_keep_their_place(self, vocab):
         red = vocab.index["red"]
-        texts = [sentences_to_text(s, vocab) for s in
-                 ([[red], [vocab.eos], [red]], [[vocab.eos], [vocab.eos]], [[red]])]
+        paragraphs = [sentence_lines(s, vocab) for s in
+                      ([[red], [vocab.eos], [red]], [[vocab.eos], [vocab.eos]], [[red]])]
         buf = io.StringIO()
-        write_paragraphs(texts, buf)
+        write_paragraphs(paragraphs, buf)
         assert buf.getvalue() == "red\n<empty>\nred\n\n<empty>\n<empty>\n\nred\n"
         buf.seek(0)
         assert read_paragraphs(buf) == [["red", "", "red"], ["", ""], ["red"]]
 
     def test_specials_stripped_from_text(self, vocab):
         sents = [[vocab.index["red"], vocab.eos], [vocab.index["blue"]]]
-        assert sentences_to_text(sents, vocab) == "red\nblue"
+        assert sentence_lines(sents, vocab) == ["red", "blue"]
 
 
 class TestPenaltyBehavior:
@@ -386,7 +376,7 @@ SENTENCES = st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=3
 def test_paragraph_format_round_trip_property(paragraphs):
     # empty sentences ("") and paragraphs without sentences included
     buf = io.StringIO()
-    write_paragraphs(["\n".join(p) for p in paragraphs], buf)
+    write_paragraphs(paragraphs, buf)
     buf.seek(0)
     back = read_paragraphs(buf)
     assert len(back) == len(paragraphs)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_grid, tiny_config
-from paracnn.model import ModelConfig, ParagraphModel, TopicState, WordCache
-from paracnn.tensor import RngState, ShapeError, Tensor, cross_entropy, grad_check
+from conftest import random_grid, sum_sq, tiny_config
+from paracnn.corpus import SPECIALS, Vocab
+from paracnn.decode import DecodeConfig, greedy_decode
+from paracnn.model import POOL_MODES, ModelConfig, ParagraphModel, TopicState, WordCache
+from paracnn.tensor import (RngState, ShapeError, Tensor, concat, cross_entropy, grad_check,
+                            no_grad)
 
 
 @pytest.fixture
@@ -86,33 +89,43 @@ class TestPoolContext:
 class TestTopicForward:
     def test_unbatched_inputs_rejected(self, model):
         with pytest.raises(ShapeError):
-            model.topic_forward(TopicState(), Tensor(np.zeros(8)), Tensor(np.zeros(8)))
+            model.topic_forward(TopicState(), Tensor(np.zeros(8)))
 
     def test_incremental_equals_batch(self, model):
         # a batch of three images gives each row the topics it gets alone
         rng = data_rng()
         g = Tensor(rng.normal((3, 8)))
-        contexts = [Tensor(np.zeros((3, 8))), Tensor(rng.normal((3, 8))),
-                    Tensor(rng.normal((3, 8)))]
+        # slot 1, then two slots after one-word previous sentences
+        prevs = [()] + [(Tensor(rng.normal((3, 1, 8))), np.ones((3, 1))) for _ in range(2)]
         state = TopicState()
-        batch = [model.topic_forward(state, g, c).data for c in contexts]
+        batch = [model.topic_forward(state, g, *prev).data for prev in prevs]
         for b in range(3):
             single = TopicState()
-            for c, topic in zip(contexts, batch):
-                inc = model.topic_forward(single, g[b:b + 1], c[b:b + 1])
+            for prev, topic in zip(prevs, batch):
+                inc = model.topic_forward(single, g[b:b + 1], *(x[b:b + 1] for x in prev))
                 assert np.allclose(inc.data[0], topic[b], atol=1e-10)
 
     def test_perturbing_later_context_leaves_earlier_topics(self, model):
         rng = data_rng()
         g = Tensor(rng.normal((1, 8)))
-        c2 = rng.normal((1, 8))
+        c2 = rng.normal((1, 1, 8))  # a one-word previous sentence
         state1 = TopicState()
-        t1a = model.topic_forward(state1, g, Tensor(np.zeros((1, 8)))).data.copy()
-        model.topic_forward(state1, g, Tensor(c2))
+        t1a = model.topic_forward(state1, g).data.copy()
+        model.topic_forward(state1, g, Tensor(c2), np.ones((1, 1)))
         state2 = TopicState()
-        t1b = model.topic_forward(state2, g, Tensor(np.zeros((1, 8)))).data.copy()
-        model.topic_forward(state2, g, Tensor(c2 + 1.0))
+        t1b = model.topic_forward(state2, g).data.copy()
+        model.topic_forward(state2, g, Tensor(c2 + 1.0), np.ones((1, 1)))
         assert np.array_equal(t1a, t1b)
+
+    def test_previous_sentence_exactly_after_slot_one(self, model):
+        g, prev = Tensor(np.zeros((1, 8))), (Tensor(np.zeros((1, 1, 8))), np.ones((1, 1)))
+        with pytest.raises(ShapeError, match="and no previous sentence"):
+            model.topic_forward(TopicState(), g, *prev)
+        state = TopicState()
+        model.topic_forward(state, g)
+        with pytest.raises(ShapeError, match="topic slot 2 takes .* and the previous sentence"):
+            model.topic_forward(state, g)
+        assert len(state.topics) == 1 and len(state.histories[0]) == 1
 
 
 def sentence_logits(model, topic, prefix, regions):
@@ -188,7 +201,7 @@ class TestParagraphForward:
         logits, hidden = m.paragraph_forward(tokens, mask, Tensor(feats))
         g, regions = m.project_features(Tensor(feats))
         state = TopicState()
-        topic = m.topic_forward(state, g, Tensor(np.zeros((1, 8))))
+        topic = m.topic_forward(state, g)
         direct_hidden, direct = m.sentence_forward(topic, [[1, 5, 6, 7]], regions)
         assert np.allclose(logits.data[0, 0], direct.data[0], atol=1e-10)
         assert np.allclose(hidden.data[0, 0], direct_hidden.data[0], atol=1e-10)
@@ -199,12 +212,9 @@ class TestParagraphForward:
         logits, _ = model.paragraph_forward(tokens, mask, Tensor(feats))
         g, regions = model.project_features(Tensor(feats))
         state = TopicState()
-        ctx = Tensor(np.zeros((1, 8)))
         for j in range(2):
-            if j > 0:
-                emb = model.embed(tokens[:, j - 1])
-                ctx = model.pool_context(emb, mask[:, j - 1])
-            topic = model.topic_forward(state, g, ctx)
+            prev = (model.embed(tokens[:, j - 1]), mask[:, j - 1]) if j else ()
+            topic = model.topic_forward(state, g, *prev)
             prefix = np.concatenate([[1], tokens[0, j, :-1]])
             _, direct = model.sentence_forward(topic, [prefix], regions)
             assert np.allclose(logits.data[0, j], direct.data[0], atol=1e-10)
@@ -220,11 +230,9 @@ class TestParagraphForward:
 
         g, regions = model.project_features(feats, region_mask)
         state = TopicState()
-        ctx = Tensor(np.zeros((B, 8)))
-        for j in range(M):
-            if j > 0:
-                ctx = model.pool_context(model.embed(tokens[:, j - 1]), mask[:, j - 1])
-            model.topic_forward(state, g, ctx)
+        model.topic_forward(state, g)
+        for j in range(1, M):
+            model.topic_forward(state, g, model.embed(tokens[:, j - 1]), mask[:, j - 1])
         topics = np.stack([t.data for t in state.topics], axis=1).reshape(B * M, 8)
         inputs = np.concatenate([np.ones((B, M, 1), dtype=np.int64), tokens[:, :, :-1]], axis=2)
         copied = Tensor(np.repeat(regions.data, M, axis=0))
@@ -273,6 +281,72 @@ class TestParagraphForward:
         assert np.array_equal(logits.data[0, 0], logits2.data[0, 0])
         assert np.array_equal(logits.data[0, 1, :1], logits2.data[0, 1, :1])
         assert not np.allclose(logits.data[0, 1, 1:], logits2.data[0, 1, 1:])
+
+
+def context_loop_topics(model, global_feat, contexts):
+    """The topic stack stepped over [B, ctx] contexts that its caller built."""
+    B, histories, topics = global_feat.shape[0], {}, []
+    tok = model.topic_start.reshape(1, -1).broadcast_to((B, model.cfg.embed_dim))
+    for context in contexts:
+        h = model.topic_in(concat([tok, global_feat, context], axis=-1))
+        for i, block in enumerate(model.topic_blocks):
+            h = block.step(h, histories.setdefault(i, []))
+        topics.append(h)
+        tok = model.topic_in_embed(h)
+    return topics
+
+
+@pytest.mark.parametrize("pooling", POOL_MODES)
+def test_topic_step_matches_the_callers_context_loop(pooling, monkeypatch):
+    # oracle: each caller pools the previous sentence (zero at slot 1) itself
+    model = ParagraphModel(tiny_config(max_sentences=3, pooling=pooling), RngState(7).child(1))
+    tokens, mask, feats = random_grid(data_rng(), model.cfg, batch=3)
+    assert not mask.any(axis=2).all()  # an empty previous sentence pools to zero
+    region_mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    B, M, N = tokens.shape
+
+    def context_loop_forward(model, tokens, mask, features, region_mask):
+        g, regions = model.project_features(features, region_mask)
+        embeds = model.embed(tokens)
+        contexts = [Tensor(np.zeros((B, 8)))] + [
+            model.pool_context(embeds[:, j - 1, :, :], mask[:, j - 1, :]) for j in range(1, M)]
+        topics = concat(context_loop_topics(model, g, contexts), axis=-1).reshape(B * M, 8)
+        inputs = np.concatenate([np.ones((B, M, 1), dtype=np.int64), tokens[:, :, :-1]], axis=2)
+        hidden, logits = model.sentence_forward(topics, inputs.reshape(B * M, N), regions,
+                                                region_mask)
+        return logits.reshape(B, M, N, -1), hidden.reshape(B, M, N, -1)
+
+    runs = []
+    for forward in (ParagraphModel.paragraph_forward, context_loop_forward):
+        params = model.named_parameters().values()
+        for p in params:
+            p.zero_grad()
+        logits, hidden = forward(model, tokens, mask, Tensor(feats), region_mask)
+        (cross_entropy(logits, tokens, mask) + sum_sq(hidden)).backward()
+        assert all(p.grad is not None for p in params)
+        runs.append([logits.data, hidden.data] + [p.grad for p in params])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    # decoding: each topic is the oracle's given the sentences decoded before it,
+    # so the same word loop decodes the same tokens
+    step, topics = ParagraphModel.topic_forward, []
+
+    def kept(*args):
+        topics.append(step(*args))
+        return topics[-1]
+
+    monkeypatch.setattr(ParagraphModel, "topic_forward", kept)
+    vocab = Vocab(list(SPECIALS) + [f"w{i}" for i in range(7)])
+    for f in feats:
+        topics.clear()
+        sentences = greedy_decode(model, f, DecodeConfig(num_sentences=3), vocab)
+        with no_grad():
+            g, _ = model.project_features(Tensor(f[None]))
+            contexts = [Tensor(np.zeros((1, 8)))] + [
+                model.pool_context(model.embed([s]), np.ones((1, len(s)))) for s in sentences[:-1]]
+            expected = context_loop_topics(model, g, contexts)
+        assert len(topics) == 3 and all(np.array_equal(a.data, b.data)
+                                        for a, b in zip(topics, expected))
 
 
 class TestModelConfigValidation:

@@ -512,6 +512,7 @@ def test_mirror_frames_undoes_reverse_targets_property(seed, B, M, N):
     # reversed its targets, so each frame meets the forward frame of its token
     rng = RngState(seed)
     lengths = rng.integers(0, N + 1, (B, M))
+    lengths[:, 0] = np.maximum(lengths[:, 0], 1)  # each item holds a sentence
     mask = np.arange(N)[None, None, :] < lengths[:, :, None]
     tokens = np.where(mask, rng.integers(4, 11, (B, M, N)), 0)
     b = ParagraphBatch(tokens, mask, mask.any(axis=2).sum(axis=1), [None] * B)
