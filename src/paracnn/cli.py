@@ -226,7 +226,8 @@ def _resume(trainer, path, run, vocab) -> int:
     """Load checkpoint ``path`` into ``trainer``; returns its epoch. Nothing read is kept.
 
     The checkpoint's run config must be ``run`` but for ``train.epochs``, so that
-    the resumed run is the one that wrote it.
+    the resumed run is the one that wrote it, and ``train.epochs`` must not end
+    the run before the checkpoint's epoch.
     """
     meta, arrays, saved = _checkpoint_run(path)
     if meta["vocab"] != vocab.tokens:
@@ -236,6 +237,9 @@ def _resume(trainer, path, run, vocab) -> int:
     changed = sorted(key for key in new if new[key] != old[key] and key != "train.epochs")
     if changed:
         raise ConfigError(f"{path}: a resumed run may change only train.epochs, not {changed}")
+    if run.train.epochs < meta["epoch"]:
+        raise ConfigError(f"{path}: the checkpoint is of epoch {meta['epoch']}, past "
+                          f"train.epochs={run.train.epochs}")
     return meta["epoch"]
 
 

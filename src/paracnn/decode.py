@@ -5,13 +5,13 @@ Decoding is deterministic: per sentence, the context pools the previously
 picked by argmax until <eos> or the word budget. Decoding runs the same
 ``ParagraphModel.topic_forward`` and ``ParagraphModel.sentence_forward`` as
 teacher-forced training, for one image at a time; each word step feeds only
-the newest token and records no tape (``no_grad``). A paragraph's
-``WordCache`` holds what its word steps share: the attention keys of the
-image and each token's embedded row, computed once per paragraph, and the
-word blocks' input histories, emptied per sentence. The repetition penalty
-subtracts gamma times a token's emission count from its logit, and trigram
-blocking forbids completing any already-emitted trigram; both apply at
-inference only.
+the newest token's embedded row and records no tape (``no_grad``). Each
+token's row is embedded once per paragraph. A paragraph's ``WordCache`` holds
+what its word steps share: the attention keys of the image, computed once per
+paragraph, and the word blocks' input histories, emptied per sentence. The
+repetition penalty subtracts gamma times a token's emission count from its
+logit, and trigram blocking forbids completing any already-emitted trigram;
+both apply at inference only.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
 
     state, sentences = TopicState(), []
     history = []  # every token of the paragraph so far
+    rows = {}  # token -> its embedded [1, 1, embed] row
     for _ in range(n_sent):
         if sentences:
             prev = np.asarray(sentences[-1:], dtype=np.int64)
@@ -107,7 +108,9 @@ def greedy_decode(model: ParagraphModel, features, dc: DecodeConfig, vocab: Voca
         tok = vocab.start
         words = []
         for _ in range(n_words):
-            _, logits = model.sentence_forward(topic, [[tok]], regions, cache=cache)
+            if tok not in rows:
+                rows[tok] = model.embed([[tok]])
+            _, logits = model.sentence_forward(topic, rows[tok], regions, cache=cache)
             row = logits.data[0, -1]
             if dc.rep_penalty > 0 or dc.block_trigrams:
                 row = apply_repetition_penalty(row, history, dc.rep_penalty, dc.block_trigrams)

@@ -89,13 +89,11 @@ class TopicState:
 class WordCache:
     """Word-stack decode state of one paragraph of one image.
 
-    The attention keys of the image and the embedded row of each token seen
-    so far are computed once per paragraph; the per-block input histories are
-    emptied at the start of each sentence.
+    The attention keys of the image are computed once per paragraph; the
+    per-block input histories are emptied at the start of each sentence.
     """
 
     keys: dict  # tap name -> ``ParagraphModel.region_keys`` of the image
-    embeds: dict = field(default_factory=dict)  # token -> its embedded [1, 1, embed] row
     histories: dict = field(default_factory=dict)  # block index -> its last k-1 inputs
 
 
@@ -191,38 +189,31 @@ class ParagraphModel(Layer):
         """The attention keys of [B, R, proj] regions, {tap name: [B, 1, R, channels]}."""
         return {name: tap.attn.keys(regions) for name, tap in self.word_attn.items()}
 
-    def sentence_forward(self, topics: Tensor, inputs, regions: Tensor, region_mask=None,
+    def sentence_forward(self, topics: Tensor, embeds: Tensor, regions: Tensor, region_mask=None,
                          cache: WordCache = None):
         """Word stack over S sentences: returns (hidden [S, T, channels], logits [S, T, V]).
 
-        ``topics`` is [S, topic], ``inputs`` the [S, T] input tokens (each row
-        starting with <start>), ``regions`` the [B, R, proj] regions of B images
-        with an optional [B, R] mask. S must be a multiple of B: sentence s
-        belongs to image s // (S // B), and each attention tap sees an image's
-        sentences as one query sequence. The logit row at position t scores the
-        token following inputs[:, t]; the hidden frames are the pre-logit features.
-        With a ``cache`` (decoding one image), ``inputs`` holds the [1, 1] newest
-        token and only its row is computed, from the cached keys, embedded rows
-        and block histories; a token not yet embedded is embedded and stored.
+        ``topics`` is [S, topic], ``embeds`` the [S, T, embed] embedded input
+        tokens (each row starting with <start>), ``regions`` the [B, R, proj]
+        regions of B images with an optional [B, R] mask. S must be a multiple
+        of B: sentence s belongs to image s // (S // B), and each attention tap
+        sees an image's sentences as one query sequence. The logit row at
+        position t scores the token following input t; the hidden frames are the
+        pre-logit features. With a ``cache`` (decoding one image), ``embeds``
+        holds the [1, 1, embed] row of the newest token and only its position is
+        computed, from the cached keys and block histories.
         """
-        inputs = np.asarray(inputs, dtype=np.int64)
-        if inputs.ndim != 2:
-            raise ShapeError("sentence_forward expects [S, T] input tokens")
-        S, T = inputs.shape
+        if embeds.ndim != 3:
+            raise ShapeError("sentence_forward expects [S, T, embed] embedded input tokens")
+        S, T = embeds.shape[:2]
         B = regions.shape[0]
         if S % B:
             raise ShapeError(f"{S} sentences do not split evenly over {B} images")
         if T > self.cfg.max_words:
             raise ShapeError(f"prefix length {T} exceeds max_words {self.cfg.max_words}")
-        if cache is None:
-            keys, embeds = self.region_keys(regions), self.embed(inputs)
-        else:
-            if (S, T) != (1, 1):
-                raise ShapeError(f"a cached step takes the [1, 1] newest token, got [{S}, {T}]")
-            keys, tok = cache.keys, int(inputs[0, 0])
-            embeds = cache.embeds.get(tok)
-            if embeds is None:
-                embeds = cache.embeds[tok] = self.embed(inputs)
+        if cache is not None and (S, T) != (1, 1):
+            raise ShapeError(f"a cached step takes the newest token's row, got [{S}, {T}]")
+        keys = self.region_keys(regions) if cache is None else cache.keys
         top = topics.reshape(S, 1, self.cfg.topic_dim).broadcast_to((S, T, self.cfg.topic_dim))
         h = self.word_in(concat([embeds, top], axis=-1))
         for i, block in enumerate(self.word_blocks, start=1):
@@ -252,20 +243,16 @@ class ParagraphModel(Layer):
 
         global_feat, regions = self.project_features(features, region_mask)
 
-        token_embeds = self.embed(tokens)  # [B, M, N, embed]
+        # one pass for the contexts and the word inputs: <start>, then the tokens
+        embeds = self.embed(np.concatenate([np.full((B, M, 1), start_index), tokens], axis=2))
         state = TopicState()
         self.topic_forward(state, global_feat)
         for j in range(1, M):
-            self.topic_forward(state, global_feat, token_embeds[:, j - 1, :, :], mask[:, j - 1, :])
-
-        # shift targets right: input 0 is <start>, input t is token t-1
-        inputs = np.empty_like(tokens)
-        inputs[:, :, 0] = start_index
-        inputs[:, :, 1:] = tokens[:, :, :-1]
+            self.topic_forward(state, global_feat, embeds[:, j - 1, 1:, :], mask[:, j - 1, :])
 
         hidden, logits = self.sentence_forward(
             concat(state.topics, axis=-1).reshape(B * M, c.topic_dim),
-            inputs.reshape(B * M, N), regions, region_mask)
+            embeds[:, :, :N, :].reshape(B * M, N, c.embed_dim), regions, region_mask)
         return logits.reshape(B, M, N, c.vocab_size), hidden.reshape(B, M, N, c.channels)
 
 

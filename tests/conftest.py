@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,12 @@ def tiny_config(**overrides) -> ModelConfig:
 def sum_sq(t):
     """Sum of squares: a scalar test loss with nonzero gradients everywhere."""
     return (t * t).sum()
+
+
+def read_log(path) -> list:
+    """The records of a ``log.jsonl``, read through a file that is closed again."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
 
 
 def random_grid(rng: RngState, cfg: ModelConfig, batch: int = 1):

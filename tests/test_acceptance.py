@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import read_log, tiny_config
 from paracnn import cli as cli_mod
 from paracnn import training as training_mod
 from paracnn.checkpoint import read_checkpoint
@@ -152,8 +152,8 @@ def test_criterion_3_incremental_equivalence():
             cache = WordCache(model.region_keys(regions))
             for t in range(1, 5):
                 # the cached step decoding uses: one new token per call
-                _, step_logits = model.sentence_forward(topic, [inputs[t - 1:t]], regions,
-                                                        cache=cache)
+                _, step_logits = model.sentence_forward(topic, model.embed([inputs[t - 1:t]]),
+                                                        regions, cache=cache)
                 diff = np.abs(step_logits.data[0, -1] - full.data[0, j, t - 1]).max()
                 worst = max(worst, diff)
     ok = worst < 1e-10
@@ -378,12 +378,8 @@ def test_criterion_10_length_flexibility(toy_vocab_mod):
 
 
 def strip_wallclock(path):
-    records = []
-    for line in open(path):
-        rec = json.loads(line)
-        rec.pop("wallclock", None)
-        records.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(records)
+    return "\n".join(json.dumps({k: v for k, v in rec.items() if k != "wallclock"},
+                                sort_keys=True) for rec in read_log(path))
 
 
 def test_criterion_11_reproducibility(tmp_path):

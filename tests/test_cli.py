@@ -15,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import read_log
 from paracnn import cli
 from paracnn.checkpoint import read_checkpoint, write_checkpoint
 from paracnn.cli import ConfigError, load_run_config, main
@@ -146,7 +147,7 @@ class TestMakeCorpus:
         for ov in TINY_OVERRIDES + ["train.epochs=1"]:
             args += ["--set", ov]
         assert run_cli(*args) == 0
-        assert [json.loads(line)["epoch"] for line in (out / "log.jsonl").open()] == [1]
+        assert [rec["epoch"] for rec in read_log(out / "log.jsonl")] == [1]
 
     def test_feature_files_load(self, corpus_dir):
         entry = read_manifest(corpus_dir / "train.jsonl")[0]
@@ -255,12 +256,12 @@ class TestTrain:
         assert (train_dir / "checkpoint_ep0002.pckpt").exists()
 
     def test_loss_decreases_from_initial(self, train_dir):
-        records = [json.loads(l) for l in (train_dir / "log.jsonl").open()]
+        records = read_log(train_dir / "log.jsonl")
         assert records[0]["epoch"] == 1
         assert records[-1]["ce_fwd"] < np.log(28)  # below uniform-logits level
 
     def test_log_fields(self, train_dir):
-        rec = json.loads((train_dir / "log.jsonl").open().readline())
+        rec = read_log(train_dir / "log.jsonl")[0]
         for key in ("epoch", "ce_fwd", "ce_bwd", "twin_l2", "critic_loss", "wallclock",
                     "critic_updates", "generator_updates", "val_ce"):
             assert key in rec
@@ -278,7 +279,7 @@ class TestTrain:
                                     "twin.critic_hidden=4"]:
             args += ["--set", ov]
         assert run_cli(*args) == 0
-        (rec,) = [json.loads(line) for line in (out / "log.jsonl").open()]
+        (rec,) = read_log(out / "log.jsonl")
         assert sorted(rec) == sorted(["epoch", "ce_fwd", "ce_bwd", "twin_l2", "critic_loss",
                                       "critic_updates", "generator_updates", "val_ce",
                                       "wallclock"])
@@ -418,8 +419,8 @@ class TestTrain:
             return run_cli(*args)
 
         def log_of(out):
-            return [{k: v for k, v in json.loads(line).items() if k != "wallclock"}
-                    for line in (out / "log.jsonl").open()]
+            return [{k: v for k, v in rec.items() if k != "wallclock"}
+                    for rec in read_log(out / "log.jsonl")]
 
         from paracnn.training import TrainingDiverged
         real_epoch = cli.train_epoch
@@ -518,6 +519,27 @@ class TestResume:
         assert run_cli(*args) == 1
         assert capsys.readouterr() == (
             "", f"error: {ckpt}: a resumed run may change only train.epochs, not {changed}\n")
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_resume_never_ends_before_the_checkpoint(self, train_dir, corpus_dir, tmp_path,
+                                                     capsys, epochs):
+        # train_dir is a finished two-epoch run: a shorter one is refused, an equal one
+        # trains nothing, and neither rewrites the run
+        out = tmp_path / "run"
+        shutil.copytree(train_dir, out)
+        before = tree_bytes(out)
+        ckpt = out / "checkpoint_ep0002.pckpt"
+        args = ["train", "--data", str(corpus_dir), "--out", str(out), "--quiet",
+                "--resume", str(ckpt)]
+        for ov in TINY_OVERRIDES + [f"train.epochs={epochs}"]:
+            args += ["--set", ov]
+        if epochs == 1:
+            assert run_cli(*args) == 1
+            assert capsys.readouterr() == (
+                "", f"error: {ckpt}: the checkpoint is of epoch 2, past train.epochs=1\n")
+        else:
+            assert run_cli(*args) == 0 and capsys.readouterr() == ("", "")
         assert tree_bytes(out) == before
 
     def test_resumed_run_holds_no_checkpoint_array(self, train_dir, corpus_dir, tmp_path,

@@ -101,7 +101,7 @@ class TestGreedyDecode:
             topic = model.topic_forward(state, g, *prev)
             prefix = [vocab.start]
             for tok in words:
-                _, logits = model.sentence_forward(topic, [prefix], regions)
+                _, logits = model.sentence_forward(topic, model.embed([prefix]), regions)
                 assert int(np.argmax(logits.data[0, -1])) == tok
                 if tok != vocab.eos:
                     prefix.append(tok)
@@ -181,10 +181,10 @@ def test_decoding_records_no_tape(vocab, monkeypatch):
     logits = []
     forward = ParagraphModel.sentence_forward
 
-    def keep(self, topics, inputs, regions, region_mask=None, cache=None):
-        # every decode step is a cached call on the one newest token
-        assert cache is not None and np.shape(inputs) == (1, 1)
-        out = forward(self, topics, inputs, regions, region_mask, cache=cache)
+    def keep(self, topics, embeds, regions, region_mask=None, cache=None):
+        # every decode step is a cached call on the one newest token's row
+        assert cache is not None and embeds.shape == (1, 1, self.cfg.embed_dim)
+        out = forward(self, topics, embeds, regions, region_mask, cache=cache)
         logits.append(out[1])
         return out
 
@@ -215,12 +215,13 @@ def test_keys_and_embeddings_once_per_paragraph(vocab, monkeypatch):
     sents = greedy_decode(model, RngState(17).normal((3, 6)),
                           plain_decode_config(num_sentences=3), vocab)
     assert len(keys) == len(model.word_attn) == 2
-    inputs = [int(args[1][0][0]) for args in steps]  # the token fed at each word step
-    assert len(inputs) == sum(map(len, sents))
-    # no one-word sentence, so a pooled sentence is told from a word step by its shape
+    # no one-word sentence, so a pooled sentence is told from a word row by its shape
     assert min(map(len, sents)) > 1
     pooled = [np.asarray(args[0]).tolist() for args in embeds if np.shape(args[0]) != (1, 1)]
     assert pooled == [[sents[0]], [sents[1]]]  # the previous sentence, embedded whole
+    rows = [int(np.asarray(args[0])[0, 0]) for args in embeds if np.shape(args[0]) == (1, 1)]
+    inputs = [tok for words in sents for tok in [vocab.start] + words[:-1]]  # fed per step
+    assert len(steps) == len(inputs) and rows == list(dict.fromkeys(inputs))
     assert len(embeds) == len(set(inputs)) + len(pooled) < len(inputs) + len(pooled)
 
 
@@ -252,7 +253,8 @@ def test_cached_decode_bitwise_equals_recomputing_each_word(vocab, monkeypatch):
             block_inputs, tok, words = {}, vocab.start, []
             for _ in range(model.cfg.max_words):
                 fresh = WordCache(model.region_keys(regions), histories=block_inputs)
-                _, logits = model.sentence_forward(topic, [[tok]], regions, cache=fresh)
+                _, logits = model.sentence_forward(topic, model.embed([[tok]]), regions,
+                                                   cache=fresh)
                 expected_rows.append(logits.data[0, -1])
                 row = apply_repetition_penalty(logits.data[0, -1], history, dc.rep_penalty,
                                                dc.block_trigrams)
@@ -278,7 +280,7 @@ def prefix_oracle(model, feats, dc, vocab):
         topic = model.topic_forward(state, g, *prev)
         prefix, words = [vocab.start], []
         for _ in range(n_words):
-            _, logits = model.sentence_forward(topic, [prefix], regions)
+            _, logits = model.sentence_forward(topic, model.embed([prefix]), regions)
             row = apply_repetition_penalty(logits.data[0, -1], history, dc.rep_penalty,
                                            dc.block_trigrams)
             tok = int(np.argmax(row))

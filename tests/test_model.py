@@ -4,6 +4,7 @@ import pytest
 from conftest import random_grid, sum_sq, tiny_config
 from paracnn.corpus import SPECIALS, Vocab
 from paracnn.decode import DecodeConfig, greedy_decode
+from paracnn.layers import Embedding
 from paracnn.model import POOL_MODES, ModelConfig, ParagraphModel, TopicState, WordCache
 from paracnn.tensor import (RngState, ShapeError, Tensor, concat, cross_entropy, grad_check,
                             no_grad)
@@ -130,7 +131,7 @@ class TestTopicForward:
 
 def sentence_logits(model, topic, prefix, regions):
     """Logits [T, V] of one sentence prefix through the word stack."""
-    _, logits = model.sentence_forward(topic.reshape(1, -1), [prefix],
+    _, logits = model.sentence_forward(topic.reshape(1, -1), model.embed([prefix]),
                                        regions.reshape((1,) + regions.shape))
     return logits.data[0]
 
@@ -164,16 +165,17 @@ class TestSentenceForward:
     def test_sentences_must_split_evenly_over_images(self, model):
         regions = Tensor(np.zeros((2, 3, 8)))
         with pytest.raises(ShapeError, match="3 sentences"):
-            model.sentence_forward(Tensor(np.zeros((3, 8))), np.ones((3, 1)), regions)
+            model.sentence_forward(Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 1, 8))),
+                                   regions)
 
     def test_cached_step_takes_one_token(self, model):
-        # the cache holds one image's keys and embeds one token per step
+        # the cache holds one image's keys and steps on one token's row per call
         regions = Tensor(np.zeros((2, 3, 8)))
         cache = WordCache(model.region_keys(regions))
-        with pytest.raises(ShapeError, match=r"\[1, 1\] newest token, got \[2, 1\]"):
-            model.sentence_forward(Tensor(np.zeros((2, 8))), np.ones((2, 1)), regions,
-                                   cache=cache)
-        assert cache.embeds == {} and cache.histories == {}
+        with pytest.raises(ShapeError, match=r"newest token's row, got \[2, 1\]"):
+            model.sentence_forward(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 1, 8))),
+                                   regions, cache=cache)
+        assert cache.histories == {}
 
     def test_token_out_of_range(self, model):
         with pytest.raises(IndexError):
@@ -202,7 +204,7 @@ class TestParagraphForward:
         g, regions = m.project_features(Tensor(feats))
         state = TopicState()
         topic = m.topic_forward(state, g)
-        direct_hidden, direct = m.sentence_forward(topic, [[1, 5, 6, 7]], regions)
+        direct_hidden, direct = m.sentence_forward(topic, m.embed([[1, 5, 6, 7]]), regions)
         assert np.allclose(logits.data[0, 0], direct.data[0], atol=1e-10)
         assert np.allclose(hidden.data[0, 0], direct_hidden.data[0], atol=1e-10)
 
@@ -216,7 +218,7 @@ class TestParagraphForward:
             prev = (model.embed(tokens[:, j - 1]), mask[:, j - 1]) if j else ()
             topic = model.topic_forward(state, g, *prev)
             prefix = np.concatenate([[1], tokens[0, j, :-1]])
-            _, direct = model.sentence_forward(topic, [prefix], regions)
+            _, direct = model.sentence_forward(topic, model.embed([prefix]), regions)
             assert np.allclose(logits.data[0, j], direct.data[0], atol=1e-10)
 
     def test_images_match_per_sentence_region_copies(self, model):
@@ -237,13 +239,24 @@ class TestParagraphForward:
         inputs = np.concatenate([np.ones((B, M, 1), dtype=np.int64), tokens[:, :, :-1]], axis=2)
         copied = Tensor(np.repeat(regions.data, M, axis=0))
         direct_hidden, direct = model.sentence_forward(
-            Tensor(topics), inputs.reshape(B * M, N), copied, np.repeat(region_mask, M, axis=0))
+            Tensor(topics), model.embed(inputs.reshape(B * M, N)), copied,
+            np.repeat(region_mask, M, axis=0))
         assert np.allclose(logits.data.reshape(direct.shape), direct.data, rtol=0, atol=1e-12)
         assert np.allclose(hidden.data.reshape(direct_hidden.shape), direct_hidden.data,
                            rtol=0, atol=1e-12)
         # the padded region of image 1 is masked out: alone, it has 2 regions
         alone, _ = model.paragraph_forward(tokens[1:], mask[1:], Tensor(feats.data[1:, :2]))
         assert np.allclose(logits.data[1], alone.data[0], rtol=0, atol=1e-12)
+
+    def test_one_embedding_pass_over_start_and_tokens(self, model, monkeypatch):
+        # the contexts and the word stack read one [B, M, N+1] grid: <start>, then the tokens
+        tokens, mask, feats = random_grid(data_rng(), model.cfg, batch=2)
+        grids, embed = [], Embedding.__call__
+        monkeypatch.setattr(Embedding, "__call__",
+                            lambda self, idx: grids.append(np.asarray(idx)) or embed(self, idx))
+        model.paragraph_forward(tokens, mask, Tensor(feats), start_index=3)
+        assert len(grids) == 1 and grids[0].shape == (2, 2, 5)
+        assert np.all(grids[0][:, :, 0] == 3) and np.array_equal(grids[0][:, :, 1:], tokens)
 
     def test_masked_positions_contribute_zero_loss(self, model):
         rng = data_rng()
@@ -298,7 +311,8 @@ def context_loop_topics(model, global_feat, contexts):
 
 @pytest.mark.parametrize("pooling", POOL_MODES)
 def test_topic_step_matches_the_callers_context_loop(pooling, monkeypatch):
-    # oracle: each caller pools the previous sentence (zero at slot 1) itself
+    # oracle: each caller pools the previous sentence (zero at slot 1) itself, and
+    # the tokens and the shifted inputs are embedded apart
     model = ParagraphModel(tiny_config(max_sentences=3, pooling=pooling), RngState(7).child(1))
     tokens, mask, feats = random_grid(data_rng(), model.cfg, batch=3)
     assert not mask.any(axis=2).all()  # an empty previous sentence pools to zero
@@ -312,20 +326,24 @@ def test_topic_step_matches_the_callers_context_loop(pooling, monkeypatch):
             model.pool_context(embeds[:, j - 1, :, :], mask[:, j - 1, :]) for j in range(1, M)]
         topics = concat(context_loop_topics(model, g, contexts), axis=-1).reshape(B * M, 8)
         inputs = np.concatenate([np.ones((B, M, 1), dtype=np.int64), tokens[:, :, :-1]], axis=2)
-        hidden, logits = model.sentence_forward(topics, inputs.reshape(B * M, N), regions,
-                                                region_mask)
+        hidden, logits = model.sentence_forward(topics, model.embed(inputs.reshape(B * M, N)),
+                                                regions, region_mask)
         return logits.reshape(B, M, N, -1), hidden.reshape(B, M, N, -1)
 
-    runs = []
+    params, runs = model.named_parameters(), []
     for forward in (ParagraphModel.paragraph_forward, context_loop_forward):
-        params = model.named_parameters().values()
-        for p in params:
+        for p in params.values():
             p.zero_grad()
         logits, hidden = forward(model, tokens, mask, Tensor(feats), region_mask)
         (cross_entropy(logits, tokens, mask) + sum_sq(hidden)).backward()
-        assert all(p.grad is not None for p in params)
-        runs.append([logits.data, hidden.data] + [p.grad for p in params])
-    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        assert all(p.grad is not None for p in params.values())
+        runs.append([logits.data, hidden.data] + [p.grad for p in params.values()])
+    for name, a, b in zip(["logits", "hidden", *params], *runs):
+        if name.startswith("embed."):
+            # one embedding pass sums the same gradient rows in another order
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
+        else:
+            assert np.array_equal(a, b), name
 
     # decoding: each topic is the oracle's given the sentences decoded before it,
     # so the same word loop decodes the same tokens
