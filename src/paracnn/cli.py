@@ -452,11 +452,13 @@ def gradcheck_report(seed: int = 0):
     """Finite-difference checks for every layer type and the full CE loss.
 
     Returns a list of (component, max_rel_error) covering each parameterized
-    component of the generator, the critic, and the count predictor.
+    component of the generator, the critic, and the count predictor. The
+    critic's rows check the W-GAN critic loss a critic step trains on, two
+    fake and two real sequences scored in one pass.
     """
     from . import layers as L
     from .model import ParagraphModel, SentenceCountPredictor
-    from .training import Critic
+    from .training import Critic, critic_loss
 
     cfg = ModelConfig(vocab_size=11, max_sentences=2, max_words=4, visual_dim=6,
                       proj_dim=8, topic_dim=8, embed_dim=8, context_dim=8, channels=8,
@@ -508,13 +510,13 @@ def gradcheck_report(seed: int = 0):
     tokens[0, 1, 3] = 0
     feats = Tensor(data_rng.normal((1, 3, cfg.visual_dim)))
     gfeat = Tensor(data_rng.normal((1, cfg.proj_dim)))
-    hseq = Tensor(data_rng.normal((1, 5, cfg.channels)))
+    fake, real = (Tensor(data_rng.normal((2, 5, cfg.channels))) for _ in range(2))
 
     losses = [
         ("model", model,
          lambda _: cross_entropy(model.paragraph_forward(tokens, mask, feats)[0], tokens, mask)),
         ("predictor", pred, lambda _: cross_entropy(pred(gfeat), np.array([1]))),
-        ("critic", critic, lambda _: critic.score(hseq).mean()),
+        ("critic", critic, lambda _: critic_loss(critic, fake, real)),
     ]
     for prefix, net, loss in losses:
         for name, p in net.named_parameters().items():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import RngState, ShapeError, Tensor, _unbroadcast, concat, gather_rows
+from .tensor import RngState, ShapeError, Tensor, _unbroadcast, gather_rows
 
 MASK_NEG = 1e9
 
@@ -302,7 +302,10 @@ class MultiHeadSelfAttention(Layer):
 
 
 class GruDirection(Layer):
-    """One direction of a gated recurrent layer (update, reset, candidate)."""
+    """One direction's weights of a gated recurrent layer (update, reset, candidate).
+
+    ``BiGruCell`` runs both of its directions in one loop.
+    """
 
     def __init__(self, rng: RngState, in_dim: int, hidden: int):
         self.hidden = hidden
@@ -316,64 +319,6 @@ class GruDirection(Layer):
         self.Uh = _param(rng, (hidden, hidden), hidden)
         self.bh = _param(rng, (hidden,), hidden)
 
-    def run(self, seq: Tensor) -> Tensor:
-        """seq: [B, T, d] -> the final hidden state [B, hidden], as one tape node.
-
-        Input projections are hoisted out of the recurrence (one GEMM per
-        gate over the whole sequence, Appleyard et al. 2016) so the loop only
-        carries the h terms. The recurrence runs in numpy and keeps every
-        step's h, z, r and candidate for the hand-written BPTT backward.
-
-        The backward sums each gradient in the order the per-step tape of
-        tensor ops did, so its result is the same bit for bit: dh_prev adds
-        dh*(1-z), dz @ Uz.T, d(r*h)*r and dr @ Ur.T left to right; each U
-        weight gets one h.T @ d term per step, latest step first, the zero
-        term of step 0 included; the input gradient, computed only when
-        ``seq`` requires one, adds the z, h, r gate terms in that order.
-        """
-        B, T, d = seq.shape
-        H = self.hidden
-        s2 = seq.data.reshape(-1, d)
-        xz = (s2 @ self.Wz.data).reshape(B, T, H) + self.bz.data
-        xr = (s2 @ self.Wr.data).reshape(B, T, H) + self.br.data
-        xh = (s2 @ self.Wh.data).reshape(B, T, H) + self.bh.data
-        Uz, Ur, Uh = self.Uz.data, self.Ur.data, self.Uh.data
-        h = np.zeros((B, H))
-        steps = []  # (h_prev, z, r, r*h_prev, candidate) per step
-        for t in range(T):
-            z = 1.0 / (1.0 + np.exp(-(xz[:, t, :] + h @ Uz)))
-            r = 1.0 / (1.0 + np.exp(-(xr[:, t, :] + h @ Ur)))
-            rh = r * h
-            cand = np.tanh(xh[:, t, :] + rh @ Uh)
-            steps.append((h, z, r, rh, cand))
-            h = (1.0 - z) * h + z * cand
-
-        def bw(g):
-            dxz, dxr, dxh = (np.empty((B, T, H)) for _ in range(3))
-            dh = g
-            for t in reversed(range(T)):
-                h, z, r, rh, cand = steps[t]
-                dz = dh * cand + -(dh * h)
-                dah = dh * z * (1.0 - cand * cand)
-                drh = dah @ Uh.T
-                dar = drh * h * r * (1.0 - r)
-                daz = dz * z * (1.0 - z)
-                dxz[:, t], dxr[:, t], dxh[:, t] = daz, dar, dah
-                self.Uz._accumulate(h.T @ daz)
-                self.Ur._accumulate(h.T @ dar)
-                self.Uh._accumulate(rh.T @ dah)
-                dh = dh * (1.0 - z) + daz @ Uz.T + drh * r + dar @ Ur.T
-            for W, b, dx in ((self.Wz, self.bz, dxz), (self.Wh, self.bh, dxh),
-                             (self.Wr, self.br, dxr)):
-                d2 = dx.reshape(-1, H)
-                if seq.requires_grad:
-                    seq._accumulate((d2 @ W.data.T).reshape(seq.shape))
-                W._accumulate(s2.T @ d2)
-                b._accumulate(dx.sum(axis=(0, 1)))
-
-        params = (self.Wz, self.Uz, self.bz, self.Wr, self.Ur, self.br, self.Wh, self.Uh, self.bh)
-        return Tensor._from_op(h, (seq,) + params, bw)
-
 
 class BiGruCell(Layer):
     """Bidirectional gated recurrent layer used by the Wasserstein critic."""
@@ -383,5 +328,74 @@ class BiGruCell(Layer):
         self.bwd = GruDirection(rng, in_dim, hidden)
 
     def __call__(self, seq: Tensor) -> Tensor:
-        """seq: [B, T, d] -> final states of both directions, [B, 2h]."""
-        return concat([self.fwd.run(seq), self.bwd.run(seq[:, ::-1, :])], axis=-1)
+        """seq: [B, T, d] -> final states of both directions, [B, 2*hidden], as one tape node.
+
+        ``fwd`` reads frames 0..T-1 and ``bwd`` frames T-1..0. Both run in one
+        loop over [2, B, hidden] states, each gate's U weights stacked
+        [2, hidden, hidden] for one batched matmul per step (Appleyard et al.
+        2016). Input projections are hoisted out of the loop, one GEMM per
+        gate and direction over the whole sequence, so the loop only carries
+        the h terms; it keeps every step's h, z, r, r*h and candidate.
+
+        The hand-written BPTT keeps each step's gate pre-activation gradients
+        and, after the loop, makes one GEMM per weight over all steps (one
+        batched GEMM per stacked U). The input gradient is computed only when
+        ``seq`` requires one.
+        """
+        B, T, d = seq.shape
+        dirs = (self.fwd, self.bwd)
+        H = self.fwd.hidden
+        x2 = seq.data.transpose(1, 0, 2).reshape(T * B, d)  # rows (t, b)
+
+        def inputs(W, b):
+            # [T, 2, B, H]: step t of fwd reads frame t, of bwd frame T-1-t
+            f, r = ((x2 @ getattr(k, W).data).reshape(T, B, H) + getattr(k, b).data
+                    for k in dirs)
+            return np.stack([f, r[::-1]], axis=1)
+
+        xz, xr, xh = inputs("Wz", "bz"), inputs("Wr", "br"), inputs("Wh", "bh")
+        Uz, Ur, Uh = (np.stack([getattr(k, U).data for k in dirs]) for U in ("Uz", "Ur", "Uh"))
+        h = np.zeros((2, B, H))
+        steps = []  # (h_prev, z, r, r*h_prev, candidate) per step
+        for t in range(T):
+            z = 1.0 / (1.0 + np.exp(-(xz[t] + h @ Uz)))
+            r = 1.0 / (1.0 + np.exp(-(xr[t] + h @ Ur)))
+            rh = r * h
+            cand = np.tanh(xh[t] + rh @ Uh)
+            steps.append((h, z, r, rh, cand))
+            h = (1.0 - z) * h + z * cand
+
+        def bw(g):
+            # contiguous copies: a batched matmul takes them faster than transposed views
+            UzT, UrT, UhT = (np.ascontiguousarray(U.transpose(0, 2, 1)) for U in (Uz, Ur, Uh))
+            grads = [None] * T  # (daz, dar, dah) per step
+            dh = np.stack([g[:, :H], g[:, H:]])
+            for t in reversed(range(T)):
+                h, z, r, rh, cand = steps[t]
+                omz = 1.0 - z
+                dah = dh * z * (1.0 - cand * cand)
+                drh = dah @ UhT
+                dar = drh * h * r * (1.0 - r)
+                daz = dh * (cand - h) * z * omz
+                grads[t] = daz, dar, dah
+                dh = dh * omz + daz @ UzT + drh * r + dar @ UrT
+
+            def over_steps(i, arrays):
+                # [2, T*B, H]: direction-major, rows (t, b) in step order
+                return np.stack([a[i] for a in arrays], axis=1).reshape(2, T * B, H)
+
+            hs, rhs = over_steps(0, steps), over_steps(3, steps)
+            for i, gate, prev in ((0, "z", hs), (1, "r", hs), (2, "h", rhs)):
+                da = over_steps(i, grads)
+                dU = prev.transpose(0, 2, 1) @ da
+                for k, dk, dUk in zip(dirs, da.reshape(2, T, B, H), dU):
+                    getattr(k, "U" + gate)._accumulate(dUk, owned=True)
+                    dx = (dk if k is self.fwd else dk[::-1]).reshape(T * B, H)  # frame order
+                    W = getattr(k, "W" + gate)
+                    W._accumulate(x2.T @ dx, owned=True)
+                    getattr(k, "b" + gate)._accumulate(dx.sum(axis=0), owned=True)
+                    if seq.requires_grad:
+                        seq._accumulate((dx @ W.data.T).reshape(T, B, d).transpose(1, 0, 2))
+
+        params = tuple(p for k in dirs for p in k.named_parameters().values())
+        return Tensor._from_op(np.concatenate([h[0], h[1]], axis=-1), (seq,) + params, bw)

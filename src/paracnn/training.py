@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import ParagraphBatch, make_batches, pad_feature_batch, shuffle_order
 from .layers import BiGruCell, Layer, Linear
 from .model import ModelConfig, ParagraphModel, SentenceCountPredictor
-from .tensor import RngState, Tensor, cross_entropy, gather_rows, no_grad
+from .tensor import RngState, ShapeError, Tensor, concat, cross_entropy, gather_rows, no_grad
 
 TWIN_MODES = ("none", "l2", "adversarial", "l2_plus_adversarial")
 
@@ -204,11 +204,24 @@ def _masked_grid(h: Tensor, mask: np.ndarray) -> Tensor:
     return h.reshape(B, M * N, C) * Tensor(m)
 
 
+def critic_loss(critic: Critic, fake: Tensor, real: Tensor) -> Tensor:
+    """The W-GAN critic objective mean(score(fake)) - mean(score(real)).
+
+    Both [B, T, C] sets are scored in one [2B, T, C] pass and the scores split
+    before the two means.
+    """
+    if fake.shape != real.shape:
+        raise ShapeError(f"fake frames {fake.shape} and real frames {real.shape} differ in shape")
+    B = fake.shape[0]
+    scores = critic.score(concat([fake, real], axis=0))
+    return scores[:B].mean() - scores[B:].mean()
+
+
 def critic_step(critic: Critic, h_fwd_detached: Tensor, h_bwd_detached: Tensor,
                 opt: RmspropOptimizer, weight_clip: float) -> float:
     """One W-GAN critic update: forward frames are fake, backward frames real."""
     opt.zero_grad()
-    loss = critic.score(h_fwd_detached).mean() - critic.score(h_bwd_detached).mean()
+    loss = critic_loss(critic, h_fwd_detached, h_bwd_detached)
     loss.backward()
     opt.step()
     critic.clip_weights(weight_clip)

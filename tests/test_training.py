@@ -10,7 +10,8 @@ from paracnn import training as training_mod
 from paracnn.checkpoint import trainer_arrays
 from paracnn.corpus import (SPECIALS, ParagraphBatch, Vocab, make_batches, pad_feature_batch,
                             shuffle_order)
-from paracnn.tensor import RngState, Tensor, grad_check
+from paracnn.layers import BiGruCell
+from paracnn.tensor import RngState, ShapeError, Tensor, grad_check
 from paracnn.training import (WEIGHT_CLIP, Critic, EpochStats, RmspropOptimizer,
                               TrainingDiverged, TwinConfig, TwinTrainer,
                               adversarial_generator_loss, batch_ce, critic_step, reverse_targets,
@@ -248,6 +249,31 @@ class TestCritic:
         sb = critic.score(hb).data.mean()
         loss = critic_step(critic, hf, hb, opt, weight_clip=1.0)
         assert abs(loss - (sf - sb)) < 1e-12
+
+    def test_one_score_and_one_gru_pass_per_step(self, monkeypatch):
+        critic, opt = self.make()
+        calls = []
+        for owner, name in ((Critic, "score"), (BiGruCell, "__call__")):
+            def spy(self, seqs, real=owner.__dict__[name], name=name):
+                calls.append((name, seqs.shape))
+                return real(self, seqs)
+            monkeypatch.setattr(owner, name, spy)
+        rng = RngState(48)
+        critic_step(critic, Tensor(rng.normal((3, 5, 4))), Tensor(rng.normal((3, 5, 4))),
+                    opt, weight_clip=0.01)
+        # fake and real frames stacked [2B, T, C] in one pass
+        assert calls == [("score", (6, 5, 4)), ("__call__", (6, 5, 4))]
+
+    def test_mismatched_frames_refused_before_any_update(self):
+        critic, opt = self.make()
+        before = {n: p.data.copy() for n, p in critic.named_parameters().items()}
+        rng = RngState(49)
+        with pytest.raises(ShapeError, match=r"fake frames \(2, 5, 4\) and real frames \(2, 6, 4\)"):
+            critic_step(critic, Tensor(rng.normal((2, 5, 4))), Tensor(rng.normal((2, 6, 4))),
+                        opt, weight_clip=0.01)
+        for n, p in critic.named_parameters().items():
+            assert np.array_equal(p.data, before[n]), n
+            assert not opt.state[n].any(), n
 
     def test_generator_loss_sign_and_gradient(self):
         critic, _ = self.make()
