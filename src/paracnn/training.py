@@ -125,7 +125,9 @@ class Critic(Layer):
 
     def __init__(self, rng: RngState, in_dim: int, hidden: int):
         self.gru = BiGruCell(rng, in_dim, hidden)
-        self.head = Linear(rng, 2 * hidden, 1)
+        # a head bias adds the same amount to every fake and real score, which
+        # the W-GAN losses cancel; the parameter would be exactly gradient-free
+        self.head = Linear(rng, 2 * hidden, 1, bias=False)
 
     def score(self, seqs: Tensor) -> Tensor:
         """seqs: [B, T, C] -> unbounded scores [B, 1]."""

@@ -62,6 +62,29 @@ def test_conv_entries_are_the_seeded_draws(monkeypatch):
             assert arrays[name][tau * 8 + c, o] == draw[o, c, tau], name
 
 
+def test_critic_gru_entries_are_the_seeded_draws(monkeypatch):
+    draws = []
+    param = layers._param
+
+    def recording(rng, shape, fan_in):
+        p = param(rng, shape, fan_in)
+        if rng._key == (TwinTrainer.CRITIC_RNG,):
+            draws.append(p.data.copy())
+        return p
+
+    monkeypatch.setattr(layers, "_param", recording)
+    arrays = trainer_arrays(trainer())
+    # the critic's draws: fwd's nine gate weights, then bwd's, then the head's
+    gates = [kind + gate for gate in "zrh" for kind in "WUb"]
+    assert len(draws) == 2 * len(gates) + 1
+    for k in (0, 1):
+        for name, draw in zip(gates, draws[9 * k:9 * (k + 1)]):
+            assert np.array_equal(arrays[f"critic.gru.{name}"][k], draw), (name, k)
+    assert np.array_equal(arrays["critic.head.W"], draws[-1])
+    assert sorted(k for k in arrays if k.startswith("critic.")) == sorted(
+        [f"critic.gru.{name}" for name in gates] + ["critic.head.W"])
+
+
 def test_entries_are_the_trainers_arrays():
     tr = trained()
     arrays = trainer_arrays(tr)

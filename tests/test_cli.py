@@ -1360,10 +1360,25 @@ class TestCheckpointFormat:
 
 
 class TestGradcheckCommand:
-    def test_report_covers_every_component(self, capsys):
+    def test_report_covers_every_component(self, capsys, monkeypatch):
+        check = cli.grad_check
+        largest = []  # each row's largest analytic |gradient|, in report order
+
+        def recording(f, x):
+            err = check(f, x)
+            largest.append(0.0 if x.grad is None else np.abs(x.grad).max())
+            return err
+
+        monkeypatch.setattr(cli, "grad_check", recording)
         assert run_cli("gradcheck", "--seed", "1") == 0
         out = capsys.readouterr().out
         assert "max relative error" in out
+        # a row whose exact gradient is 0 would check only finite-difference
+        # round-off against grad_check's 1e-8 denominator floor
+        rows = [line.split()[0] for line in out.splitlines()[:-1]]
+        assert len(rows) == len(largest)
+        for name, g in zip(rows, largest):
+            assert g > 1e-8, name
         from paracnn.model import ModelConfig, ParagraphModel
         from paracnn.tensor import RngState
         # every generator parameter appears as a report row
